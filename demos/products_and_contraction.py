@@ -13,14 +13,11 @@ from perfstruct import (
     contract_named,
     eig,
     eigenvalues,
-    identity_eigensystem,
     make_family,
     multiset_discrepancy,
     product_coloring,
-    product_spectrum,
-    unity_eigensystem,
 )
-from perfstruct.products import NAMED_SPECS
+from perfstruct.products import NAMED_SPECS, named_product_spectrum
 
 
 def main():
@@ -29,18 +26,9 @@ def main():
     em = eig(k2.adjacency.to_complex())
     el = eig(k3.adjacency.to_complex())
 
-    for kind in ("tensor", "cartesian", "normal", "lexicographic"):
-        spec = NAMED_SPECS[kind](k2.adjacency, k3.adjacency)
-        if kind == "tensor":
-            left, right = [em], [el]
-        elif kind == "lexicographic":
-            left = [em, identity_eigensystem(em)]
-            right = [unity_eigensystem(el), el]
-        else:
-            left = [em, identity_eigensystem(em)]
-            right = [identity_eigensystem(el), el]
-        predicted = product_spectrum(spec, left, right)
-        direct = eigenvalues(build_product(spec).to_complex())
+    for kind, named in NAMED_SPECS.items():
+        predicted = named_product_spectrum(kind, k2.adjacency, k3.adjacency)
+        direct = eigenvalues(build_product(named(k2.adjacency, k3.adjacency)).to_complex())
         d = multiset_discrepancy(predicted.values(), direct)
         vals = ", ".join(f"{complex(v).real:g}^{m}" for v, m in predicted.entries)
         print(f"{kind} product of K_2 and K_3: spectrum {{{vals}}}, "

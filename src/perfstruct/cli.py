@@ -23,21 +23,15 @@ from .errors import (
     PerfstructError,
 )
 from .graphs import (
+    FAMILY_ARITY,
     Graph,
     closed_form_spectrum,
     is_regular,
     make_family,
     numeric_spectrum,
 )
-from .matrix import DEFAULT_TOL, Matrix, eig, eigenvalues, multiset_discrepancy, rank
-from .products import (
-    NAMED_SPECS,
-    ProductSpec,
-    build_product,
-    identity_eigensystem,
-    product_spectrum,
-    unity_eigensystem,
-)
+from .matrix import DEFAULT_TOL, Matrix, eigenvalues, multiset_discrepancy, rank
+from .products import NAMED_SPECS, ProductSpec, build_product, named_product_spectrum
 from .structures import PerfectStructure, verify
 
 EXIT_OK = 0
@@ -45,11 +39,6 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
-_FAMILY_ARITY = {
-    "complete": 1, "matching": 1, "complete_bipartite": 1,
-    "complete_multipartite": 2, "hamming": 2, "path": 1, "cycle": 1,
-    "grid": 2, "torus": 2, "prism": 1, "ladder": 1,
-}
 _SHORTHAND = {"k": "complete", "c": "cycle", "p": "path", "m": "matching"}
 
 
@@ -59,12 +48,12 @@ def _tol() -> float:
 
 
 def resolve_graph_tokens(tokens: list[str]) -> tuple[Graph, int]:
-    """Resolve tokens to a graph.  Accepts inline families ('hamming 3 2',
-    'cycle 6'), shorthand ('k4', 'c6', 'p5', 'm3'), or a file path.  Returns
-    the graph and the number of tokens consumed."""
+    """Resolve tokens to a graph.  Accepts inline families with integer
+    parameters ('hamming 3 2', 'cycle 6'), shorthand ('k4', 'c6', 'p5', 'm3'),
+    or a file path.  Returns the graph and the number of tokens consumed."""
     head = tokens[0]
-    if head in _FAMILY_ARITY:
-        arity = _FAMILY_ARITY[head]
+    arity = FAMILY_ARITY.get(head)
+    if arity is not None:
         params = [int(t) for t in tokens[1:1 + arity]]
         if len(params) != arity:
             raise files.ParseError(f"family {head!r} needs {arity} parameter(s)")
@@ -171,24 +160,6 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _consolidated_spectrum(kind: str, spec: ProductSpec, left: Matrix,
-                           right: Matrix, tol: float):
-    el = eig(left, tol)
-    er = eig(right, tol)
-    if kind == "tensor":
-        return product_spectrum(spec, [el], [er], tol)
-    if kind == "cartesian":
-        return product_spectrum(spec, [el, identity_eigensystem(el)],
-                                [identity_eigensystem(er), er], tol)
-    if kind == "normal":
-        return product_spectrum(spec, [el, identity_eigensystem(el)],
-                                [identity_eigensystem(er), er], tol)
-    if kind == "lexicographic":
-        return product_spectrum(spec, [el, identity_eigensystem(el)],
-                                [unity_eigensystem(er, tol), er], tol)
-    return None
-
-
 def cmd_product(args) -> int:
     tol = _tol()
     tokens = list(args.factors)
@@ -196,7 +167,7 @@ def cmd_product(args) -> int:
     right, used2 = resolve_graph_tokens(tokens[used:])
     if used + used2 != len(tokens):
         raise files.ParseError(f"unused trailing arguments: {tokens[used + used2:]}")
-    kind = {"lex": "lexicographic"}.get(args.kind, args.kind)
+    kind = args.kind
     if kind == "general":
         if not args.coeffs:
             raise files.ParseError("the general product needs --coeffs FILE")
@@ -215,7 +186,6 @@ def cmd_product(args) -> int:
     files.save_graph(product, out_path)
     print(f"wrote product graph ({product.n} vertices) to {out_path}")
 
-    code = EXIT_OK
     if args.left_coloring or args.right_coloring:
         if not (args.left_coloring and args.right_coloring):
             raise files.ParseError("both factor colorings are required")
@@ -234,15 +204,15 @@ def cmd_product(args) -> int:
         print("parameter matrix:")
         for row in _matrix_json(params):
             print("  " + " ".join(row))
+    if kind == "general":
+        return EXIT_OK
     try:
-        spectrum = _consolidated_spectrum(kind, spec, left.adjacency,
-                                          right.adjacency, tol)
+        spectrum = named_product_spectrum(kind, left.adjacency, right.adjacency, tol)
     except HypothesisNotMetError:
-        spectrum = None
-    if spectrum is not None:
-        print("product spectrum:")
-        _print_spectrum(_spectrum_pairs(spectrum))
-    return code
+        return EXIT_OK
+    print("product spectrum:")
+    _print_spectrum(_spectrum_pairs(spectrum))
+    return EXIT_OK
 
 
 def cmd_contract(args) -> int:
@@ -251,7 +221,6 @@ def cmd_contract(args) -> int:
     right, _ = resolve_graph_tokens([args.right])
     h = np.array(files.load_vector(args.h), dtype=np.complex128)
     g = np.array(files.load_vector(args.g), dtype=np.complex128)
-    kind = {"lex": "lexicographic"}.get(args.kind, args.kind)
 
     nmat = product_graph.adjacency.to_complex().data
     nh = nmat @ h
@@ -272,7 +241,7 @@ def cmd_contract(args) -> int:
         left_graph, _ = resolve_graph_tokens([args.left])
         left_matrix = left_graph.adjacency
 
-    f, mu = contract_named(kind, (h, nu), (g, lam), right, tol,
+    f, mu = contract_named(args.kind, (h, nu), (g, lam), right, tol,
                            left_matrix=left_matrix)
     if float(np.linalg.norm(f)) <= tol:
         print("status: zero contraction")
@@ -327,6 +296,15 @@ def cmd_census(args) -> int:
     return EXIT_OK
 
 
+#: named product kinds on the command line; argparse checks the choice after
+#: ``type`` has resolved the alias, so "lex" is listed for the help text
+_KINDS = [*NAMED_SPECS, "lex"]
+
+
+def _kind(token: str) -> str:
+    return "lexicographic" if token == "lex" else token
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="perfstruct",
@@ -352,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum, mode="both")
 
     p = sub.add_parser("product", help="build a graph product (and coloring)")
-    p.add_argument("kind", choices=["tensor", "cartesian", "normal", "lex",
-                                    "lexicographic", "general"])
+    p.add_argument("kind", type=_kind, choices=[*_KINDS, "general"])
     p.add_argument("factors", nargs="+", help="two graphs (files or families)")
     p.add_argument("--left-coloring")
     p.add_argument("--right-coloring")
@@ -365,8 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("product_graph", help="product graph file or family")
     p.add_argument("h", help="eigenvector file on the product")
     p.add_argument("g", help="eigenvector file on the right factor")
-    p.add_argument("kind", choices=["tensor", "cartesian", "normal", "lex",
-                                    "lexicographic"])
+    p.add_argument("kind", type=_kind, choices=_KINDS)
     p.add_argument("--right", required=True, help="right factor graph")
     p.add_argument("--left", help="left factor graph (enables the residual check)")
     p.set_defaults(func=cmd_contract)
@@ -384,13 +360,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (files.ParseError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ExcludedEigenvalueError as exc:
         print(f"error: excluded eigenvalue: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (PerfstructError,) as exc:
+    except (PerfstructError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

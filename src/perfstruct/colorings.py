@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionError, HypothesisNotMetError
+from .errors import DimensionError, DomainMismatchError, HypothesisNotMetError
 from .graphs import Graph, is_connected, is_regular
 from .matrix import (
     CLUSTER_RADIUS,
@@ -21,9 +21,9 @@ from .matrix import (
     EXACT,
     Matrix,
     eigenvalues,
-    kron,
     rank,
 )
+from .products import NAMED_SPECS, _kron_sum, build_product
 from .structures import parameters_from_structure
 from .errors import NoParameterMatrixError
 
@@ -88,8 +88,12 @@ def verify_coloring(g: Graph, c: Coloring) -> Matrix | None:
     """Parameter matrix S of a perfect coloring, or None when not perfect.
 
     Checked combinatorially (all color-i vertices share one neighbor count
-    vector), then cross-asserted as M·P = P·S bit-exact.
+    vector), then cross-checked as M·P = P·S bit-exact, which needs an exact
+    adjacency.
     """
+    if g.adjacency.domain != EXACT:
+        raise DomainMismatchError(
+            "integer colorings are verified over an exact adjacency matrix")
     if c.n != g.n:
         raise DimensionError("coloring length must equal the number of vertices")
     reference: list[list | None] = [None] * c.k
@@ -101,8 +105,8 @@ def verify_coloring(g: Graph, c: Coloring) -> Matrix | None:
         elif reference[i] != counts:
             return None
     s = Matrix.exact([ref for ref in reference])
-    assert (g.adjacency @ c.indicator - c.indicator @ s).is_zero(), \
-        "combinatorial and algebraic verifiers disagree"
+    if not (g.adjacency @ c.indicator - c.indicator @ s).is_zero():
+        raise ArithmeticError("combinatorial and algebraic verifiers disagree")
     return s
 
 
@@ -143,45 +147,35 @@ def verify_fractional(g: Graph, w: FractionalColoring,
         return None
 
 
-# -- product colorings (tensor / Cartesian / normal / lexicographic) --
+# -- product colorings ------------------------------------------------
 
 def product_coloring(product: str, left, right):
     """Perfect coloring of a named product from perfect factor colorings.
 
-    ``left`` and ``right`` are (Graph, Coloring) pairs.  Returns the product
-    graph, the k1*k2-coloring with indicator P kron R, and its parameter
-    matrix; the result is re-verified combinatorially before returning.
+    ``left`` and ``right`` are (Graph, Coloring) pairs.  Each coloring is
+    perfect on every factor of its side (I gives I_k, J gives J·diag(sizes)),
+    so the product coloring with indicator P kron R has parameter matrix
+    sum a_ij S_i kron T_j.  Returns the product graph, that k1*k2-coloring
+    and its parameter matrix, re-verified combinatorially before returning.
     """
-    from .products import NAMED_SPECS, build_product
-
     if product not in NAMED_SPECS:
         raise ValueError(f"unknown product kind {product!r}")
     g1, c1 = left
     g2, c2 = right
-    s = verify_coloring(g1, c1)
-    t = verify_coloring(g2, c2)
-    if s is None or t is None:
-        raise HypothesisNotMetError("both factor colorings must be perfect")
-    k1, k2 = c1.k, c2.k
-    ident1 = Matrix.identity(k1)
-    if product == "tensor":
-        params = kron(s, t)
-    elif product == "cartesian":
-        params = kron(ident1, t) + kron(s, Matrix.identity(k2))
-    elif product == "normal":
-        params = kron(s, Matrix.identity(k2)) + kron(ident1, t) + kron(s, t)
-    else:  # lexicographic: T' = J·diag(l_1..l_k2) per the complete-graph law
-        t_prime = Matrix.ones(k2, k2) @ Matrix.diag(c2.class_sizes)
-        params = kron(s, t_prime) + kron(ident1, t)
-
     spec = NAMED_SPECS[product](g1.adjacency, g2.adjacency)
+    s = [verify_coloring(Graph(f), c1) for f in spec.left_factors]
+    t = [verify_coloring(Graph(f), c2) for f in spec.right_factors]
+    if any(x is None for x in s + t):
+        raise HypothesisNotMetError("both factor colorings must be perfect")
+    params = _kron_sum(spec.coefficients, s, t)
+
     prod_graph = Graph(build_product(spec))
-    colors = [(c1.colors[v] - 1) * k2 + c2.colors[u]
+    colors = [(c1.colors[v] - 1) * c2.k + c2.colors[u]
               for v in range(g1.n) for u in range(g2.n)]
     prod_coloring = Coloring.from_colors(colors)
     check = verify_coloring(prod_graph, prod_coloring)
-    assert check is not None and check == params, \
-        "product coloring failed re-verification"
+    if check is None or check != params:
+        raise ArithmeticError("product coloring failed re-verification")
     return prod_graph, prod_coloring, params
 
 
@@ -299,6 +293,7 @@ def census(g: Graph, k: int, budget: int = 10 ** 8) -> CensusResult:
     for cols in sorted(set(canonical_colors(c) for c in found)):
         coloring = Coloring.from_colors(cols)
         s = verify_coloring(g, coloring)
-        assert s is not None
+        if s is None:
+            raise ArithmeticError("census found a coloring that fails verification")
         results.append((coloring, s))
     return CensusResult(tuple(results), not aborted, evaluated)

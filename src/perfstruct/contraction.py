@@ -21,6 +21,7 @@ from .errors import (
 )
 from .graphs import Graph, is_regular
 from .matrix import DEFAULT_TOL, Matrix
+from .products import NAMED_SPECS
 
 
 @dataclass(frozen=True)
@@ -88,10 +89,6 @@ def verify_contraction_theorem(inp: ContractionInput, m1: Matrix, m2: Matrix,
     return mu_prime, mu_dblprime
 
 
-#: per-product eigenvalue maps (nu, lambda, right data) -> mu
-NAMED_KINDS = ("tensor", "cartesian", "normal", "lexicographic")
-
-
 def contract_named(product: str, product_eigfn, right_eigfn, right_graph: Graph,
                    tol: float = DEFAULT_TOL,
                    left_matrix: Matrix | None = None) -> tuple[np.ndarray, complex]:
@@ -102,7 +99,7 @@ def contract_named(product: str, product_eigfn, right_eigfn, right_graph: Graph,
     ``left_matrix`` is supplied and f is nonzero, the eigen identity
     M·f = mu·f is checked at the given tolerance.
     """
-    if product not in NAMED_KINDS:
+    if product not in NAMED_SPECS:
         raise ValueError(f"unknown product kind {product!r}")
     h, nu = product_eigfn
     g, lam = right_eigfn

@@ -18,12 +18,12 @@ import re
 from fractions import Fraction
 
 from .colorings import Coloring, FractionalColoring
-from .errors import DimensionError
+from .errors import DimensionError, PerfstructError
 from .graphs import Graph, from_edges
 from .matrix import EXACT, Matrix
 
 
-class ParseError(Exception):
+class ParseError(PerfstructError):
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
@@ -61,7 +61,10 @@ def parse_scalar(token: str):
             im_part = float(im_tok)
         return complex(re_part, im_part)
     if "/" in token:
-        return Fraction(token)
+        try:
+            return Fraction(token)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {token!r}") from None
     if any(ch in token for ch in ".eE"):
         return complex(float(token))
     return Fraction(int(token))

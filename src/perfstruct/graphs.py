@@ -1,9 +1,13 @@
 """Graphs, named families, and the closed-form spectra of the classic ones.
 
-Family-tagged graphs regenerate their adjacency bit-exact from the tag, and
-product-defined families (Hamming, grid, torus, prism, ladder, doubles) are
-assembled through the generalized product machinery so that the inductive
-spectrum arguments hold literally.
+Family-tagged graphs regenerate their adjacency bit-exact from the tag.  Each
+product-defined family (grid, torus, prism, ladder, Hamming, bipartite double)
+is one ``PRODUCT_FAMILIES`` entry: a named product and its factor tags.  Its
+graph is that product of the factor graphs, and its closed-form spectrum is
+derived from the factors' closed forms by the product's eigenvalue rule
+(lam + mu for Cartesian, lam * mu for tensor), recursing on tags without
+building a graph.  The remaining families have factors I or J, which are not
+families, and keep their own formulas.
 """
 
 from __future__ import annotations
@@ -102,36 +106,49 @@ def _cycle_adjacency(n: int) -> Matrix:
     return Matrix.exact(m)
 
 
-def _cartesian(a: Matrix, b: Matrix) -> Matrix:
-    from .products import build_product, cartesian_spec
-    return build_product(cartesian_spec(a, b))
-
-
 def _tensor(a: Matrix, b: Matrix) -> Matrix:
     from .products import build_product, tensor_spec
     return build_product(tensor_spec(a, b))
 
 
-_ARITY = {
+#: number of integer parameters per family; None for a family over one graph
+FAMILY_ARITY = {
     "complete": 1, "matching": 1, "complete_bipartite": 1,
     "complete_multipartite": 2, "hamming": 2, "path": 1, "cycle": 1,
     "grid": 2, "torus": 2, "prism": 1, "ladder": 1,
-    "double": 1, "bipartite_double": 1,
+    "double": None, "bipartite_double": None,
+}
+
+#: product-defined families: name -> (named product kind, map from the
+#: family's parameters to its (left, right) factors, each a family tag or a
+#: Graph).  The kinds used have no J factor, so their closed-form spectra
+#: follow from the factors'.  H(1, q) = K_q is written K_q x K_1.
+PRODUCT_FAMILIES = {
+    "grid": ("cartesian", lambda m, n: (("path", m), ("path", n))),
+    "torus": ("cartesian", lambda m, n: (("cycle", m), ("cycle", n))),
+    "prism": ("cartesian", lambda n: (("cycle", n), ("complete", 2))),
+    "ladder": ("cartesian", lambda n: (("path", n), ("complete", 2))),
+    "hamming": ("cartesian", lambda n, q: (
+        ("complete", q), ("hamming", n - 1, q) if n > 1 else ("complete", 1))),
+    "bipartite_double": ("tensor", lambda g: (g, ("complete", 2))),
 }
 
 
 def make_family(name: str, *params) -> Graph:
     """Construct a named family member; the tag regenerates it bit-exact."""
-    if name not in _ARITY:
+    if name not in FAMILY_ARITY:
         raise ValueError(f"unknown graph family {name!r}")
-    if name in ("double", "bipartite_double"):
+    if FAMILY_ARITY[name] is None:
         (base,) = params
-        base_graph = base if isinstance(base, Graph) else make_family(*base)
-        return double_graph(base_graph) if name == "double" else bipartite_double(base_graph)
+        if name == "double":
+            return double_graph(base if isinstance(base, Graph) else make_family(*base))
+        return _product_family(name, base)
 
     params = tuple(int(p) for p in params)
-    if len(params) != _ARITY[name] or any(p < 1 for p in params):
+    if len(params) != FAMILY_ARITY[name] or any(p < 1 for p in params):
         raise ValueError(f"invalid parameters {params} for family {name!r}")
+    if name in PRODUCT_FAMILIES:
+        return _product_family(name, *params)
 
     if name == "complete":
         (n,) = params
@@ -145,11 +162,6 @@ def make_family(name: str, *params) -> Graph:
     elif name == "complete_multipartite":
         k, n = params
         adj = _tensor(_complete_adjacency(k), Matrix.ones(n, n))
-    elif name == "hamming":
-        n, q = params
-        adj = _complete_adjacency(q)
-        for _ in range(n - 1):
-            adj = _cartesian(_complete_adjacency(q), adj)
     elif name == "path":
         (n,) = params
         adj = _path_adjacency(n)
@@ -158,25 +170,21 @@ def make_family(name: str, *params) -> Graph:
         if n < 3:
             raise ValueError("a cycle needs at least 3 vertices")
         adj = _cycle_adjacency(n)
-    elif name == "grid":
-        m, n = params
-        adj = _cartesian(_path_adjacency(m), _path_adjacency(n))
-    elif name == "torus":
-        m, n = params
-        if m < 3 or n < 3:
-            raise ValueError("a torus needs cycles of length >= 3")
-        adj = _cartesian(_cycle_adjacency(m), _cycle_adjacency(n))
-    elif name == "prism":
-        (n,) = params
-        if n < 3:
-            raise ValueError("a prism needs a cycle of length >= 3")
-        adj = _cartesian(_cycle_adjacency(n), _complete_adjacency(2))
-    elif name == "ladder":
-        (n,) = params
-        adj = _cartesian(_path_adjacency(n), _complete_adjacency(2))
     else:  # pragma: no cover
         raise AssertionError(name)
     return Graph(adj, family=(name, *params))
+
+
+def _product_family(name: str, *params) -> Graph:
+    """A PRODUCT_FAMILIES member built by its named product; untagged when a
+    graph parameter carries no tag."""
+    from .products import NAMED_SPECS, build_product
+    kind, factors = PRODUCT_FAMILIES[name]
+    left, right = (f if isinstance(f, Graph) else make_family(*f)
+                   for f in factors(*params))
+    adj = build_product(NAMED_SPECS[kind](left.adjacency, right.adjacency))
+    tag = tuple(p.family if isinstance(p, Graph) else p for p in params)
+    return Graph(adj, family=None if None in tag else (name, *tag))
 
 
 def double_graph(g: Graph) -> Graph:
@@ -188,9 +196,7 @@ def double_graph(g: Graph) -> Graph:
 
 def bipartite_double(g: Graph) -> Graph:
     """Tensor product of G with the single-edge graph."""
-    adj = _tensor(g.adjacency, _complete_adjacency(2))
-    tag = ("bipartite_double", g.family) if g.family else None
-    return Graph(adj, family=tag)
+    return make_family("bipartite_double", g)
 
 
 # -- closed-form spectra ----------------------------------------------
@@ -199,8 +205,13 @@ def closed_form_spectrum(g: Graph) -> Spectrum:
     """Closed-form spectrum for family-tagged graphs; exact where rational."""
     if g.family is None:
         raise ValueError("graph carries no family tag; use a numeric spectrum")
-    name, *params = g.family
+    return _tag_spectrum(g.family)
 
+
+def _tag_spectrum(tag) -> Spectrum:
+    name, *params = tag
+    if name in PRODUCT_FAMILIES:
+        return _product_spectrum(name, params)
     if name == "complete":
         (n,) = params
         entries = [(-1 + 0j, n - 1), (n - 1 + 0j, 1)] if n > 1 else [(0j, 1)]
@@ -219,11 +230,6 @@ def closed_form_spectrum(g: Graph) -> Spectrum:
         k, n = params
         raw = [complex(-n)] * (k - 1) + [0j] * (k * (n - 1)) + [complex(n * (k - 1))]
         return Spectrum.from_values(raw)
-    if name == "hamming":
-        n, q = params
-        entries = [(complex(n * (q - 1) - q * i), math.comb(n, i) * (q - 1) ** i)
-                   for i in range(n, -1, -1)]
-        return Spectrum(tuple(entries))
     if name == "path":
         (n,) = params
         raw = [(2 * math.cos(math.pi * i / (n + 1)), i) for i in range(1, n + 1)]
@@ -234,44 +240,39 @@ def closed_form_spectrum(g: Graph) -> Spectrum:
         raw = [(2 * math.cos(2 * math.pi * i / n), i) for i in range(1, n + 1)]
         return Spectrum.from_values([v for v, _ in raw],
                                     labels=[(complex(v), i) for v, i in raw])
-    if name == "grid":
-        m, n = params
-        raw = [(2 * math.cos(math.pi * i / (m + 1)) + 2 * math.cos(math.pi * j / (n + 1)),
-                (i, j)) for i in range(1, m + 1) for j in range(1, n + 1)]
-        return Spectrum.from_values([v for v, _ in raw],
-                                    labels=[(complex(v), ij) for v, ij in raw])
-    if name == "torus":
-        m, n = params
-        raw = [(2 * math.cos(2 * math.pi * i / m) + 2 * math.cos(2 * math.pi * j / n),
-                (i, j)) for i in range(1, m + 1) for j in range(1, n + 1)]
-        return Spectrum.from_values([v for v, _ in raw],
-                                    labels=[(complex(v), ij) for v, ij in raw])
-    if name == "prism":
-        (n,) = params
-        raw = [(2 * math.cos(2 * math.pi * i / n) + s, (i, s))
-               for i in range(1, n + 1) for s in (-1, 1)]
-        return Spectrum.from_values([v for v, _ in raw],
-                                    labels=[(complex(v), lab) for v, lab in raw])
-    if name == "ladder":
-        (n,) = params
-        raw = [(2 * math.cos(math.pi * i / (n + 1)) + s, (i, s))
-               for i in range(1, n + 1) for s in (-1, 1)]
-        return Spectrum.from_values([v for v, _ in raw],
-                                    labels=[(complex(v), lab) for v, lab in raw])
     if name == "double":
-        base = _base_spectrum(params[0])
+        base = _tag_spectrum(params[0])
         raw = [0j] * (sum(m for _, m in base.entries)) + \
               [2 * v for v in base.values()]
         return Spectrum.from_values(raw)
-    if name == "bipartite_double":
-        base = _base_spectrum(params[0])
-        vals = base.values()
-        return Spectrum.from_values(vals + [-v for v in vals])
     raise ValueError(f"no closed-form spectrum known for family {name!r}")
 
 
-def _base_spectrum(tag) -> Spectrum:
-    return closed_form_spectrum(make_family(*tag))
+def _product_spectrum(name: str, params) -> Spectrum:
+    """Spectrum of a product family from its factors' closed forms: on the
+    Kronecker product of factor eigenvectors with eigenvalues lam and mu, the
+    product acts as sum a_ij x_i y_j, where x_i is lam for M and 1 for I, and
+    y_j is mu for L and 1 for I.  Each raw value is labelled by its factors'
+    labels, or by their eigenvalues where a factor records none."""
+    from .products import NAMED_SPECS
+    kind, factors = PRODUCT_FAMILIES[name]
+    named = NAMED_SPECS[kind]
+    left, right = (_raw_spectrum(_tag_spectrum(f)) for f in factors(*params))
+    labels = []
+    for lam, a in left:
+        xs = [lam if t == "M" else 1 for t in named.left]
+        for mu, b in right:
+            ys = [mu if t == "L" else 1 for t in named.right]
+            value = sum(c * xs[i] * ys[j] for i, row in enumerate(named.coefficients)
+                        for j, c in enumerate(row) if c != 0)
+            labels.append((value, (a, b)))
+    return Spectrum.from_values([v for v, _ in labels], labels=labels)
+
+
+def _raw_spectrum(spec: Spectrum) -> list:
+    """(value, label) per raw eigenvalue; a value is its own label when the
+    spectrum records none."""
+    return list(spec.labels) or [(v, v) for v in spec.values()]
 
 
 # -- structural predicates --------------------------------------------

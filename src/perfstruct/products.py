@@ -21,6 +21,7 @@ from .matrix import (
     EXACT,
     EigenSystem,
     Matrix,
+    eig,
     kron,
     kron_vec,
 )
@@ -65,38 +66,40 @@ class ProductSpec:
         return self.right_factors[0].rows
 
 
-def _freeze(factors) -> tuple:
-    return tuple(factors)
+@dataclass(frozen=True)
+class NamedProduct:
+    """A named product as its coefficient grid over a fixed factor layout.
+
+    Each left factor is "M" (the left graph) or "I"; each right factor is
+    "L" (the right graph), "I" or "J" (all-ones), of that side's order.
+    Calling it on the two adjacency matrices gives the ``ProductSpec``.
+    """
+
+    left: tuple
+    right: tuple
+    coefficients: tuple
+
+    def __call__(self, m: Matrix, l: Matrix) -> ProductSpec:
+        return ProductSpec(tuple(_layout_factor(t, m) for t in self.left),
+                           tuple(_layout_factor(t, l) for t in self.right),
+                           self.coefficients)
 
 
-def tensor_spec(m: Matrix, l: Matrix) -> ProductSpec:
-    return ProductSpec(_freeze([m]), _freeze([l]), ((1,),))
-
-
-def cartesian_spec(m: Matrix, l: Matrix) -> ProductSpec:
-    i1 = Matrix.identity(m.rows, m.domain)
-    i2 = Matrix.identity(l.rows, l.domain)
-    return ProductSpec(_freeze([m, i1]), _freeze([i2, l]), ((1, 0), (0, 1)))
-
-
-def normal_spec(m: Matrix, l: Matrix) -> ProductSpec:
-    i1 = Matrix.identity(m.rows, m.domain)
-    i2 = Matrix.identity(l.rows, l.domain)
-    return ProductSpec(_freeze([m, i1]), _freeze([i2, l]), ((1, 1), (0, 1)))
-
-
-def lexicographic_spec(m: Matrix, l: Matrix) -> ProductSpec:
-    i1 = Matrix.identity(m.rows, m.domain)
-    j2 = Matrix.ones(l.rows, l.rows, l.domain)
-    return ProductSpec(_freeze([m, i1]), _freeze([j2, l]), ((1, 0), (0, 1)))
+def _layout_factor(tag: str, a: Matrix) -> Matrix:
+    if tag == "I":
+        return Matrix.identity(a.rows, a.domain)
+    if tag == "J":
+        return Matrix.ones(a.rows, a.rows, a.domain)
+    return a
 
 
 NAMED_SPECS = {
-    "tensor": tensor_spec,
-    "cartesian": cartesian_spec,
-    "normal": normal_spec,
-    "lexicographic": lexicographic_spec,
+    "tensor": NamedProduct(("M",), ("L",), ((1,),)),
+    "cartesian": NamedProduct(("M", "I"), ("I", "L"), ((1, 0), (0, 1))),
+    "normal": NamedProduct(("M", "I"), ("I", "L"), ((1, 1), (0, 1))),
+    "lexicographic": NamedProduct(("M", "I"), ("J", "L"), ((1, 0), (0, 1))),
 }
+tensor_spec, cartesian_spec, normal_spec, lexicographic_spec = NAMED_SPECS.values()
 
 
 def _integer_data(m: Matrix) -> np.ndarray | None:
@@ -109,6 +112,19 @@ def _integer_data(m: Matrix) -> np.ndarray | None:
             return None
         out[idx] = x.numerator
     return out
+
+
+def _kron_sum(coefficients, lefts, rights) -> Matrix:
+    """sum a_ij * (lefts[i] kron rights[j]) over the nonzero coefficients."""
+    acc = None
+    for i, a in enumerate(lefts):
+        for j, b in enumerate(rights):
+            c = coefficients[i][j]
+            if c == 0:
+                continue
+            term = kron(a, b).scale(c)
+            acc = term if acc is None else acc + term
+    return acc
 
 
 def build_product(spec: ProductSpec) -> Matrix:
@@ -130,15 +146,7 @@ def build_product(spec: ProductSpec) -> Matrix:
                 term = c * np.kron(ints[i], ints[m + j])
                 acc = term if acc is None else acc + term
         return Matrix.exact(acc.tolist())
-    acc = None
-    for i, mi in enumerate(spec.left_factors):
-        for j, lj in enumerate(spec.right_factors):
-            c = spec.coefficients[i][j]
-            if c == 0:
-                continue
-            term = kron(mi, lj).scale(c)
-            acc = term if acc is None else acc + term
-    return acc
+    return _kron_sum(spec.coefficients, spec.left_factors, spec.right_factors)
 
 
 def product_structures(spec: ProductSpec, left, right,
@@ -165,14 +173,8 @@ def product_structures(spec: ProductSpec, left, right,
             raise UnverifiedStructureError("right adjacency matrices must match the factors")
         if not verify(s, tol):
             raise UnverifiedStructureError("unverified right structure")
-    params = None
-    for i, ls in enumerate(left):
-        for j, rs in enumerate(right):
-            c = spec.coefficients[i][j]
-            if c == 0:
-                continue
-            term = kron(ls.parameters, rs.parameters).scale(c)
-            params = term if params is None else params + term
+    params = _kron_sum(spec.coefficients, [s.parameters for s in left],
+                       [s.parameters for s in right])
     return PerfectStructure(build_product(spec), kron(p, r), params)
 
 
@@ -190,7 +192,8 @@ def lexicographic_structure(left: PerfectStructure, right: PerfectStructure,
     adjacency = build_product(spec)
     structure = kron(left.structure, right.structure)
     ident = Matrix.identity(left.k, left.domain)
-    params = kron(left.parameters, t_prime) + kron(ident, right.parameters)
+    params = _kron_sum(spec.coefficients, [left.parameters, ident],
+                       [t_prime, right.parameters])
     return PerfectStructure(adjacency, structure, params)
 
 
@@ -268,3 +271,17 @@ def unity_eigensystem(like: EigenSystem, tol: float = DEFAULT_TOL) -> EigenSyste
                     "J does not share this eigenbasis")
             values[t] = n
     return EigenSystem(values=values, vectors=like.vectors, residual=0.0)
+
+
+def named_product_spectrum(kind: str, m: Matrix, l: Matrix,
+                           tol: float = DEFAULT_TOL) -> Spectrum:
+    """Spectrum of a named product of M and L from one eigensystem per graph:
+    on those vectors I acts as 1 and J through ``unity_eigensystem``."""
+    named = NAMED_SPECS[kind]
+    em, el = eig(m, tol), eig(l, tol)
+
+    def side(layout, es):
+        return [identity_eigensystem(es) if t == "I"
+                else unity_eigensystem(es, tol) if t == "J" else es for t in layout]
+
+    return product_spectrum(named(m, l), side(named.left, em), side(named.right, el), tol)

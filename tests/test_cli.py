@@ -6,8 +6,9 @@ import json
 import pytest
 
 from perfstruct import make_family
-from perfstruct.cli import main
+from perfstruct.cli import main, resolve_graph_tokens
 from perfstruct.files import dump_graph
+from perfstruct.graphs import FAMILY_ARITY
 
 
 @pytest.fixture
@@ -60,6 +61,17 @@ class TestVerify:
         coloring = write(tmp_path, "c.col", "1\n2\n")
         assert main(["verify", c4_file, coloring]) == 2
 
+    def test_decimal_graph_with_integer_coloring_is_an_input_error(self, tmp_path):
+        g = write(tmp_path, "g.graph", "matrix 2\n0 1.5\n1.5 0\n")
+        coloring = write(tmp_path, "c.col", "1\n2\n")
+        assert main(["verify", g, coloring]) == 2
+
+    def test_zero_denominator_is_an_input_error(self, tmp_path, c4_file):
+        g = write(tmp_path, "g.graph", "matrix 2\n0 1/0\n1 0\n")
+        assert main(["verify", g, write(tmp_path, "c.col", "1\n2\n")]) == 2
+        w = write(tmp_path, "w.col", "1/2 1/2\n1/0 1\n1/2 1/2\n1/2 1/2\n")
+        assert main(["verify", c4_file, w]) == 2
+
 
 class TestSpectrum:
     def test_family_both_modes(self, capsys):
@@ -82,6 +94,17 @@ class TestSpectrum:
 
     def test_bad_family_parameters(self):
         assert main(["spectrum", "hamming", "3"]) == 2
+
+    def test_families_over_a_graph_are_not_inline(self):
+        assert main(["spectrum", "double", "3"]) == 2
+
+    @pytest.mark.parametrize("name", [n for n, a in FAMILY_ARITY.items() if a is not None])
+    def test_inline_family_names_resolve(self, name):
+        params = [3] * FAMILY_ARITY[name]
+        graph, used = resolve_graph_tokens([name, *map(str, params)])
+        assert used == 1 + len(params)
+        assert graph.family == make_family(name, *params).family
+        assert graph.adjacency == make_family(name, *params).adjacency
 
 
 class TestProduct:
@@ -108,6 +131,11 @@ class TestProduct:
         assert main(["product", "general", "k2", "k2",
                      "--coeffs", coeffs, "-o", out_path]) == 0
         assert "matrix 4" in (tmp_path / "prod.graph").read_text()
+
+    def test_zero_denominator_coefficient_is_an_input_error(self, tmp_path):
+        coeffs = write(tmp_path, "grid.txt", "1/0\n")
+        assert main(["product", "general", "k2", "k2", "--coeffs", coeffs,
+                     "-o", str(tmp_path / "p.graph")]) == 2
 
     def test_one_sided_coloring_is_an_input_error(self, tmp_path):
         lc = write(tmp_path, "l.col", "1\n2\n1\n2\n")
@@ -145,6 +173,11 @@ class TestContract:
         h = write(tmp_path, "h.vec", "1\n0\n-1\n1\n0\n-1\n")
         g = write(tmp_path, "g.vec", "1\n0\n-1\n")
         assert main(["contract", prod, h, g, "tensor", "--right", "p3"]) == 2
+
+    def test_zero_denominator_vector_is_an_input_error(self, tmp_path):
+        h = write(tmp_path, "h.vec", "1\n-1\n-1\n1/0\n")
+        g = write(tmp_path, "g.vec", "1\n-1\n")
+        assert main(["contract", "c4", h, g, "cartesian", "--right", "k2"]) == 2
 
     def test_non_eigenvector_is_an_input_error(self, tmp_path):
         prod = str(tmp_path / "prod.graph")

@@ -10,6 +10,7 @@ import pytest
 from perfstruct import (
     Coloring,
     FractionalColoring,
+    Graph,
     Matrix,
     canonical_colors,
     census,
@@ -22,7 +23,8 @@ from perfstruct import (
     verify_coloring,
     verify_fractional,
 )
-from perfstruct.errors import DimensionError, HypothesisNotMetError
+from perfstruct import colorings, products
+from perfstruct.errors import DimensionError, DomainMismatchError, HypothesisNotMetError
 
 from helpers import enumerate_perfect_colorings
 
@@ -63,6 +65,11 @@ class TestVerifyColoring:
             c = Coloring.from_colors(colors)
             s = verify_coloring(g, c)
             assert s == complete_graph_parameters(c.class_sizes)
+
+    def test_decimal_adjacency_rejected(self):
+        g = Graph(Matrix.complex([[0, 1.5], [1.5, 0]]))
+        with pytest.raises(DomainMismatchError):
+            verify_coloring(g, Coloring.from_colors([1, 2]))
 
 
 class TestCovering:
@@ -245,3 +252,27 @@ class TestCensusOracleAgreementRandom:
                     continue
                 got = {c.colors for c, _ in census(g, k).results}
                 assert got == enumerate_perfect_colorings(g, k)
+
+
+class TestCrossChecks:
+    """Each internal cross-check raises ArithmeticError, so it also runs
+    under ``python -O``; a wrong kernel makes it fire."""
+
+    def test_verify_coloring(self, monkeypatch):
+        monkeypatch.setattr(colorings, "_neighbor_counts",
+                            lambda g, colors, k, v: [Fraction(0)] * k)
+        with pytest.raises(ArithmeticError):
+            verify_coloring(make_family("cycle", 4), Coloring.from_colors([1, 2, 1, 2]))
+
+    def test_product_coloring(self, monkeypatch):
+        monkeypatch.setattr(colorings, "_kron_sum",
+                            lambda *args: products._kron_sum(*args).scale(2))
+        g = make_family("cycle", 4)
+        c = Coloring.from_colors([1, 2, 1, 2])
+        with pytest.raises(ArithmeticError):
+            product_coloring("cartesian", (g, c), (g, c))
+
+    def test_census(self, monkeypatch):
+        monkeypatch.setattr(colorings, "verify_coloring", lambda g, c: None)
+        with pytest.raises(ArithmeticError):
+            census(make_family("cycle", 4), 2)

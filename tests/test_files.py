@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 
 from perfstruct import Coloring, FractionalColoring, make_family
+from perfstruct.errors import PerfstructError
 from perfstruct.files import (
     ParseError,
     dump_coloring,
     dump_graph,
     format_scalar,
+    parse_coefficients_text,
     parse_coloring_text,
     parse_graph_text,
     parse_scalar,
@@ -37,7 +39,7 @@ class TestScalarGrammar:
         assert type(got) is type(expect)
         assert got == expect
 
-    @pytest.mark.parametrize("token", ["", "x", "1 2", "2+3j", "i2", "--1"])
+    @pytest.mark.parametrize("token", ["", "x", "1 2", "2+3j", "i2", "--1", "1/0"])
     def test_rejects(self, token):
         with pytest.raises(ValueError):
             parse_scalar(token)
@@ -76,6 +78,7 @@ class TestGraphFormat:
         ("matrix 2\n0 1\n", "2 matrix rows"),
         ("matrix 2\n0 1 0\n1 0\n", "line 2"),
         ("matrix 2\n0 x\n1 0\n", "line 2"),
+        ("matrix 2\n0 1/0\n1 0\n", "line 2"),
         ("edges 2 1\n1 3\n", "line 2"),
         ("edges 2 1\n1 1\n", "line 2"),
         ("edges 2 2\n1 2\n2 1\n", "duplicate"),
@@ -117,3 +120,17 @@ class TestVectorFormat:
     def test_empty_rejected(self):
         with pytest.raises(ParseError):
             parse_vector_text("\n\n")
+
+
+class TestParseErrors:
+    def test_parse_error_is_a_package_error(self):
+        assert issubclass(ParseError, PerfstructError)
+
+    @pytest.mark.parametrize("parse,text", [
+        (parse_vector_text, "1\n1/0\n"),
+        (parse_coloring_text, "1/2 1/2\n1/0 1\n"),
+        (parse_coefficients_text, "1 1/0\n"),
+    ])
+    def test_zero_denominator(self, parse, text):
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse(text)

@@ -38,6 +38,7 @@ FAMILY_CASES = [
     ("torus", (3, 4)),
     ("prism", (5,)),
     ("ladder", (4,)),
+    ("hamming", (2, 1)),
 ]
 
 
@@ -83,6 +84,12 @@ class TestClosedFormSpectra:
         closed = closed_form_spectrum(g).values()
         numeric = numeric_spectrum(g).values()
         assert multiset_discrepancy(closed, numeric) <= TOL
+
+    @pytest.mark.parametrize("name,params", FAMILY_CASES)
+    def test_multiplicities_count_the_vertices(self, name, params):
+        g = make_family(name, *params)
+        mults = [m for _, m in closed_form_spectrum(g).entries]
+        assert min(mults) >= 1 and sum(mults) == g.n
 
     def test_hamming_multiplicities(self):
         sp = closed_form_spectrum(make_family("hamming", 3, 2))

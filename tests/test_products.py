@@ -154,6 +154,16 @@ class TestProductSpectra:
         direct = eigenvalues(build_product(spec).to_complex())
         assert multiset_discrepancy(predicted, direct) <= TOL
 
+    @pytest.mark.parametrize("kind", ["tensor", "cartesian", "normal", "lexicographic"])
+    def test_named_product_spectrum(self, kind):
+        from perfstruct.products import NAMED_SPECS, named_product_spectrum
+
+        g, h = small("cycle 4"), small("complete 3")
+        predicted = named_product_spectrum(kind, g.adjacency, h.adjacency).values()
+        spec = NAMED_SPECS[kind](g.adjacency, h.adjacency)
+        direct = eigenvalues(build_product(spec).to_complex())
+        assert multiset_discrepancy(predicted, direct) <= TOL
+
     def test_unity_eigensystem_values(self):
         # for a regular factor, J contributes n on the degree vector, 0 elsewhere
         el = eig(make_family("cycle", 4).adjacency.to_complex())

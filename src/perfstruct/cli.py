@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import files
-from .colorings import Coloring, FractionalColoring, census, verify_coloring, verify_fractional
+from .colorings import Coloring, census, verify_coloring, verify_fractional
 from .contraction import contract_named
 from .errors import (
     ExcludedEigenvalueError,
@@ -26,13 +26,11 @@ from .graphs import (
     FAMILY_ARITY,
     Graph,
     closed_form_spectrum,
-    is_regular,
     make_family,
     numeric_spectrum,
 )
 from .matrix import DEFAULT_TOL, Matrix, eigenvalues, multiset_discrepancy, rank
 from .products import NAMED_SPECS, ProductSpec, build_product, named_product_spectrum
-from .structures import PerfectStructure, verify
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1

@@ -8,8 +8,8 @@ k-colorings of a graph up to color renaming by a pruned backtracking search.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -44,10 +44,10 @@ class Coloring:
         if sorted(set(colors)) != list(range(1, k + 1)):
             raise DimensionError("colors must form a contiguous surjective range 1..k")
         n = len(colors)
-        p = [[Fraction(1) if colors[v] == j + 1 else Fraction(0) for j in range(k)]
-             for v in range(n)]
+        p = np.zeros((n, k), dtype=np.int64)
+        p[np.arange(n), np.array(colors) - 1] = 1
         sizes = tuple(colors.count(j + 1) for j in range(k))
-        return Coloring(colors=colors, k=k, indicator=Matrix.exact(p),
+        return Coloring(colors=colors, k=k, indicator=Matrix(p, EXACT),
                         class_sizes=sizes)
 
     @property
@@ -73,14 +73,12 @@ class FractionalColoring:
                 raise DimensionError(f"row {i + 1} of the weights does not sum to 1")
 
 
-def _neighbor_counts(g: Graph, colors, k: int, v: int):
+def _neighbor_counts(g: Graph, colors, k: int, v: int) -> list:
     """Color-count vector over the neighborhood of vertex v (entries weight
     multi-edges)."""
-    data = g.adjacency.data
-    counts = [Fraction(0)] * k
-    for w in range(g.n):
-        if data[v][w] != 0:
-            counts[colors[w] - 1] += data[v][w]
+    counts = [0] * k
+    for w, x in g.neighbors[v]:
+        counts[colors[w] - 1] += x
     return counts
 
 
@@ -200,13 +198,10 @@ def orthogonality_check(g: Graph, p: Coloring, r: Coloring,
     if not (len(shared) >= 1 and all(abs(a - deg) <= radius for a in shared)):
         raise HypothesisNotMetError(
             "parameter spectra share an eigenvalue other than the degree")
-    n = g.n
-    for i in range(p.k):
-        for j in range(r.k):
-            dot = sum(x * y for x, y in zip(p.indicator.col(i), r.indicator.col(j)))
-            if Fraction(dot) != Fraction(p.class_sizes[i] * r.class_sizes[j], n):
-                return False
-    return True
+    # <P_i, R_j> counts the vertices colored i by p and j by r
+    dots = Counter(zip(p.colors, r.colors))
+    return all(dots[i + 1, j + 1] * g.n == p.class_sizes[i] * r.class_sizes[j]
+               for i in range(p.k) for j in range(r.k))
 
 
 # -- exhaustive census ------------------------------------------------
@@ -238,13 +233,13 @@ def census(g: Graph, k: int, budget: int = 10 ** 8) -> CensusResult:
     Canonical representatives use colors in order of first appearance, which
     also breaks the renaming symmetry during the search.
     """
+    if g.adjacency.domain != EXACT:
+        raise DomainMismatchError("the census needs an exact adjacency matrix")
     n = g.n
     if k < 1 or k > n:
         return CensusResult((), True, 0)
-    data = g.adjacency.data
-    neighbors = [[w for w in range(n) if data[v][w] != 0] for v in range(n)]
     # a vertex's neighbor counts are final once it and all its neighbors are colored
-    final_step = [max([v] + neighbors[v]) for v in range(n)]
+    final_step = [max([v] + [w for w, _ in g.neighbors[v]]) for v in range(n)]
     finalized_at = [[v for v in range(n) if final_step[v] == i] for i in range(n)]
 
     colors = [0] * n
@@ -253,10 +248,7 @@ def census(g: Graph, k: int, budget: int = 10 ** 8) -> CensusResult:
     aborted = False
 
     def counts_of(v):
-        cnt = [Fraction(0)] * k
-        for w in neighbors[v]:
-            cnt[colors[w] - 1] += data[v][w]
-        return cnt
+        return _neighbor_counts(g, colors, k, v)
 
     def finalized_consistent(i) -> bool:
         for v in finalized_at[i]:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .colorings import Coloring, FractionalColoring
 from .errors import DimensionError, PerfstructError
 from .graphs import Graph, from_edges
-from .matrix import EXACT, Matrix
+from .matrix import Matrix
 
 
 class ParseError(PerfstructError):

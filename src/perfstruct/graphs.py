@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -72,16 +73,22 @@ class Graph:
         if not self.adjacency.is_square():
             raise DimensionError("adjacency matrix must be square")
 
+    @cached_property
+    def neighbors(self) -> tuple:
+        """Per vertex v, the (w, weight) pairs with A[v, w] nonzero, in order of
+        w; weights are Python ints when the adjacency is integral."""
+        return tuple(map(tuple, self.adjacency.row_entries()))
+
 
 def from_edges(n: int, edges, directed: bool = False) -> Graph:
-    m = [[Fraction(0)] * n for _ in range(n)]
+    m = np.zeros((n, n), dtype=np.int64)
     for u, v in edges:
         if not (1 <= u <= n and 1 <= v <= n) or u == v:
             raise DimensionError(f"bad edge ({u}, {v}) for {n} vertices")
-        m[u - 1][v - 1] += 1
+        m[u - 1, v - 1] += 1
         if not directed:
-            m[v - 1][u - 1] += 1
-    return Graph(Matrix.exact(m), directed=directed)
+            m[v - 1, u - 1] += 1
+    return Graph(Matrix(m, EXACT), directed=directed)
 
 
 # -- family constructors ----------------------------------------------
@@ -91,19 +98,18 @@ def _complete_adjacency(n: int) -> Matrix:
 
 
 def _path_adjacency(n: int) -> Matrix:
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n - 1):
-        m[i][i + 1] = m[i + 1][i] = Fraction(1)
-    return Matrix.exact(m)
+    m = np.zeros((n, n), dtype=np.int64)
+    i = np.arange(n - 1)
+    m[i, i + 1] = m[i + 1, i] = 1
+    return Matrix(m, EXACT)
 
 
 def _cycle_adjacency(n: int) -> Matrix:
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        j = (i + 1) % n
-        m[i][j] += 1
-        m[j][i] += 1
-    return Matrix.exact(m)
+    m = np.zeros((n, n), dtype=np.int64)
+    i = np.arange(n)
+    np.add.at(m, (i, (i + 1) % n), 1)
+    np.add.at(m, ((i + 1) % n, i), 1)
+    return Matrix(m, EXACT)
 
 
 def _tensor(a: Matrix, b: Matrix) -> Matrix:
@@ -277,28 +283,36 @@ def _raw_spectrum(spec: Spectrum) -> list:
 
 # -- structural predicates --------------------------------------------
 
-def is_regular(g: Graph) -> int | None:
-    """Degree of a regular graph (symmetric, equal row sums), else None."""
+def is_regular(g: Graph) -> int | Fraction | complex | None:
+    """Degree of a regular graph (symmetric, equal row sums), else None.
+
+    The degree is exact over an exact adjacency: an int when it is integral,
+    a Fraction otherwise.
+    """
     a = g.adjacency
     if a.T != a:
         return None
-    sums = a.data.sum(axis=1)
-    if np.all(sums == sums[0]):
-        deg = sums[0]
-        return int(deg) if a.domain == EXACT else deg
-    return None
+    degrees = [sum(x for _, x in row) for row in g.neighbors]
+    deg = degrees[0]
+    if any(d != deg for d in degrees):
+        return None
+    if a.domain != EXACT:
+        return complex(deg)
+    return deg.numerator if isinstance(deg, Fraction) and deg.denominator == 1 else deg
 
 
 def is_connected(g: Graph) -> bool:
-    n = g.n
-    seen = [False] * n
+    """Weak connectivity: a search over the edges of A and of its transpose."""
+    links = [[w for w, _ in row] for row in g.neighbors]
+    for v, row in enumerate(g.neighbors):
+        for w, _ in row:
+            links[w].append(v)
+    seen = [False] * g.n
     stack = [0]
     seen[0] = True
-    data = g.adjacency.data
     while stack:
-        v = stack.pop()
-        for w in range(n):
-            if not seen[w] and (data[v][w] != 0 or data[w][v] != 0):
+        for w in links[stack.pop()]:
+            if not seen[w]:
                 seen[w] = True
                 stack.append(w)
     return all(seen)

@@ -1,7 +1,12 @@
 """Dense matrices over an exact rational or complex floating scalar domain.
 
-The exact domain stores ``fractions.Fraction`` entries in a numpy object
-array and makes every arithmetic identity bit-exact; the complex domain is
+An exact matrix whose entries are all integers keeps an integer array: int64
+when a magnitude bound proves that nothing wraps around, otherwise an object
+array of Python ints.  ``_guarded`` makes that choice for every operation on
+two integer matrices.  An exact matrix with a non-integer entry keeps
+``fractions.Fraction`` entries in an object array.  Either way ``.data``
+yields ``Fraction`` entries (built on first access for an integer matrix, then
+cached) and every arithmetic identity is bit-exact.  The complex domain is
 plain ``complex128`` and feeds the eigensolver.  The two domains never mix
 silently: converting is always an explicit ``to_complex()`` call.
 """
@@ -30,43 +35,104 @@ DEFAULT_TOL = 1e-9
 #: radius used when clustering eigenvalues into multiplicity classes
 CLUSTER_RADIUS = 1e-6
 
+#: largest magnitude an int64 entry may hold; -2**63 is left out so that
+#: negation and abs never wrap
+_INT64_LIMIT = 2 ** 63 - 1
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, Rational):
-        return Fraction(x.numerator, x.denominator)
+
+def _as_exact(x):
+    """An exact scalar: a Python int when ``x`` is integral, else a Fraction."""
     if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational scalar")
+        return int(x)
+    if not isinstance(x, (str, Rational)):
+        raise TypeError(f"cannot interpret {x!r} as an exact rational scalar")
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _magnitude(a: np.ndarray) -> int:
+    """Largest absolute entry of an integer array, as a Python int."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """The canonical copy of an integer array: int64 when every entry fits,
+    else an object array of Python ints."""
+    return a.astype(np.int64 if _magnitude(a) <= _INT64_LIMIT else object)
+
+
+def _guarded(bound: int, op, *operands: np.ndarray) -> np.ndarray:
+    """``op`` over integer arrays, exactly.  ``bound`` caps the magnitude of
+    every entry and partial sum ``op`` forms: within int64 the op runs there,
+    otherwise over Python ints, which cannot wrap.  A plain ``if``, so it runs
+    under ``python -O`` too."""
+    if bound <= _INT64_LIMIT and all(a.dtype == np.int64 for a in operands):
+        return op(*operands)
+    return _narrow(op(*(a.astype(object) for a in operands)))
 
 
 class Matrix:
     """Immutable dense matrix tagged with its scalar domain."""
 
-    __slots__ = ("data", "domain")
+    __slots__ = ("_ints", "_data", "domain")
 
     def __init__(self, data: np.ndarray, domain: str):
         if domain not in (EXACT, COMPLEX):
             raise ValueError(f"unknown domain {domain!r}")
         if data.ndim != 2:
             raise DimensionError(f"matrix data must be 2-dimensional, got shape {data.shape}")
-        data = data.copy()
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
+        ints = None
+        if domain == COMPLEX:
+            data = data.copy()
+        elif data.dtype.kind in "iu":
+            ints, data = _narrow(data), None
+        else:
+            entries = [_as_exact(x) for x in data.flat]
+            if all(type(x) is int for x in entries):
+                ints = _narrow(np.array(entries, dtype=object).reshape(data.shape))
+                data = None
+            else:
+                data = np.array([Fraction(x) for x in entries],
+                                dtype=object).reshape(data.shape)
+        self._store(ints, data, domain)
+
+    def _store(self, ints, data, domain):
+        for arr in (ints, data):
+            if arr is not None:
+                arr.setflags(write=False)
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_data", data)
         object.__setattr__(self, "domain", domain)
+
+    @staticmethod
+    def _wrap(ints, data=None, domain: str = EXACT) -> "Matrix":
+        """A matrix over arrays already in canonical form, taken without a copy."""
+        m = object.__new__(Matrix)
+        m._store(ints, data, domain)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    @property
+    def data(self) -> np.ndarray:
+        """The entries: ``Fraction`` objects in the exact domain, ``complex128``
+        otherwise."""
+        if self._data is None:
+            flat = self._ints.ravel().tolist()
+            # Fractions are immutable: one object per distinct value is shared
+            shared = {x: Fraction(x) for x in set(flat)}
+            data = np.array([shared[x] for x in flat], dtype=object).reshape(self._ints.shape)
+            data.setflags(write=False)
+            object.__setattr__(self, "_data", data)
+        return self._data
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def exact(rows) -> "Matrix":
         """Build an exact-rational matrix from nested sequences of rationals."""
-        arr = np.array([[_as_fraction(x) for x in row] for row in rows], dtype=object)
+        arr = np.array([[_as_exact(x) for x in row] for row in rows], dtype=object)
         if arr.ndim == 1:  # empty rows
             raise DimensionError("matrix needs at least one row and one column")
         return Matrix(arr, EXACT)
@@ -79,19 +145,13 @@ class Matrix:
     @staticmethod
     def identity(n: int, domain: str = EXACT) -> "Matrix":
         if domain == EXACT:
-            arr = np.empty((n, n), dtype=object)
-            arr[:] = Fraction(0)
-            for i in range(n):
-                arr[i, i] = Fraction(1)
-            return Matrix(arr, EXACT)
+            return Matrix._wrap(np.eye(n, dtype=np.int64))
         return Matrix(np.eye(n, dtype=np.complex128), COMPLEX)
 
     @staticmethod
     def zeros(rows: int, cols: int, domain: str = EXACT) -> "Matrix":
         if domain == EXACT:
-            arr = np.empty((rows, cols), dtype=object)
-            arr[:] = Fraction(0)
-            return Matrix(arr, EXACT)
+            return Matrix._wrap(np.zeros((rows, cols), dtype=np.int64))
         return Matrix(np.zeros((rows, cols), dtype=np.complex128), COMPLEX)
 
     @staticmethod
@@ -100,19 +160,16 @@ class Matrix:
         if cols is None:
             cols = rows
         if domain == EXACT:
-            arr = np.empty((rows, cols), dtype=object)
-            arr[:] = Fraction(1)
-            return Matrix(arr, EXACT)
+            return Matrix._wrap(np.ones((rows, cols), dtype=np.int64))
         return Matrix(np.ones((rows, cols), dtype=np.complex128), COMPLEX)
 
     @staticmethod
     def diag(values, domain: str = EXACT) -> "Matrix":
         values = list(values)
         n = len(values)
-        m = Matrix.zeros(n, n, domain)
-        arr = m.data.copy()
+        arr = np.zeros((n, n), dtype=object if domain == EXACT else np.complex128)
         for i, v in enumerate(values):
-            arr[i, i] = _as_fraction(v) if domain == EXACT else complex(v)
+            arr[i, i] = _as_exact(v) if domain == EXACT else complex(v)
         return Matrix(arr, domain)
 
     @staticmethod
@@ -124,15 +181,15 @@ class Matrix:
 
     @property
     def rows(self) -> int:
-        return self.data.shape[0]
+        return self.shape[0]
 
     @property
     def cols(self) -> int:
-        return self.data.shape[1]
+        return self.shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.data.shape
+        return (self._ints if self._ints is not None else self._data).shape
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -151,13 +208,32 @@ class Matrix:
             return NotImplemented
         if self.domain != other.domain or self.shape != other.shape:
             return False
+        if self._ints is not None and other._ints is not None:
+            return bool(np.array_equal(self._ints, other._ints))
         return bool(np.all(self.data == other.data))
 
     def __hash__(self):
-        return hash((self.domain, self.shape, tuple(self.data.flat)))
+        # hash(n) == hash(Fraction(n)), so both exact representations agree
+        entries = self._ints.ravel().tolist() if self._ints is not None else self.data.flat
+        return hash((self.domain, self.shape, tuple(entries)))
 
     def col(self, j: int) -> np.ndarray:
         return self.data[:, j]
+
+    def row_entries(self) -> list[list[tuple]]:
+        """Per row, the (column, entry) pairs of its nonzero entries in column
+        order: Python ints for an integer matrix, else ``Fraction`` or
+        ``complex`` entries."""
+        arr = self._ints if self._ints is not None else self._data
+        rows, cols = np.nonzero(arr)
+        values = arr[rows, cols].tolist()
+        cols = cols.tolist()
+        ends = np.searchsorted(rows, np.arange(1, self.rows + 1)).tolist()
+        out, start = [], 0
+        for end in ends:
+            out.append(list(zip(cols[start:end], values[start:end])))
+            start = end
+        return out
 
     # -- arithmetic ---------------------------------------------------
 
@@ -166,29 +242,47 @@ class Matrix:
             raise DomainMismatchError(
                 f"cannot mix {self.domain} and {other.domain} matrices")
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _both_ints(self, other: "Matrix") -> bool:
+        return self._ints is not None and other._ints is not None
+
+    def _entrywise(self, other: "Matrix", op, verb: str) -> "Matrix":
         self._check_domain(other)
         if self.shape != other.shape:
-            raise DimensionError(f"cannot add {self.shape} and {other.shape}")
-        return Matrix(self.data + other.data, self.domain)
+            raise DimensionError(f"cannot {verb} {self.shape} and {other.shape}")
+        if self._both_ints(other):
+            a, b = self._ints, other._ints
+            return Matrix._wrap(_guarded(_magnitude(a) + _magnitude(b), op, a, b))
+        return Matrix(op(self.data, other.data), self.domain)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, np.add, "add")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_domain(other)
-        if self.shape != other.shape:
-            raise DimensionError(f"cannot subtract {self.shape} and {other.shape}")
-        return Matrix(self.data - other.data, self.domain)
+        return self._entrywise(other, np.subtract, "subtract")
 
     def __neg__(self) -> "Matrix":
+        if self._ints is not None:
+            return Matrix._wrap(-self._ints)  # no int64 entry is -2**63
         return Matrix(-self.data, self.domain)
 
     def scale(self, alpha) -> "Matrix":
-        alpha = _as_fraction(alpha) if self.domain == EXACT else complex(alpha)
-        return Matrix(self.data * alpha, self.domain)
+        if self.domain == COMPLEX:
+            return Matrix(self.data * complex(alpha), COMPLEX)
+        alpha = _as_exact(alpha)
+        if self._ints is not None and type(alpha) is int:
+            # the bound also covers alpha itself, which int64 must hold
+            bound = max(_magnitude(self._ints), 1) * abs(alpha)
+            return Matrix._wrap(_guarded(bound, lambda a: a * alpha, self._ints))
+        return Matrix(self.data * alpha, EXACT)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check_domain(other)
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
+        if self._both_ints(other):
+            a, b = self._ints, other._ints
+            bound = _magnitude(a) * _magnitude(b) * a.shape[1]
+            return Matrix._wrap(_guarded(bound, np.dot, a, b))
         # np.matmul rejects object arrays; np.dot handles both domains
         return Matrix(np.dot(self.data, other.data), self.domain)
 
@@ -197,6 +291,8 @@ class Matrix:
 
     @property
     def T(self) -> "Matrix":
+        if self._ints is not None:
+            return Matrix._wrap(self._ints.T)
         return Matrix(self.data.T, self.domain)
 
     def conj_transpose(self) -> "Matrix":
@@ -205,18 +301,21 @@ class Matrix:
         return Matrix(self.data.conj().T, COMPLEX)
 
     def is_zero(self) -> bool:
+        if self._ints is not None:
+            return not self._ints.any()
         return bool(np.all(self.data == 0))
 
     def max_abs(self) -> float:
-        if self.data.size == 0:
+        if self.rows * self.cols == 0:
             return 0.0
-        return float(np.max(np.abs(self.data.astype(np.complex128))))
+        return float(np.max(np.abs(self.to_complex().data)))
 
     def to_complex(self) -> "Matrix":
         """Explicit crossing from the exact domain into complex floats."""
         if self.domain == COMPLEX:
             return self
-        return Matrix(self.data.astype(np.complex128), COMPLEX)
+        exact = self._ints if self._ints is not None else self._data
+        return Matrix._wrap(None, exact.astype(np.complex128), COMPLEX)
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
@@ -310,6 +409,9 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product, block layout (a_11*B ... a_1n*B; ...)."""
     if a.domain != b.domain:
         raise DomainMismatchError("kron requires both factors in one domain")
+    if a._both_ints(b):
+        x, y = a._ints, b._ints
+        return Matrix._wrap(_guarded(_magnitude(x) * _magnitude(y), np.kron, x, y))
     return Matrix(np.kron(a.data, b.data), a.domain)
 
 

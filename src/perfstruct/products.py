@@ -8,7 +8,6 @@ Cartesian, normal and lexicographic products are special coefficient grids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -16,9 +15,7 @@ from .errors import DimensionError, HypothesisNotMetError
 from .graphs import Spectrum
 from .matrix import (
     CLUSTER_RADIUS,
-    COMPLEX,
     DEFAULT_TOL,
-    EXACT,
     EigenSystem,
     Matrix,
     eig,
@@ -102,18 +99,6 @@ NAMED_SPECS = {
 tensor_spec, cartesian_spec, normal_spec, lexicographic_spec = NAMED_SPECS.values()
 
 
-def _integer_data(m: Matrix) -> np.ndarray | None:
-    """int64 view of an exact matrix with integer entries, else None."""
-    if m.domain != EXACT:
-        return None
-    out = np.empty(m.shape, dtype=np.int64)
-    for idx, x in np.ndenumerate(m.data):
-        if x.denominator != 1:
-            return None
-        out[idx] = x.numerator
-    return out
-
-
 def _kron_sum(coefficients, lefts, rights) -> Matrix:
     """sum a_ij * (lefts[i] kron rights[j]) over the nonzero coefficients."""
     acc = None
@@ -129,23 +114,6 @@ def _kron_sum(coefficients, lefts, rights) -> Matrix:
 
 def build_product(spec: ProductSpec) -> Matrix:
     """The n'n'' x n'n'' sum of scaled Kronecker terms."""
-    ints = [_integer_data(f) for f in spec.left_factors] \
-        + [_integer_data(f) for f in spec.right_factors]
-    coeffs = [c for row in spec.coefficients for c in row]
-    if all(a is not None for a in ints) and \
-            all(isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1)
-                for c in coeffs):
-        # all-integer fast path: vectorized int64 arithmetic, exact result
-        m = len(spec.left_factors)
-        acc = None
-        for i in range(m):
-            for j in range(len(spec.right_factors)):
-                c = int(spec.coefficients[i][j])
-                if c == 0:
-                    continue
-                term = c * np.kron(ints[i], ints[m + j])
-                acc = term if acc is None else acc + term
-        return Matrix.exact(acc.tolist())
     return _kron_sum(spec.coefficients, spec.left_factors, spec.right_factors)
 
 

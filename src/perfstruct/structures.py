@@ -30,7 +30,6 @@ from .matrix import (
     eigenvalues,
     exact_solve,
     is_diagonalizable,
-    kron,
     multiset_leq,
     poly_eval,
     rank,

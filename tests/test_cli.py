@@ -208,6 +208,11 @@ class TestCensus:
     def test_missing_k(self):
         assert main(["census", "c4"]) == 2
 
+    def test_complex_graph_is_an_input_error(self, tmp_path, capsys):
+        g = write(tmp_path, "g.graph", "matrix 2\n0 2+i\n2-i 0\n")
+        assert main(["census", g, "2"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestTolerance:
     def test_env_override(self, tmp_path, monkeypatch, c4_file):

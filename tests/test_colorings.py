@@ -276,3 +276,13 @@ class TestCrossChecks:
         monkeypatch.setattr(colorings, "verify_coloring", lambda g, c: None)
         with pytest.raises(ArithmeticError):
             census(make_family("cycle", 4), 2)
+
+
+def test_census_rejects_a_complex_adjacency_before_searching(monkeypatch):
+    def unreachable(g, c):
+        raise AssertionError("the search ran to its final verification")
+
+    monkeypatch.setattr(colorings, "verify_coloring", unreachable)
+    g = Graph(Matrix.complex([[0, 2 + 1j], [2 - 1j, 0]]))
+    with pytest.raises(DomainMismatchError):
+        census(g, 2)

@@ -1,0 +1,226 @@
+"""The integer kernel of exact matrices against an entrywise Fraction reference.
+
+Integer matrices run on int64 arrays when a magnitude bound rules out
+wraparound and on Python ints otherwise.  Entries near 2**62 make many int64
+product-sums wrap, so every property below also exercises the guard.  The
+references use plain lists of Fractions and never build a Matrix.
+"""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import perfstruct
+from perfstruct import Graph, Matrix, is_connected, is_regular, kron
+
+BIG = 2 ** 62
+INT64_MAX = 2 ** 63 - 1
+
+int_entry = st.one_of(
+    st.integers(-3, 3),
+    st.integers(BIG - 3, BIG + 3),
+    st.integers(-BIG - 3, -BIG + 3),
+    st.integers(INT64_MAX - 2, INT64_MAX + 2),
+    st.integers(-INT64_MAX - 2, -INT64_MAX + 2),
+    st.integers(-2 ** 70, 2 ** 70),
+)
+rational_entry = st.one_of(
+    int_entry, st.fractions(min_value=-9, max_value=9, max_denominator=6))
+shapes = st.tuples(st.integers(1, 3), st.integers(1, 3))
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def grid(entry, shape):
+    rows, cols = shape
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def operand(shape):
+    """An all-integer or a rational grid of the given shape."""
+    return st.one_of(grid(int_entry, shape), grid(rational_entry, shape))
+
+
+@st.composite
+def same_shape_pair(draw):
+    shape = draw(shapes)
+    return draw(operand(shape)), draw(operand(shape))
+
+
+@st.composite
+def chained_pair(draw):
+    r, k, c = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return draw(operand((r, k))), draw(operand((k, c)))
+
+
+def ref(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def ref_matmul(a, b):
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def ref_kron(a, b):
+    return [[a[i][j] * b[k][l] for j in range(len(a[0])) for l in range(len(b[0]))]
+            for i in range(len(a)) for k in range(len(b))]
+
+
+def assert_matches(m, expected):
+    """Same entries as the reference, and ``.data`` holds Fractions only."""
+    got = m.data.tolist()
+    assert got == expected
+    assert all(type(x) is Fraction for row in got for x in row)
+
+
+@SETTINGS
+@given(chained_pair())
+def test_matmul(pair):
+    a, b = pair
+    assert_matches(Matrix.exact(a) @ Matrix.exact(b), ref_matmul(ref(a), ref(b)))
+
+
+@SETTINGS
+@given(same_shape_pair())
+def test_add_sub_neg(pair):
+    a, b = (Matrix.exact(x) for x in pair)
+    ra, rb = (ref(x) for x in pair)
+    assert_matches(a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(ra, rb)])
+    assert_matches(a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(ra, rb)])
+    assert_matches(-a, [[-x for x in r] for r in ra])
+
+
+@SETTINGS
+@given(shapes.flatmap(operand), rational_entry)
+def test_scale(rows, alpha):
+    assert_matches(Matrix.exact(rows).scale(alpha),
+                   [[x * Fraction(alpha) for x in r] for r in ref(rows)])
+
+
+@SETTINGS
+@given(shapes.flatmap(operand), shapes.flatmap(operand))
+def test_kron_and_transpose(a, b):
+    assert_matches(kron(Matrix.exact(a), Matrix.exact(b)), ref_kron(ref(a), ref(b)))
+    assert_matches(Matrix.exact(a).T, [list(col) for col in zip(*ref(a))])
+
+
+@SETTINGS
+@given(same_shape_pair())
+def test_equality_zero_and_hash(pair):
+    a, b = (Matrix.exact(x) for x in pair)
+    ra, rb = (ref(x) for x in pair)
+    assert (a == b) == (ra == rb)
+    assert (a - b).is_zero() == (ra == rb)
+    assert a.is_zero() == all(x == 0 for r in ra for x in r)
+    flat = tuple(x for r in ra for x in r)
+    assert hash(a) == hash(("exact", a.shape, flat))
+
+
+@SETTINGS
+@given(shapes.flatmap(lambda s: grid(int_entry, s)))
+def test_int64_and_fraction_inputs_agree(rows):
+    """An int64 array, Python ints and Fractions with denominator one build
+    equal matrices with equal hashes, whatever the stored representation."""
+    from_fractions = Matrix(np.array(ref(rows), dtype=object), "exact")
+    from_ints = Matrix.exact(rows)
+    assert from_ints == from_fractions and hash(from_ints) == hash(from_fractions)
+    if all(abs(x) <= INT64_MAX for r in rows for x in r):
+        from_array = Matrix(np.array(rows, dtype=np.int64), "exact")
+        assert from_array == from_ints and hash(from_array) == hash(from_ints)
+
+
+def test_wrapping_product_is_exact():
+    """A product whose int64 evaluation wraps around still comes out exact."""
+    a = [[BIG, BIG], [-BIG, 3]]
+    b = [[2, 1], [1, -2]]
+    wrapped = np.array(a, dtype=np.int64) @ np.array(b, dtype=np.int64)
+    expected = ref_matmul(ref(a), ref(b))
+    assert wrapped.tolist() != expected
+    assert_matches(Matrix.exact(a) @ Matrix.exact(b), expected)
+
+
+def test_result_back_in_range_compares_with_a_small_matrix():
+    big = Matrix.exact([[2 ** 64, 1]])
+    small = Matrix.exact([[0, 1]])
+    back = big - Matrix.exact([[2 ** 64, 0]])
+    assert back == small and hash(back) == hash(small)
+
+
+def test_guard_runs_under_optimize():
+    """The overflow guard is a plain branch, not an assert: an int64 product
+    that would wrap is exact under ``python -O`` too."""
+    code = (
+        "import sys\n"
+        "from perfstruct import Matrix\n"
+        f"a = Matrix.exact([[{BIG}, {BIG}], [{BIG}, 1]])\n"
+        "b = Matrix.exact([[4, 4], [4, 1]])\n"
+        "print(sys.flags.optimize)\n"
+        "print([[int(x) for x in row] for row in (a @ b).data])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(perfstruct.__file__).parents[1]))
+    env.pop("PYTHONOPTIMIZE", None)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    optimize, product = proc.stdout.split("\n", 1)
+    assert optimize == "1"
+    assert product.strip() == str([[8 * BIG, 5 * BIG], [4 * BIG + 4, 4 * BIG + 1]])
+
+
+# -- graph predicates against networkx -----------------------------------
+
+weight = st.sampled_from([0, 0, 0, 1, 2, BIG, Fraction(1, 2), Fraction(-1, 3)])
+
+
+@st.composite
+def weighted_graphs(draw):
+    n = draw(st.integers(1, 6))
+    directed = draw(st.booleans())
+    rows = [[0] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(n) if directed else range(u, n):
+            rows[u][v] = rows[v][u] = draw(weight)
+            if directed:
+                rows[v][u] = draw(weight)
+    return rows, directed
+
+
+def networkx_digraph(rows):
+    nx = pytest.importorskip("networkx")
+    g = nx.DiGraph()
+    g.add_nodes_from(range(len(rows)))
+    g.add_weighted_edges_from((u, v, x) for u, row in enumerate(rows)
+                              for v, x in enumerate(row) if x != 0)
+    return nx, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_graphs())
+def test_is_connected_matches_networkx(case):
+    rows, directed = case
+    nx, oracle = networkx_digraph(rows)
+    got = is_connected(Graph(Matrix.exact(rows), directed=directed))
+    assert got == nx.is_weakly_connected(oracle)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_graphs())
+def test_is_regular_matches_networkx(case):
+    rows, directed = case
+    _, oracle = networkx_digraph(rows)
+    symmetric = all(oracle.has_edge(v, u) and oracle[v][u]["weight"] == d["weight"]
+                    for u, v, d in oracle.edges(data=True))
+    degrees = {oracle.out_degree(v, weight="weight") for v in oracle}
+    expected = degrees.pop() if symmetric and len(degrees) == 1 else None
+    got = is_regular(Graph(Matrix.exact(rows), directed=directed))
+    assert got == expected
+    if expected is not None and Fraction(expected).denominator == 1:
+        assert type(got) is int

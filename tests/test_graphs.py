@@ -1,11 +1,13 @@
 """Tests for graph construction, closed-form spectra, and complements."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from perfstruct import (
+    Graph,
     Matrix,
     bipartite_double,
     closed_form_spectrum,
@@ -138,6 +140,20 @@ class TestPredicates:
         assert is_connected(make_family("cycle", 5))
         assert not is_connected(make_family("matching", 2))
 
+    def test_rational_degree_is_exact(self):
+        g = Graph(Matrix.exact([[0, "1/2"], ["1/2", 0]]))
+        assert is_regular(g) == Fraction(1, 2)
+
+    def test_integral_rational_degree_is_an_int(self):
+        half = Fraction(1, 2)
+        g = Graph(Matrix.exact([[0, half, half], [half, 0, half], [half, half, 0]]))
+        degree = is_regular(g)
+        assert degree == 1 and type(degree) is int
+
+    def test_connectivity_follows_one_way_edges(self):
+        assert is_connected(from_edges(3, [(1, 2), (3, 2)], directed=True))
+        assert not is_connected(from_edges(3, [(1, 2)], directed=True))
+
 
 class TestComplementSpectrum:
     @pytest.mark.parametrize("name,params", [
@@ -161,6 +177,16 @@ class TestComplementSpectrum:
         predicted = complement_spectrum(g).values()
         original = closed_form_spectrum(g).values()
         assert multiset_discrepancy(predicted, original) <= TOL
+
+    def test_half_regular_weighted_cycle(self):
+        """A 5-cycle with edge weight 1/4 is 1/2-regular; the degree must not
+        be truncated to 0."""
+        quarter = Fraction(1, 4)
+        g = Graph(Matrix.exact([[quarter if abs(i - j) in (1, 4) else 0 for j in range(5)]
+                                for i in range(5)]))
+        comp = Matrix.ones(5, 5) - Matrix.identity(5) - g.adjacency
+        direct = np.linalg.eigvalsh(comp.to_complex().data)
+        assert multiset_discrepancy(complement_spectrum(g).values(), direct) <= TOL
 
     def test_irregular_rejected(self):
         with pytest.raises(HypothesisNotMetError):

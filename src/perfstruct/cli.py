@@ -29,7 +29,7 @@ from .graphs import (
     make_family,
     numeric_spectrum,
 )
-from .matrix import DEFAULT_TOL, Matrix, eigenvalues, multiset_discrepancy, rank
+from .matrix import DEFAULT_TOL, eigenvalues, multiset_discrepancy, rank
 from .products import NAMED_SPECS, ProductSpec, build_product, named_product_spectrum
 
 EXIT_OK = 0
@@ -61,10 +61,6 @@ def resolve_graph_tokens(tokens: list[str]) -> tuple[Graph, int]:
     if os.path.exists(head):
         return files.load_graph(head), 1
     raise files.ParseError(f"not a family name or readable file: {head!r}")
-
-
-def _matrix_json(m: Matrix):
-    return [[files.format_scalar(x) for x in row] for row in m.data]
 
 
 def _spectrum_pairs(spec):
@@ -109,7 +105,7 @@ def cmd_verify(args) -> int:
     report = {
         "verified": True,
         "nonsingular": nonsingular,
-        "parameters": _matrix_json(s),
+        "parameters": files.format_rows(s),
         "canonical_eigenvalues": [_format_value(v) for v in canon],
     }
     if args.json:
@@ -200,7 +196,7 @@ def cmd_product(args) -> int:
             fh.write(files.dump_coloring(pc))
         print(f"wrote product coloring to {cpath}")
         print("parameter matrix:")
-        for row in _matrix_json(params):
+        for row in files.format_rows(params):
             print("  " + " ".join(row))
     if kind == "general":
         return EXIT_OK
@@ -266,10 +262,10 @@ def cmd_census(args) -> int:
     # group coloring classes by parameter matrix
     groups: dict[tuple, dict] = {}
     for c, s in result.results:
-        key = tuple(tuple(row) for row in _matrix_json(s))
-        entry = groups.setdefault(key, {"parameters": _matrix_json(s),
-                                        "representative": list(c.colors),
-                                        "count": 0})
+        rows = files.format_rows(s)
+        entry = groups.setdefault(tuple(map(tuple, rows)),
+                                  {"parameters": rows, "representative": list(c.colors),
+                                   "count": 0})
         entry["count"] += 1
     report = {
         "complete": result.complete,

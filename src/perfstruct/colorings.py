@@ -21,11 +21,10 @@ from .matrix import (
     EXACT,
     Matrix,
     eigenvalues,
-    rank,
 )
 from .products import NAMED_SPECS, _kron_sum, build_product
 from .structures import parameters_from_structure
-from .errors import NoParameterMatrixError
+from .errors import NoParameterMatrixError, SingularMatrixError
 
 
 @dataclass(frozen=True)
@@ -62,15 +61,12 @@ class FractionalColoring:
     weights: Matrix             # n x k
 
     def __post_init__(self):
-        w = self.weights
-        for i in range(w.rows):
-            row = w.data[i]
-            if any((x < 0 if w.domain == EXACT else x.real < -1e-12) for x in row):
+        bad = self.weights.first_non_stochastic_row()
+        if bad is not None:
+            i, negative = bad
+            if negative:
                 raise DimensionError("fractional weights must be nonnegative")
-            s = sum(row)
-            ok = (s == 1) if w.domain == EXACT else abs(s - 1) <= 1e-9
-            if not ok:
-                raise DimensionError(f"row {i + 1} of the weights does not sum to 1")
+            raise DimensionError(f"row {i + 1} of the weights does not sum to 1")
 
 
 def _neighbor_counts(g: Graph, colors, k: int, v: int) -> list:
@@ -136,12 +132,10 @@ def verify_fractional(g: Graph, w: FractionalColoring,
     weights = w.weights
     if weights.rows != g.n:
         raise DimensionError("weight rows must equal the number of vertices")
-    if rank(weights, tol) < weights.cols:
-        return None
     m = g.adjacency if weights.domain == EXACT else g.adjacency.to_complex()
     try:
         return parameters_from_structure(m, weights, tol)
-    except NoParameterMatrixError:
+    except (SingularMatrixError, NoParameterMatrixError):
         return None
 
 

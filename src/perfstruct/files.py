@@ -20,7 +20,7 @@ from fractions import Fraction
 from .colorings import Coloring, FractionalColoring
 from .errors import DimensionError, PerfstructError
 from .graphs import Graph, from_edges
-from .matrix import Matrix
+from .matrix import EXACT, Matrix
 
 
 class ParseError(PerfstructError):
@@ -148,11 +148,16 @@ def format_scalar(x) -> str:
     return f"{re_s}{sign}{im_s}i" if re_s else f"{'-' if z.imag < 0 else ''}{im_s}i"
 
 
+def format_rows(m: Matrix) -> list[list[str]]:
+    """Each entry of ``m`` as ``format_scalar`` writes it; an exact matrix
+    without building its Fraction entries."""
+    if m.domain == EXACT:
+        return m.entry_strings()
+    return [[format_scalar(x) for x in row] for row in m.data]
+
+
 def dump_graph(g: Graph) -> str:
-    n = g.n
-    lines = [f"matrix {n}"]
-    for i in range(n):
-        lines.append(" ".join(format_scalar(x) for x in g.adjacency.data[i]))
+    lines = [f"matrix {g.n}"] + [" ".join(row) for row in format_rows(g.adjacency)]
     return "\n".join(lines) + "\n"
 
 

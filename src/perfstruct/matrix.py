@@ -1,18 +1,23 @@
 """Dense matrices over an exact rational or complex floating scalar domain.
 
-An exact matrix whose entries are all integers keeps an integer array: int64
-when a magnitude bound proves that nothing wraps around, otherwise an object
-array of Python ints.  ``_guarded`` makes that choice for every operation on
-two integer matrices.  An exact matrix with a non-integer entry keeps
-``fractions.Fraction`` entries in an object array.  Either way ``.data``
-yields ``Fraction`` entries (built on first access for an integer matrix, then
-cached) and every arithmetic identity is bit-exact.  The complex domain is
-plain ``complex128`` and feeds the eigensolver.  The two domains never mix
-silently: converting is always an explicit ``to_complex()`` call.
+An exact matrix is one integer array of numerators over one positive integer
+denominator, in lowest terms: ``_ints / _den``.  A denominator of 1 is an
+integer matrix.  The numerators are int64 when every entry fits, otherwise an
+object array of Python ints.  ``_guarded`` runs each operation in int64 when a
+magnitude bound proves that nothing wraps around, and over Python ints
+otherwise: products multiply the denominators, sums bring both sides to the
+lcm of theirs, and a result is divided by its common factor only when its
+denominator exceeds 1.  Rank, inverse and solve eliminate fraction-free on
+the numerators (Bareiss, Math. Comp. 22, 1968).  ``.data`` yields ``Fraction``
+entries, built on first access and cached; every arithmetic identity is
+bit-exact.  The complex domain is plain ``complex128`` and feeds the
+eigensolver.  The two domains never mix silently: converting is always an
+explicit ``to_complex()`` call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -44,9 +49,10 @@ def _as_exact(x):
     """An exact scalar: a Python int when ``x`` is integral, else a Fraction."""
     if isinstance(x, (int, np.integer)):
         return int(x)
-    if not isinstance(x, (str, Rational)):
-        raise TypeError(f"cannot interpret {x!r} as an exact rational scalar")
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        if not isinstance(x, (str, Rational)):
+            raise TypeError(f"cannot interpret {x!r} as an exact rational scalar")
+        x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
 
@@ -71,44 +77,61 @@ def _guarded(bound: int, op, *operands: np.ndarray) -> np.ndarray:
     return _narrow(op(*(a.astype(object) for a in operands)))
 
 
+def _times(a: np.ndarray, c: int) -> np.ndarray:
+    """``a * c`` exactly; the bound also covers ``c`` itself, which int64
+    must hold."""
+    return _guarded(max(_magnitude(a), 1) * abs(c), lambda x: x * c, a)
+
+
 class Matrix:
     """Immutable dense matrix tagged with its scalar domain."""
 
-    __slots__ = ("_ints", "_data", "domain")
+    __slots__ = ("_ints", "_den", "_data", "domain")
 
     def __init__(self, data: np.ndarray, domain: str):
         if domain not in (EXACT, COMPLEX):
             raise ValueError(f"unknown domain {domain!r}")
         if data.ndim != 2:
             raise DimensionError(f"matrix data must be 2-dimensional, got shape {data.shape}")
-        ints = None
         if domain == COMPLEX:
-            data = data.copy()
+            self._store(None, None, data.copy(), COMPLEX)
         elif data.dtype.kind in "iu":
-            ints, data = _narrow(data), None
+            self._store(_narrow(data), 1, None, EXACT)
         else:
             entries = [_as_exact(x) for x in data.flat]
-            if all(type(x) is int for x in entries):
-                ints = _narrow(np.array(entries, dtype=object).reshape(data.shape))
-                data = None
-            else:
-                data = np.array([Fraction(x) for x in entries],
-                                dtype=object).reshape(data.shape)
-        self._store(ints, data, domain)
+            # lowest-terms entries over the lcm of their denominators are
+            # themselves in lowest terms
+            den = math.lcm(*(x.denominator for x in entries))
+            if den != 1:
+                entries = [x.numerator * (den // x.denominator) for x in entries]
+            ints = np.array(entries, dtype=object).reshape(data.shape)
+            self._store(_narrow(ints), den, None, EXACT)
 
-    def _store(self, ints, data, domain):
+    def _store(self, ints, den, data, domain):
         for arr in (ints, data):
             if arr is not None:
                 arr.setflags(write=False)
         object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_data", data)
         object.__setattr__(self, "domain", domain)
 
     @staticmethod
-    def _wrap(ints, data=None, domain: str = EXACT) -> "Matrix":
-        """A matrix over arrays already in canonical form, taken without a copy."""
+    def _wrap(ints: np.ndarray, den: int = 1) -> "Matrix":
+        """The exact matrix ``ints / den``, taken without a copy.  ``ints`` is
+        a canonical integer array; the pair is brought to lowest terms with a
+        positive denominator."""
+        if den < 0:
+            ints, den = -ints, -den  # no int64 entry is -2**63
+        if den != 1:
+            if not ints.any():
+                den = 1  # gcd(den, 0) is den, which int64 need not hold
+            else:
+                g = math.gcd(den, int(np.gcd.reduce(ints, axis=None)))
+                if g != 1:  # g divides a nonzero entry, so int64 holds it
+                    ints, den = _narrow(ints // g), den // g
         m = object.__new__(Matrix)
-        m._store(ints, data, domain)
+        m._store(ints, den, None, EXACT)
         return m
 
     def __setattr__(self, name, value):
@@ -121,7 +144,7 @@ class Matrix:
         if self._data is None:
             flat = self._ints.ravel().tolist()
             # Fractions are immutable: one object per distinct value is shared
-            shared = {x: Fraction(x) for x in set(flat)}
+            shared = {x: Fraction(x, self._den) for x in set(flat)}
             data = np.array([shared[x] for x in flat], dtype=object).reshape(self._ints.shape)
             data.setflags(write=False)
             object.__setattr__(self, "_data", data)
@@ -189,7 +212,7 @@ class Matrix:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self._ints if self._ints is not None else self._data).shape
+        return (self._ints if self.domain == EXACT else self._data).shape
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -208,14 +231,46 @@ class Matrix:
             return NotImplemented
         if self.domain != other.domain or self.shape != other.shape:
             return False
-        if self._ints is not None and other._ints is not None:
-            return bool(np.array_equal(self._ints, other._ints))
-        return bool(np.all(self.data == other.data))
+        if self.domain == EXACT:  # both in lowest terms
+            return self._den == other._den and bool(np.array_equal(self._ints, other._ints))
+        return bool(np.all(self._data == other._data))
 
     def __hash__(self):
-        # hash(n) == hash(Fraction(n)), so both exact representations agree
-        entries = self._ints.ravel().tolist() if self._ints is not None else self.data.flat
+        # hash(n) == hash(Fraction(n)), so an integer matrix hashes its
+        # numerators; a rational one hashes its Fraction entries
+        entries = self._ints.ravel().tolist() if self._den == 1 else self.data.flat
         return hash((self.domain, self.shape, tuple(entries)))
+
+    def entry_strings(self) -> list[list[str]]:
+        """The entries of an exact matrix as ``str(Fraction)`` writes them,
+        ``n`` or ``n/d``, read from the numerators: no Fraction is built."""
+        if self.domain != EXACT:
+            raise DomainMismatchError("entry_strings needs an exact matrix")
+        den, text = self._den, {}
+        for x in set(self._ints.ravel().tolist()):
+            g = math.gcd(x, den)
+            text[x] = str(x // g) if g == den else f"{x // g}/{den // g}"
+        return [[text[x] for x in row] for row in self._ints.tolist()]
+
+    def first_non_stochastic_row(self) -> tuple[int, bool] | None:
+        """The first row that is not a probability vector, as (row index,
+        whether it has a negative entry); None when every row is nonnegative
+        and sums to 1.  Exact rows are checked exactly; complex rows may dip
+        1e-12 below zero in the real part and miss 1 by 1e-9 in the sum."""
+        if self.domain == EXACT:
+            # a row sums to 1 when its numerators sum to the denominator
+            ints = self._ints
+            negative = (ints < 0).any(axis=1)
+            sums = _guarded(_magnitude(ints) * self.cols, lambda a: a.sum(axis=1), ints)
+            bad = (negative | (sums != self._den)).tolist()
+        else:
+            negative = [any(x.real < -1e-12 for x in row) for row in self._data]
+            bad = [neg or not abs(sum(row) - 1) <= 1e-9
+                   for neg, row in zip(negative, self._data)]
+        if True not in bad:
+            return None
+        i = bad.index(True)
+        return i, bool(negative[i])
 
     def col(self, j: int) -> np.ndarray:
         return self.data[:, j]
@@ -224,7 +279,7 @@ class Matrix:
         """Per row, the (column, entry) pairs of its nonzero entries in column
         order: Python ints for an integer matrix, else ``Fraction`` or
         ``complex`` entries."""
-        arr = self._ints if self._ints is not None else self._data
+        arr = self._ints if self._den == 1 else self.data
         rows, cols = np.nonzero(arr)
         values = arr[rows, cols].tolist()
         cols = cols.tolist()
@@ -242,17 +297,17 @@ class Matrix:
             raise DomainMismatchError(
                 f"cannot mix {self.domain} and {other.domain} matrices")
 
-    def _both_ints(self, other: "Matrix") -> bool:
-        return self._ints is not None and other._ints is not None
-
     def _entrywise(self, other: "Matrix", op, verb: str) -> "Matrix":
         self._check_domain(other)
         if self.shape != other.shape:
             raise DimensionError(f"cannot {verb} {self.shape} and {other.shape}")
-        if self._both_ints(other):
-            a, b = self._ints, other._ints
-            return Matrix._wrap(_guarded(_magnitude(a) + _magnitude(b), op, a, b))
-        return Matrix(op(self.data, other.data), self.domain)
+        if self.domain == COMPLEX:
+            return Matrix(op(self._data, other._data), COMPLEX)
+        a, b, den = self._ints, other._ints, self._den
+        if other._den != den:  # bring both sides to the lcm of the denominators
+            den = math.lcm(den, other._den)
+            a, b = _times(a, den // self._den), _times(b, den // other._den)
+        return Matrix._wrap(_guarded(_magnitude(a) + _magnitude(b), op, a, b), den)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._entrywise(other, np.add, "add")
@@ -261,49 +316,43 @@ class Matrix:
         return self._entrywise(other, np.subtract, "subtract")
 
     def __neg__(self) -> "Matrix":
-        if self._ints is not None:
-            return Matrix._wrap(-self._ints)  # no int64 entry is -2**63
-        return Matrix(-self.data, self.domain)
+        if self.domain == COMPLEX:
+            return Matrix(-self._data, COMPLEX)
+        return Matrix._wrap(-self._ints, self._den)  # no int64 entry is -2**63
 
     def scale(self, alpha) -> "Matrix":
         if self.domain == COMPLEX:
-            return Matrix(self.data * complex(alpha), COMPLEX)
+            return Matrix(self._data * complex(alpha), COMPLEX)
         alpha = _as_exact(alpha)
-        if self._ints is not None and type(alpha) is int:
-            # the bound also covers alpha itself, which int64 must hold
-            bound = max(_magnitude(self._ints), 1) * abs(alpha)
-            return Matrix._wrap(_guarded(bound, lambda a: a * alpha, self._ints))
-        return Matrix(self.data * alpha, EXACT)
+        return Matrix._wrap(_times(self._ints, alpha.numerator),
+                            self._den * alpha.denominator)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check_domain(other)
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
-        if self._both_ints(other):
-            a, b = self._ints, other._ints
-            bound = _magnitude(a) * _magnitude(b) * a.shape[1]
-            return Matrix._wrap(_guarded(bound, np.dot, a, b))
-        # np.matmul rejects object arrays; np.dot handles both domains
-        return Matrix(np.dot(self.data, other.data), self.domain)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return np.dot(self.data, v)
+        # np.matmul rejects object arrays; np.dot handles every dtype
+        if self.domain == COMPLEX:
+            return Matrix(np.dot(self._data, other._data), COMPLEX)
+        a, b = self._ints, other._ints
+        bound = _magnitude(a) * _magnitude(b) * a.shape[1]
+        return Matrix._wrap(_guarded(bound, np.dot, a, b), self._den * other._den)
 
     @property
     def T(self) -> "Matrix":
-        if self._ints is not None:
-            return Matrix._wrap(self._ints.T)
-        return Matrix(self.data.T, self.domain)
+        if self.domain == COMPLEX:
+            return Matrix(self._data.T, COMPLEX)
+        return Matrix._wrap(self._ints.T, self._den)
 
     def conj_transpose(self) -> "Matrix":
         if self.domain == EXACT:
             return self.T
-        return Matrix(self.data.conj().T, COMPLEX)
+        return Matrix(self._data.conj().T, COMPLEX)
 
     def is_zero(self) -> bool:
-        if self._ints is not None:
+        if self.domain == EXACT:
             return not self._ints.any()
-        return bool(np.all(self.data == 0))
+        return bool(np.all(self._data == 0))
 
     def max_abs(self) -> float:
         if self.rows * self.cols == 0:
@@ -314,93 +363,74 @@ class Matrix:
         """Explicit crossing from the exact domain into complex floats."""
         if self.domain == COMPLEX:
             return self
-        exact = self._ints if self._ints is not None else self._data
-        return Matrix._wrap(None, exact.astype(np.complex128), COMPLEX)
+        # Python's int / int is correctly rounded, as complex(Fraction(n, d)) is
+        exact = self._ints if self._den == 1 else self._ints.astype(object) / self._den
+        m = object.__new__(Matrix)
+        m._store(None, None, exact.astype(np.complex128), COMPLEX)
+        return m
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
             raise DimensionError("only square matrices have inverses")
         if self.domain == COMPLEX:
             try:
-                return Matrix(np.linalg.inv(self.data), COMPLEX)
+                return Matrix(np.linalg.inv(self._data), COMPLEX)
             except np.linalg.LinAlgError as exc:
                 raise SingularMatrixError(str(exc)) from exc
-        inv = _exact_inverse(self.data)
-        if inv is None:
+        # (N/d)^-1 = d·N^-1, and eliminating [N | I] leaves [D·I | D·N^-1]
+        n = self.rows
+        rows, pivots, last = _bareiss([row + [int(i == j) for j in range(n)]
+                                       for i, row in enumerate(self._ints.tolist())])
+        if pivots != list(range(n)):
             raise SingularMatrixError("exact matrix is singular")
-        return Matrix(inv, EXACT)
+        inv = np.array([row[n:] for row in rows], dtype=object).reshape(n, n)
+        return Matrix._wrap(_narrow(inv * self._den), last)
 
 
 # -- exact elimination ------------------------------------------------
 
-def _exact_rref(arr: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over the rationals; returns (rref, pivot columns)."""
-    m = [list(row) for row in arr]
-    n_rows, n_cols = arr.shape
+def _bareiss(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss–Jordan elimination of an integer matrix (Bareiss,
+    Math. Comp. 22, 1968), in place; returns (rows, pivot columns, last pivot).
+
+    Every division is exact: each entry stays a minor of the input.  Each
+    pivot row ends with the last pivot d in its pivot column and zeros in the
+    other pivot columns, so ``rows / d`` is the reduced row echelon form."""
+    n_rows = len(rows)
     pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
+    prev = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, n_rows) if rows[i][c]), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        top = rows[r]
+        p = top[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i == r or (f == 0 and p == prev):
+                continue
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
         pivots.append(c)
-        r += 1
-        if r == n_rows:
+        if len(pivots) == n_rows:
             break
-    out = np.empty((n_rows, n_cols), dtype=object)
-    out[:] = m
-    return out, pivots
+    return rows, pivots, prev
 
 
-def _exact_inverse(arr: np.ndarray) -> np.ndarray | None:
-    n = arr.shape[0]
-    aug = np.empty((n, 2 * n), dtype=object)
-    aug[:, :n] = arr
-    aug[:, n:] = Matrix.identity(n).data
-    rref, pivots = _exact_rref(aug)
-    if len(pivots) < n or pivots[:n] != list(range(n)):
-        return None
-    return rref[:, n:]
-
-
-def exact_nullspace(arr: np.ndarray) -> list[np.ndarray]:
-    """Basis of the rational nullspace of ``arr``, as object-dtype vectors."""
-    n_cols = arr.shape[1]
-    rref, pivots = _exact_rref(arr)
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = np.empty(n_cols, dtype=object)
-        v[:] = Fraction(0)
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r, fc]
-        basis.append(v)
-    return basis
-
-
-def exact_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Solve ``a x = b`` exactly for each column of ``b``; None if inconsistent."""
-    n_rows, n_cols = a.shape
-    k = b.shape[1]
-    aug = np.empty((n_rows, n_cols + k), dtype=object)
-    aug[:, :n_cols] = a
-    aug[:, n_cols:] = b
-    rref, pivots = _exact_rref(aug)
-    if any(p >= n_cols for p in pivots):
-        return None  # inconsistent system
-    x = np.empty((n_cols, k), dtype=object)
-    x[:] = Fraction(0)
-    for r, pc in enumerate(pivots):
-        x[pc, :] = rref[r, n_cols:]
-    return x
+def exact_solve(a: Matrix, b: Matrix) -> Matrix | None:
+    """An exact X with A·X = B (free unknowns set to 0); None if inconsistent."""
+    k = a.cols
+    rows, pivots, last = _bareiss([x + y for x, y in zip(a._ints.tolist(),
+                                                         b._ints.tolist())])
+    if pivots and pivots[-1] >= k:
+        return None  # a pivot in B's columns: inconsistent system
+    x = np.zeros((k, b.cols), dtype=object)
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][k:]
+    # A = Na/da and B = Nb/db, so X = (da/db)·Y where Na·Y = Nb and Y = rows/last
+    return Matrix._wrap(_narrow(x * a._den), last * b._den)
 
 
 # -- module operations ------------------------------------------------
@@ -409,10 +439,11 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product, block layout (a_11*B ... a_1n*B; ...)."""
     if a.domain != b.domain:
         raise DomainMismatchError("kron requires both factors in one domain")
-    if a._both_ints(b):
-        x, y = a._ints, b._ints
-        return Matrix._wrap(_guarded(_magnitude(x) * _magnitude(y), np.kron, x, y))
-    return Matrix(np.kron(a.data, b.data), a.domain)
+    if a.domain == COMPLEX:
+        return Matrix(np.kron(a.data, b.data), COMPLEX)
+    x, y = a._ints, b._ints
+    return Matrix._wrap(_guarded(_magnitude(x) * _magnitude(y), np.kron, x, y),
+                        a._den * b._den)
 
 
 def kron_vec(f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -421,8 +452,9 @@ def kron_vec(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def rank(a: Matrix, tol: float = DEFAULT_TOL) -> int:
     if a.domain == EXACT:
-        _, pivots = _exact_rref(a.data)
-        return len(pivots)
+        # eliminate along the shorter side: the rank is the same
+        ints = a._ints if a.rows <= a.cols else a._ints.T
+        return len(_bareiss(ints.tolist())[1])
     if a.max_abs() == 0.0:
         return 0
     s = np.linalg.svd(a.data, compute_uv=False)
@@ -460,6 +492,14 @@ def _sort_and_normalize(values: np.ndarray, vectors: np.ndarray):
     return values, vectors
 
 
+def _is_hermitian(m: Matrix, a: np.ndarray, tol: float) -> bool:
+    """Does ``m`` take the Hermitian solver?  An exact matrix must be exactly
+    symmetric; ``a``, the complex cast of ``m``, need only be within ``tol``."""
+    if m.domain == EXACT:
+        return bool(np.array_equal(m._ints, m._ints.T))
+    return np.allclose(a, a.conj().T, atol=tol)
+
+
 def eig(m: Matrix, tol: float = DEFAULT_TOL) -> EigenSystem:
     """Full eigendecomposition with deterministic ordering and normalization.
 
@@ -471,7 +511,7 @@ def eig(m: Matrix, tol: float = DEFAULT_TOL) -> EigenSystem:
     if not m.is_square():
         raise DimensionError("eig needs a square matrix")
     a = m.to_complex().data.copy()
-    hermitian = np.allclose(a, a.conj().T, atol=tol)
+    hermitian = _is_hermitian(m, a, tol)
     try:
         if hermitian:
             values, vectors = np.linalg.eigh(a)
@@ -494,7 +534,7 @@ def eig(m: Matrix, tol: float = DEFAULT_TOL) -> EigenSystem:
 def eigenvalues(m: Matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Eigenvalues only, same deterministic ordering, no diagonalizability gate."""
     a = m.to_complex().data
-    if np.allclose(a, a.conj().T, atol=tol):
+    if _is_hermitian(m, a, tol):
         vals = np.linalg.eigvalsh(a).astype(np.complex128)
     else:
         vals = np.linalg.eigvals(a)
@@ -516,17 +556,46 @@ def cluster_values(values, radius: float = CLUSTER_RADIUS) -> list[tuple[complex
 
 
 def multiset_leq(sub, full, radius: float = CLUSTER_RADIUS) -> bool:
-    """Is ``sub`` included in ``full`` as a multiset, up to clustering radius?"""
-    remaining = [complex(v) for v in full]
-    for v in sub:
-        v = complex(v)
-        best = None
-        for i, w in enumerate(remaining):
-            if abs(v - w) <= radius and (best is None or abs(v - w) < abs(v - remaining[best])):
-                best = i
-        if best is None:
+    """Is ``sub`` included in ``full`` as a multiset, up to clustering radius?
+
+    True when every value of ``sub`` can be paired with its own value of
+    ``full`` within ``radius``: a maximum bipartite matching over the pairs
+    within ``radius``.
+    """
+    sub = [complex(v) for v in sub]
+    full = [complex(v) for v in full]
+    if len(sub) > len(full):
+        return False
+    close = np.abs(np.subtract.outer(sub, full)) <= radius
+    near = [np.flatnonzero(row).tolist() for row in close]
+    owner: dict[int, int] = {}    # index into full -> index into sub paired with it
+    partner: dict[int, int] = {}  # the same pairs, from sub to full
+    for i in range(len(sub)):
+        # breadth-first search for a shortest augmenting path from i
+        via: dict[int, int] = {}  # index into full -> index into sub that reached it
+        frontier, free = [i], None
+        while frontier and free is None:
+            reached = []
+            for u in frontier:
+                for j in near[u]:
+                    if j not in via:
+                        via[j] = u
+                        if j not in owner:
+                            free = j
+                            break
+                        reached.append(owner[j])
+                if free is not None:
+                    break
+            frontier = reached
+        if free is None:
             return False
-        remaining.pop(best)
+        # flip the path: each sub index on it takes the full index that reached it
+        j = free
+        while j is not None:
+            u = via[j]
+            held = partner.get(u)
+            owner[j], partner[u] = u, j
+            j = held
     return True
 
 
@@ -565,7 +634,7 @@ def is_diagonalizable(m: Matrix, tol: float = DEFAULT_TOL,
     if not m.is_square():
         raise DimensionError("is_diagonalizable needs a square matrix")
     a = m.to_complex().data
-    if np.allclose(a, a.conj().T, atol=tol):
+    if _is_hermitian(m, a, tol):
         return True
     n = a.shape[0]
     if n <= 1:

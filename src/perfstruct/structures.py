@@ -204,10 +204,10 @@ def parameters_from_structure(m: Matrix, p: Matrix,
             "structure matrix is rank deficient; the parameter matrix is not unique")
     mp = m @ p
     if p.domain == EXACT:
-        sol = exact_solve(p.data, mp.data)
+        sol = exact_solve(p, mp)
         if sol is None:
             raise NoParameterMatrixError("column span of P is not M-invariant")
-        return Matrix(sol, EXACT)
+        return sol
     sol, _, _, _ = np.linalg.lstsq(p.data, mp.data, rcond=None)
     s = Matrix(sol, COMPLEX)
     if (mp - p @ s).max_abs() > tol:

@@ -49,6 +49,16 @@ class TestVerify:
         assert report["verified"] is True
         assert list(report) == sorted(report)
 
+    @pytest.mark.parametrize("coloring,parameters", [
+        ("1\n1\n2\n2\n", [["1/2", "1/2"], ["1/2", "1/2"]]),
+        ("1/2 1/2\n1/4 3/4\n1/2 1/2\n1/4 3/4\n", [["-1/4", "5/4"], ["3/4", "1/4"]]),
+    ])
+    def test_rational_graph_json(self, tmp_path, capsys, coloring, parameters):
+        g = write(tmp_path, "r.graph",
+                  "matrix 4\n0 1/2 0 1/2\n1/2 0 1/2 0\n0 1/2 0 1/2\n1/2 0 1/2 0\n")
+        assert main(["verify", g, write(tmp_path, "c.col", coloring), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["parameters"] == parameters
+
     def test_missing_file_is_an_input_error(self, tmp_path):
         assert main(["verify", str(tmp_path / "no.graph"),
                      str(tmp_path / "no.col")]) == 2

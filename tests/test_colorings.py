@@ -105,9 +105,32 @@ class TestFractional:
         with pytest.raises(DimensionError):
             FractionalColoring(Matrix.exact([[2, -1]]))
 
+    @pytest.mark.parametrize("rows,message", [
+        ([["1/2", "1/2"], ["1/3", "1/3"], [2, -1]], "row 2 of the weights"),
+        ([["1/2", "1/2"], ["-1/3", "4/3"], [1, 1]], "nonnegative"),
+        ([["1/2", "1/2"], [0, 1], ["2/3", "1/2"]], "row 3 of the weights"),
+        ([[1 + 1e-6, 0]], "row 1 of the weights"),
+        ([[0.5 - 1e-9, 0.5 + 1e-9], [1.5, -0.5]], "nonnegative"),
+        # int64 numerators summing to 2**64 + 1 would wrap around to 1
+        ([[2 ** 63 - 1, 2 ** 63 - 1, 3]], "row 1 of the weights"),
+    ])
+    def test_first_bad_row_is_reported(self, rows, message):
+        exact = all(not isinstance(x, float) for row in rows for x in row)
+        w = Matrix.exact(rows) if exact else Matrix.complex(rows)
+        with pytest.raises(DimensionError, match=message):
+            FractionalColoring(w)
+
     def test_rank_deficient_returns_none(self):
         g = make_family("cycle", 4)
         w = Matrix.ones(4, 2).scale(Fraction(1, 2))
+        assert verify_fractional(g, FractionalColoring(w)) is None
+
+    @pytest.mark.parametrize("domain", ["exact", "complex"])
+    def test_non_invariant_span_returns_none(self, domain):
+        g = make_family("path", 4)
+        w = Matrix.exact([["1/2", "1/2"], [1, 0], [0, 1], [1, 0]])
+        if domain == "complex":
+            w = w.to_complex()
         assert verify_fractional(g, FractionalColoring(w)) is None
 
 

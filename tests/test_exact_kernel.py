@@ -1,9 +1,10 @@
 """The integer kernel of exact matrices against an entrywise Fraction reference.
 
-Integer matrices run on int64 arrays when a magnitude bound rules out
+The numerators of exact matrices run on int64 arrays when a bound rules out
 wraparound and on Python ints otherwise.  Entries near 2**62 make many int64
 product-sums wrap, so every property below also exercises the guard.  The
-references use plain lists of Fractions and never build a Matrix.
+references use plain lists of Fractions and never build a Matrix; rank,
+inverse and the parameter solve are checked against sympy.
 """
 
 import os
@@ -14,11 +15,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import perfstruct
-from perfstruct import Graph, Matrix, is_connected, is_regular, kron
+from perfstruct import (
+    Graph,
+    Matrix,
+    PerfectStructure,
+    is_connected,
+    is_regular,
+    kron,
+    parameters_from_structure,
+    rank,
+    verify,
+)
+from perfstruct.errors import NoParameterMatrixError, SingularMatrixError
 
 BIG = 2 ** 62
 INT64_MAX = 2 ** 63 - 1
@@ -154,6 +166,28 @@ def test_result_back_in_range_compares_with_a_small_matrix():
     assert back == small and hash(back) == hash(small)
 
 
+huge_denominator = st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70),
+                             st.integers(2 ** 63, 2 ** 70))
+
+
+@SETTINGS
+@given(shapes.flatmap(lambda s: grid(st.one_of(huge_denominator, rational_entry), s)))
+@example([[Fraction(1, 2 ** 70)]])
+def test_zero_result_over_a_denominator_past_int64(rows):
+    """A zero result is the zero matrix over 1, also when the denominator it
+    comes with does not fit in int64."""
+    m = Matrix.exact(rows)
+    r, c = m.shape
+    zero = Matrix.zeros(r, c)
+    for z in (m - m, m + (-m), m.scale(0), Matrix.zeros(r, r) @ m):
+        assert_matches(z, [[Fraction(0)] * c for _ in range(r)])
+        assert z == zero and hash(z) == hash(zero)
+    if c <= r:  # verify's M·P − P·S, with M = t·I and S = t·I over t = 1/2**70
+        t = Fraction(1, 2 ** 70)
+        assert verify(PerfectStructure(Matrix.identity(r).scale(t), m,
+                                       Matrix.identity(c).scale(t)))
+
+
 def test_guard_runs_under_optimize():
     """The overflow guard is a plain branch, not an assert: an int64 product
     that would wrap is exact under ``python -O`` too."""
@@ -164,15 +198,128 @@ def test_guard_runs_under_optimize():
         "b = Matrix.exact([[4, 4], [4, 1]])\n"
         "print(sys.flags.optimize)\n"
         "print([[int(x) for x in row] for row in (a @ b).data])\n"
+        f"r = Matrix.exact([['{BIG}/3', '{BIG}/3']])\n"
+        "print([[str(x) for x in row] for row in (r @ b).data])\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(perfstruct.__file__).parents[1]))
     env.pop("PYTHONOPTIMIZE", None)
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    optimize, product = proc.stdout.split("\n", 1)
+    optimize, product, rational = proc.stdout.strip().split("\n")
     assert optimize == "1"
-    assert product.strip() == str([[8 * BIG, 5 * BIG], [4 * BIG + 4, 4 * BIG + 1]])
+    assert product == str([[8 * BIG, 5 * BIG], [4 * BIG + 4, 4 * BIG + 1]])
+    # numerators BIG over 3: int64 would wrap on 4·BIG + 4·BIG
+    assert rational == str([[f"{8 * BIG}/3", f"{5 * BIG}/3"]])
+
+
+# -- elimination and solving against sympy --------------------------------
+
+def sympy_matrix(rows):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                         for r in ref(rows)])
+
+
+def as_fractions(sym):
+    return [[Fraction(int(x.p), int(x.q)) for x in sym.row(i)] for i in range(sym.rows)]
+
+
+small_entry = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+
+@SETTINGS
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(operand))
+def test_rank_matches_sympy(rows):
+    assert rank(Matrix.exact(rows)) == sympy_matrix(rows).rank()
+
+
+@SETTINGS
+@given(st.integers(1, 4).flatmap(lambda n: operand((n, n))))
+def test_inverse_matches_sympy(rows):
+    sym = sympy_matrix(rows)
+    if sym.det() == 0:
+        with pytest.raises(SingularMatrixError):
+            Matrix.exact(rows).inverse()
+    else:
+        assert_matches(Matrix.exact(rows).inverse(), as_fractions(sym.inv()))
+
+
+@st.composite
+def structure_case(draw):
+    """(M, P) with P of shape n x k: M arbitrary, or M = P·S·L + W·(I - P·L)
+    for a left inverse L of P, whose column span is then M-invariant."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    entry = draw(st.sampled_from([small_entry, rational_entry]))
+    p, s, w = (draw(grid(entry, shape)) for shape in ((n, k), (k, k), (n, n)))
+    m = draw(grid(entry, (n, n)))
+    if draw(st.booleans()):
+        sp = sympy_matrix(p)
+        if sp.rank() == k:
+            left = (sp.T * sp).inv() * sp.T
+            sm = sp * sympy_matrix(s) * left + sympy_matrix(w) * (
+                sp.eye(n) - sp * left)
+            m = as_fractions(sm)
+    return m, p
+
+
+@settings(max_examples=100, deadline=None)
+@given(structure_case())
+def test_parameters_from_structure_matches_sympy(case):
+    m, p = case
+    sm, sp = sympy_matrix(m), sympy_matrix(p)
+    if sp.rank() < sp.cols:
+        with pytest.raises(SingularMatrixError):
+            parameters_from_structure(Matrix.exact(m), Matrix.exact(p))
+        return
+    # P has full column rank: the only candidate is S = (PᵀP)⁻¹·Pᵀ·M·P
+    s = (sp.T * sp).inv() * sp.T * sm * sp
+    if sm * sp != sp * s:
+        with pytest.raises(NoParameterMatrixError):
+            parameters_from_structure(Matrix.exact(m), Matrix.exact(p))
+        return
+    assert_matches(parameters_from_structure(Matrix.exact(m), Matrix.exact(p)),
+                   as_fractions(s))
+
+
+wide_fraction = st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70), st.integers(1, 2 ** 70))
+
+
+@SETTINGS
+@given(shapes.flatmap(lambda s: grid(st.one_of(wide_fraction, rational_entry), s)))
+@example([[Fraction(2 ** 53 + 3, 3), Fraction(2 ** 53 + 1, 7)]])  # double rounding
+def test_to_complex_matches_complex_of_fraction(rows):
+    """Bit-identical to complex(Fraction), also past 2**53 where a double
+    cannot hold the numerator or the denominator."""
+    got = Matrix.exact(rows).to_complex().data.tolist()
+    assert got == [[complex(x) for x in r] for r in ref(rows)]
+
+
+def test_arithmetic_creates_no_fraction(monkeypatch):
+    """Products, sums, scaling, Kronecker products, rank, inverse and the
+    parameter solve run on integer numerators: no Fraction is built until
+    ``.data`` is read."""
+    m = Matrix.exact([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    p = Matrix.exact([["1/3", "2/3"], ["1/2", "1/2"], ["5/6", "1/6"]])
+    q = Matrix.exact([[2, "1/3"], ["1/5", 1]])
+    half = Fraction(1, 2)
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    results = [m @ p, p + p, p - p.scale(3), p.scale(half), kron(p, m), p.T,
+               q.inverse(), parameters_from_structure(m, p.scale(half) + p.scale(half))]
+    assert rank(p) == 2 and p == p.scale(1) and not p.is_zero()
+    assert built == []
+    monkeypatch.undo()
+    assert results[-2] == Matrix.exact([["15/29", "-5/29"], ["-3/29", "30/29"]])
+    # rows of P sum to 1, so (J - I)·P = P·(1·(column sums of P) - I)
+    assert results[-1] == Matrix.exact([["2/3", "4/3"], ["5/3", "1/3"]])
 
 
 # -- graph predicates against networkx -----------------------------------

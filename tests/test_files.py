@@ -10,6 +10,7 @@ from perfstruct.files import (
     ParseError,
     dump_coloring,
     dump_graph,
+    format_rows,
     format_scalar,
     parse_coefficients_text,
     parse_coloring_text,
@@ -66,6 +67,22 @@ class TestGraphFormat:
             again = parse_graph_text(text)
             assert again.adjacency == g.adjacency
             assert dump_graph(again) == text
+
+    @pytest.mark.parametrize("text", [
+        "matrix 3\n0 1 1\n1 0 1\n1 1 0\n",
+        "matrix 3\n0 -2/3 5/7\n-2/3 0 1\n5/7 1 -4/6\n",
+        "matrix 2\n0 2+3i\n2-3i 0.5\n",
+    ])
+    def test_dump_matches_entrywise_format(self, text):
+        """Byte-identical to formatting each entry with format_scalar, and an
+        exact matrix is written without building its Fraction entries."""
+        g = parse_graph_text(text)
+        expected = "".join(" ".join(format_scalar(x) for x in row) + "\n"
+                           for row in g.adjacency.data)
+        fresh = parse_graph_text(text)
+        assert dump_graph(fresh) == f"matrix {g.n}\n" + expected
+        assert format_rows(fresh.adjacency) == [ln.split() for ln in expected.splitlines()]
+        assert fresh.adjacency.domain == "complex" or fresh.adjacency._data is None
 
     def test_rational_and_complex_entries(self):
         g = parse_graph_text("matrix 2\n0 1/2\n1/2 0\n")

@@ -1,6 +1,7 @@
 """Numerics: Kronecker products, rank, eigendecomposition, polynomials."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfstruct import (
+    CLUSTER_RADIUS,
     Matrix,
     eig,
     eigenvalues,
     is_diagonalizable,
     kron,
     multiset_discrepancy,
+    multiset_leq,
     poly_eval,
     rank,
 )
@@ -174,3 +177,92 @@ class TestPolyEval:
         m = Matrix.exact([[3, 1], [2, 5]])
         alpha = Fraction(7, 2)
         assert poly_eval([alpha, 1], m) == m + Matrix.identity(2).scale(alpha)
+
+
+class TestSolverChoice:
+    """An exact input takes the Hermitian solver exactly when it is symmetric."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            original = getattr(np.linalg, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                seen.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        return seen
+
+    def test_symmetric_exact_input(self, calls):
+        m = Matrix.exact([[0, 1, "1/2"], [1, 0, 1], ["1/2", 1, 0]])
+        eig(m)
+        eigenvalues(m)
+        assert is_diagonalizable(m)
+        assert calls == ["eigh", "eigvalsh"]
+
+    def test_exact_input_asymmetric_below_tolerance(self, calls):
+        m = Matrix.exact([[0, 1], [1 + Fraction(1, 10 ** 12), 0]])
+        eig(m)
+        eigenvalues(m)
+        assert is_diagonalizable(m)
+        assert calls == ["eig", "eigvals", "eigvals"]
+
+    def test_complex_input_keeps_the_tolerance(self, calls):
+        eigenvalues(Matrix.complex([[0, 1], [1 + 1e-12, 0]]))
+        assert calls == ["eigvalsh"]
+
+
+class TestRowQueries:
+    def test_entry_strings(self):
+        m = Matrix.exact([[Fraction(1, 2), 3], [-2, Fraction(-4, 6)]])
+        assert m.entry_strings() == [["1/2", "3"], ["-2", "-2/3"]]
+        assert Matrix.exact([[2 ** 70, 0]]).entry_strings() == [[str(2 ** 70), "0"]]
+        with pytest.raises(DomainMismatchError):
+            Matrix.complex([[1]]).entry_strings()
+
+    @pytest.mark.parametrize("rows,expected", [
+        ([["1/2", "1/2"], [0, 1]], None),
+        ([["1/2", "1/2"], ["1/3", "1/3"], [2, -1]], (1, False)),
+        ([[1, 0], ["-1/3", "4/3"]], (1, True)),
+        ([[2 ** 63 - 1, 2 ** 63 - 1, 3]], (0, False)),
+        ([[0.5 - 1e-13, 0.5 + 1e-13]], None),
+        ([[1 + 1e-6, 0]], (0, False)),
+        ([[0.5, 0.5], [1.5, -0.5]], (1, True)),
+    ])
+    def test_first_non_stochastic_row(self, rows, expected):
+        exact = all(not isinstance(x, float) for row in rows for x in row)
+        m = Matrix.exact(rows) if exact else Matrix.complex(rows)
+        assert m.first_non_stochastic_row() == expected
+
+
+R = CLUSTER_RADIUS
+#: values on a grid of R/4, so many pairs sit at distance R or just inside it
+near_value = st.builds(lambda re, im: complex(re * R / 4, im * R / 4),
+                       st.integers(-10, 10), st.sampled_from([0, 0, 0, -3, 2, 4]))
+
+
+def brute_force_leq(sub, full):
+    return len(sub) <= len(full) and any(
+        all(abs(v - w) <= R for v, w in zip(sub, chosen))
+        for chosen in permutations(full, len(sub)))
+
+
+class TestMultisetLeq:
+    def test_greedy_nearest_partner_counterexample(self):
+        # 0.5R is nearest to 0.9R, but only the pairing 0.5R-0 and 1.8R-0.9R works
+        assert multiset_leq([0.5 * R, 1.8 * R], [0, 0.9 * R])
+        assert multiset_leq([0.5 * R + 1e-30j, 1.8 * R], [0, 0.9 * R])
+        assert multiset_leq([0.5 * R + 1e-30j, 1.8 * R], [0.9 * R, 0])
+
+    def test_too_few_values(self):
+        assert not multiset_leq([0, 0], [0])
+        assert not multiset_leq([1j, 1j], [1j])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(near_value, max_size=6), st.lists(near_value, max_size=6),
+           st.booleans())
+    def test_matches_brute_force(self, sub, full, real):
+        if real:
+            sub, full = [complex(v.real) for v in sub], [complex(w.real) for w in full]
+        assert multiset_leq(sub, full) == brute_force_leq(sub, full)

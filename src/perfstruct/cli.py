@@ -1,14 +1,15 @@
 """Command-line front end.
 
 Exit codes are a stable contract: 0 success, 1 negative mathematical answer,
-2 input error, 3 resource limit.  ``PERFSTRUCT_TOL`` overrides the default
-tolerance.  ``--json`` output is stable-key-ordered.
+2 input error, 3 resource limit.  ``PERFSTRUCT_TOL``, a finite number >= 0,
+overrides the default tolerance.  ``--json`` output is stable-key-ordered.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -42,7 +43,13 @@ _SHORTHAND = {"k": "complete", "c": "cycle", "p": "path", "m": "matching"}
 
 def _tol() -> float:
     env = os.environ.get("PERFSTRUCT_TOL")
-    return float(env) if env else DEFAULT_TOL
+    try:
+        tol = float(env) if env else DEFAULT_TOL
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise files.ParseError(f"PERFSTRUCT_TOL must be a finite number >= 0, got {env!r}")
+    return tol
 
 
 def resolve_graph_tokens(tokens: list[str]) -> tuple[Graph, int]:
@@ -209,6 +216,14 @@ def cmd_product(args) -> int:
     return EXIT_OK
 
 
+def _rayleigh(a: np.ndarray, v: np.ndarray, name: str) -> complex:
+    """The Rayleigh quotient v*·A·v / v*·v of a nonzero vector."""
+    denom = np.vdot(v, v)
+    if abs(denom) == 0:
+        raise files.ParseError(f"{name} must be nonzero")
+    return complex(np.vdot(v, a @ v) / denom)
+
+
 def cmd_contract(args) -> int:
     tol = _tol()
     product_graph, _ = resolve_graph_tokens([args.product_graph])
@@ -217,18 +232,10 @@ def cmd_contract(args) -> int:
     g = np.array(files.load_vector(args.g), dtype=np.complex128)
 
     nmat = product_graph.adjacency.to_complex().data
-    nh = nmat @ h
-    denom = np.vdot(h, h)
-    if abs(denom) == 0:
-        raise files.ParseError("h must be nonzero")
-    nu = complex(np.vdot(h, nh) / denom)
-    if np.max(np.abs(nh - nu * h)) > max(tol, 1e-8) * max(1.0, float(np.max(np.abs(nmat)))):
+    nu = _rayleigh(nmat, h, "h")
+    if np.max(np.abs(nmat @ h - nu * h)) > max(tol, 1e-8) * max(1.0, float(np.max(np.abs(nmat)))):
         raise files.ParseError("h is not an eigenvector of the product graph")
-    lmat = right.adjacency.to_complex().data
-    lg = lmat @ g
-    lam = complex(np.vdot(g, lg) / np.vdot(g, g))
-    if np.max(np.abs(lg - lam * g)) > max(tol, 1e-8) * max(1.0, float(np.max(np.abs(lmat)))):
-        raise files.ParseError("g is not an eigenvector of the right factor")
+    lam = _rayleigh(right.adjacency.to_complex().data.T, g, "g")  # L^T g = lam g
 
     left_matrix = None
     if args.left:

@@ -5,6 +5,10 @@ m x n matrix H (left index major, matching the Kronecker block layout), and
 contracting against a right-factor eigenvector g gives f = H g.  When f is
 itself an eigenvector of M1, it is an eigenvector of M2 as well, with
 mu'' = (nu - lambda' * mu') / lambda''.
+
+``contract_named`` inverts a named product's eigenvalue rule,
+``NamedProduct.eigenvalue``, which is linear in the left eigenvalue mu.  N·h
+reshapes to sum M_i H L_j^T, so g must satisfy L^T g = lambda g.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ from .errors import (
     HypothesisNotMetError,
     ZeroContractionError,
 )
-from .graphs import Graph, is_regular
+from .graphs import Graph
 from .matrix import DEFAULT_TOL, Matrix
-from .products import NAMED_SPECS
+from .products import NAMED_SPECS, unity_value
 
 
 @dataclass(frozen=True)
@@ -94,13 +98,17 @@ def contract_named(product: str, product_eigfn, right_eigfn, right_graph: Graph,
                    left_matrix: Matrix | None = None) -> tuple[np.ndarray, complex]:
     """Contract a product eigenfunction through one of the named products.
 
-    ``product_eigfn`` is (h, nu), ``right_eigfn`` is (g, lambda).  Returns
+    ``product_eigfn`` is (h, nu), ``right_eigfn`` is (g, lambda) with
+    L^T g = lambda g, and mu solves nu = a·mu + b, the product's eigenvalue
+    rule.  HypothesisNotMetError: g not collinear to all-ones under a J
+    factor, or no left eigenvector of L; ExcludedEigenvalueError: a = 0.  Returns
     (f, mu) with f possibly zero (callers may retry with another g).  When
     ``left_matrix`` is supplied and f is nonzero, the eigen identity
     M·f = mu·f is checked at the given tolerance.
     """
     if product not in NAMED_SPECS:
         raise ValueError(f"unknown product kind {product!r}")
+    named = NAMED_SPECS[product]
     h, nu = product_eigfn
     g, lam = right_eigfn
     h = np.asarray(h, dtype=np.complex128)
@@ -110,37 +118,31 @@ def contract_named(product: str, product_eigfn, right_eigfn, right_graph: Graph,
     n = right_graph.n
     if h.size % n != 0:
         raise DimensionError("h length is not a multiple of the right factor order")
+    if not np.any(g):
+        raise DimensionError("g must be nonzero")
     m = h.size // n
 
-    if product == "tensor":
-        if abs(lam) <= tol:
-            raise ExcludedEigenvalueError("tensor contraction is undefined at lambda = 0")
-        mu = nu / lam
-    elif product == "cartesian":
-        mu = nu - lam
-    elif product == "normal":
-        if abs(lam + 1) <= tol:
-            raise ExcludedEigenvalueError("normal contraction is undefined at lambda = -1")
-        mu = (nu - lam) / (1 + lam)
-    else:  # lexicographic
-        r = is_regular(right_graph)
-        if r is None:
+    unity = None
+    if "J" in named.right:
+        unity = unity_value(g, tol)
+        if not unity:
             raise HypothesisNotMetError(
-                "lexicographic contraction needs a regular right factor")
-        ones = np.ones(n, dtype=np.complex128)
-        if np.max(np.abs(g - ones)) > tol * 10:
-            raise HypothesisNotMetError(
-                "lexicographic contraction uses the all-ones eigenvector of the "
-                "right factor")
-        if abs(lam - r) > tol * 10:
-            raise HypothesisNotMetError(
-                "lexicographic contraction is stated only at lambda = degree")
-        mu = (nu - r) / n
+                f"{product} contraction uses the all-ones eigenvector of the right factor")
+    b = named.eigenvalue(0, lam, unity)
+    a = named.eigenvalue(1, lam, unity) - b
+    if not abs(a) > tol:
+        raise ExcludedEigenvalueError(
+            f"{product} contraction is undefined at lambda = {lam.real:.6g}")
+    lmat = right_graph.adjacency.to_complex().data
+    resid = np.max(np.abs(lmat.T @ g - lam * g))
+    if not resid <= max(tol, 1e-8) * max(1.0, float(np.max(np.abs(lmat)))):
+        raise HypothesisNotMetError("g is not an eigenvector of the right factor")
+    mu = (nu - b) / a
 
     f = h.reshape(m, n) @ g
     if left_matrix is not None and np.linalg.norm(f) > tol:
-        a = left_matrix.to_complex().data
-        resid = float(np.max(np.abs(a @ f - mu * f)))
+        mmat = left_matrix.to_complex().data
+        resid = float(np.max(np.abs(mmat @ f - mu * f)))
         if resid > tol * max(1.0, float(np.linalg.norm(f))) * 10:
             raise HypothesisNotMetError(
                 f"contracted vector is not an eigenvector of the left factor "

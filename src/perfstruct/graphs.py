@@ -4,10 +4,11 @@ Family-tagged graphs regenerate their adjacency bit-exact from the tag.  Each
 product-defined family (grid, torus, prism, ladder, Hamming, bipartite double)
 is one ``PRODUCT_FAMILIES`` entry: a named product and its factor tags.  Its
 graph is that product of the factor graphs, and its closed-form spectrum is
-derived from the factors' closed forms by the product's eigenvalue rule
-(lam + mu for Cartesian, lam * mu for tensor), recursing on tags without
-building a graph.  The remaining families have factors I or J, which are not
-families, and keep their own formulas.
+derived from the factors' closed forms by the product's eigenvalue rule,
+``NamedProduct.eigenvalue`` (mu + lam for Cartesian, mu * lam for tensor),
+recursing on tags without building a graph.  The remaining families are
+Kronecker products with I or J, which are not families, and keep their own
+formulas.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .matrix import (
     Matrix,
     cluster_values,
     eigenvalues,
+    kron,
 )
 
 
@@ -112,11 +114,6 @@ def _cycle_adjacency(n: int) -> Matrix:
     return Matrix(m, EXACT)
 
 
-def _tensor(a: Matrix, b: Matrix) -> Matrix:
-    from .products import build_product, tensor_spec
-    return build_product(tensor_spec(a, b))
-
-
 #: number of integer parameters per family; None for a family over one graph
 FAMILY_ARITY = {
     "complete": 1, "matching": 1, "complete_bipartite": 1,
@@ -161,13 +158,13 @@ def make_family(name: str, *params) -> Graph:
         adj = _complete_adjacency(n)
     elif name == "matching":
         (n,) = params  # n disjoint edges, 2n vertices
-        adj = _tensor(Matrix.identity(n), _complete_adjacency(2))
+        adj = kron(Matrix.identity(n), _complete_adjacency(2))
     elif name == "complete_bipartite":
         (n,) = params  # K_{n,n}: tensor of the single edge with the J-graph
-        adj = _tensor(_complete_adjacency(2), Matrix.ones(n, n))
+        adj = kron(_complete_adjacency(2), Matrix.ones(n, n))
     elif name == "complete_multipartite":
         k, n = params
-        adj = _tensor(_complete_adjacency(k), Matrix.ones(n, n))
+        adj = kron(_complete_adjacency(k), Matrix.ones(n, n))
     elif name == "path":
         (n,) = params
         adj = _path_adjacency(n)
@@ -195,7 +192,7 @@ def _product_family(name: str, *params) -> Graph:
 
 def double_graph(g: Graph) -> Graph:
     """Two copies of G plus all cross edges along edges of G: G x J_2."""
-    adj = _tensor(g.adjacency, Matrix.ones(2, 2))
+    adj = kron(g.adjacency, Matrix.ones(2, 2))
     tag = ("double", g.family) if g.family else None
     return Graph(adj, family=tag)
 
@@ -255,23 +252,15 @@ def _tag_spectrum(tag) -> Spectrum:
 
 
 def _product_spectrum(name: str, params) -> Spectrum:
-    """Spectrum of a product family from its factors' closed forms: on the
-    Kronecker product of factor eigenvectors with eigenvalues lam and mu, the
-    product acts as sum a_ij x_i y_j, where x_i is lam for M and 1 for I, and
-    y_j is mu for L and 1 for I.  Each raw value is labelled by its factors'
-    labels, or by their eigenvalues where a factor records none."""
+    """Spectrum of a product family from its factors' closed forms, by the
+    product's eigenvalue rule on each pair of factor eigenvalues.  Each raw
+    value is labelled by its factors' labels, or by their eigenvalues where a
+    factor records none."""
     from .products import NAMED_SPECS
     kind, factors = PRODUCT_FAMILIES[name]
     named = NAMED_SPECS[kind]
     left, right = (_raw_spectrum(_tag_spectrum(f)) for f in factors(*params))
-    labels = []
-    for lam, a in left:
-        xs = [lam if t == "M" else 1 for t in named.left]
-        for mu, b in right:
-            ys = [mu if t == "L" else 1 for t in named.right]
-            value = sum(c * xs[i] * ys[j] for i, row in enumerate(named.coefficients)
-                        for j, c in enumerate(row) if c != 0)
-            labels.append((value, (a, b)))
+    labels = [(named.eigenvalue(mu, lam), (a, b)) for mu, a in left for lam, b in right]
     return Spectrum.from_values([v for v, _ in labels], labels=labels)
 
 

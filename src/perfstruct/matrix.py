@@ -56,6 +56,15 @@ def _as_exact(x):
     return x.numerator if x.denominator == 1 else x
 
 
+def _numerators(entries: list, shape) -> tuple[np.ndarray, int]:
+    """Exact scalars in lowest terms as canonical integer numerators over the
+    lcm of their denominators, itself in lowest terms with them."""
+    den = math.lcm(*(x.denominator for x in entries))
+    if den != 1:
+        entries = [x.numerator * (den // x.denominator) for x in entries]
+    return _narrow(np.array(entries, dtype=object).reshape(shape)), den
+
+
 def _magnitude(a: np.ndarray) -> int:
     """Largest absolute entry of an integer array, as a Python int."""
     return max(int(a.max(initial=0)), -int(a.min(initial=0)))
@@ -98,14 +107,8 @@ class Matrix:
         elif data.dtype.kind in "iu":
             self._store(_narrow(data), 1, None, EXACT)
         else:
-            entries = [_as_exact(x) for x in data.flat]
-            # lowest-terms entries over the lcm of their denominators are
-            # themselves in lowest terms
-            den = math.lcm(*(x.denominator for x in entries))
-            if den != 1:
-                entries = [x.numerator * (den // x.denominator) for x in entries]
-            ints = np.array(entries, dtype=object).reshape(data.shape)
-            self._store(_narrow(ints), den, None, EXACT)
+            self._store(*_numerators([_as_exact(x) for x in data.flat], data.shape),
+                        None, EXACT)
 
     def _store(self, ints, den, data, domain):
         for arr in (ints, data):
@@ -115,6 +118,13 @@ class Matrix:
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_data", data)
         object.__setattr__(self, "domain", domain)
+
+    @staticmethod
+    def _from_entries(entries: list, shape) -> "Matrix":
+        """The exact matrix of lowest-terms scalars given in row-major order."""
+        m = object.__new__(Matrix)
+        m._store(*_numerators(entries, shape), None, EXACT)
+        return m
 
     @staticmethod
     def _wrap(ints: np.ndarray, den: int = 1) -> "Matrix":
@@ -155,10 +165,15 @@ class Matrix:
     @staticmethod
     def exact(rows) -> "Matrix":
         """Build an exact-rational matrix from nested sequences of rationals."""
-        arr = np.array([[_as_exact(x) for x in row] for row in rows], dtype=object)
-        if arr.ndim == 1:  # empty rows
+        rows = [[_as_exact(x) for x in row] for row in rows]
+        if not rows:
             raise DimensionError("matrix needs at least one row and one column")
-        return Matrix(arr, EXACT)
+        bad = next((i for i, row in enumerate(rows) if len(row) != len(rows[0])), None)
+        if bad is not None:
+            raise DimensionError(f"matrix rows are ragged: row 1 has {len(rows[0])} "
+                                 f"entries, row {bad + 1} has {len(rows[bad])}")
+        return Matrix._from_entries([x for row in rows for x in row],
+                                    (len(rows), len(rows[0])))
 
     @staticmethod
     def complex(rows) -> "Matrix":
@@ -188,12 +203,13 @@ class Matrix:
 
     @staticmethod
     def diag(values, domain: str = EXACT) -> "Matrix":
-        values = list(values)
+        if domain != EXACT:  # Matrix() rejects an unknown domain
+            return Matrix(np.diag(np.array(values, dtype=np.complex128)), domain)
+        values = [_as_exact(v) for v in values]
         n = len(values)
-        arr = np.zeros((n, n), dtype=object if domain == EXACT else np.complex128)
-        for i, v in enumerate(values):
-            arr[i, i] = _as_exact(v) if domain == EXACT else complex(v)
-        return Matrix(arr, domain)
+        flat = [0] * (n * n)
+        flat[::n + 1] = values
+        return Matrix._from_entries(flat, (n, n))
 
     @staticmethod
     def column(values, domain: str = EXACT) -> "Matrix":
@@ -444,10 +460,6 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     x, y = a._ints, b._ints
     return Matrix._wrap(_guarded(_magnitude(x) * _magnitude(y), np.kron, x, y),
                         a._den * b._den)
-
-
-def kron_vec(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return np.kron(np.asarray(f), np.asarray(g))
 
 
 def rank(a: Matrix, tol: float = DEFAULT_TOL) -> int:

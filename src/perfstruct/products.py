@@ -20,10 +20,10 @@ from .matrix import (
     Matrix,
     eig,
     kron,
-    kron_vec,
 )
 from .structures import (
     PerfectStructure,
+    classify_identity,
     parameters_from_structure,
     verify,
 )
@@ -54,14 +54,6 @@ class ProductSpec:
         if all(c == 0 for row in grid for c in row):
             raise DimensionError("at least one coefficient must be nonzero")
 
-    @property
-    def left_order(self) -> int:
-        return self.left_factors[0].rows
-
-    @property
-    def right_order(self) -> int:
-        return self.right_factors[0].rows
-
 
 @dataclass(frozen=True)
 class NamedProduct:
@@ -81,6 +73,14 @@ class NamedProduct:
                            tuple(_layout_factor(t, l) for t in self.right),
                            self.coefficients)
 
+    def eigenvalue(self, mu, lam, unity=None):
+        """The product's eigenvalue on f kron g, where M f = mu f, L g = lam g
+        and J g = unity g (see ``unity_value``); I acts as 1.  Scalars or
+        arrays that broadcast together."""
+        acts = {"M": mu, "L": lam, "I": 1, "J": unity}
+        return grid_value(self.coefficients, [acts[t] for t in self.left],
+                          [acts[t] for t in self.right])
+
 
 def _layout_factor(tag: str, a: Matrix) -> Matrix:
     if tag == "I":
@@ -97,6 +97,13 @@ NAMED_SPECS = {
     "lexicographic": NamedProduct(("M", "I"), ("J", "L"), ((1, 0), (0, 1))),
 }
 tensor_spec, cartesian_spec, normal_spec, lexicographic_spec = NAMED_SPECS.values()
+
+
+def grid_value(coefficients, xs, ys):
+    """sum a_ij * xs[i] * ys[j] over the nonzero coefficients: the product's
+    eigenvalue when each left factor acts as xs[i] and each right one as ys[j]."""
+    return sum(c * xs[i] * ys[j] for i, row in enumerate(coefficients)
+               for j, c in enumerate(row) if c != 0)
 
 
 def _kron_sum(coefficients, lefts, rights) -> Matrix:
@@ -125,44 +132,37 @@ def product_structures(spec: ProductSpec, left, right,
     """
     if len(left) != len(spec.left_factors) or len(right) != len(spec.right_factors):
         raise DimensionError("one structure per factor is required on each side")
-    p = left[0].structure
-    r = right[0].structure
-    for s, factor in zip(left, spec.left_factors):
-        if s.structure != p:
-            raise UnverifiedStructureError("left structures must share one structure matrix")
-        if s.adjacency != factor:
-            raise UnverifiedStructureError("left adjacency matrices must match the factors")
-        if not verify(s, tol):
-            raise UnverifiedStructureError("unverified left structure")
-    for s, factor in zip(right, spec.right_factors):
-        if s.structure != r:
-            raise UnverifiedStructureError("right structures must share one structure matrix")
-        if s.adjacency != factor:
-            raise UnverifiedStructureError("right adjacency matrices must match the factors")
-        if not verify(s, tol):
-            raise UnverifiedStructureError("unverified right structure")
+    for side, structs, factors in (("left", left, spec.left_factors),
+                                   ("right", right, spec.right_factors)):
+        for s, factor in zip(structs, factors):
+            if s.structure != structs[0].structure:
+                raise UnverifiedStructureError(
+                    f"{side} structures must share one structure matrix")
+            if s.adjacency != factor:
+                raise UnverifiedStructureError(
+                    f"{side} adjacency matrices must match the factors")
+            if not verify(s, tol):
+                raise UnverifiedStructureError(f"unverified {side} structure")
     params = _kron_sum(spec.coefficients, [s.parameters for s in left],
                        [s.parameters for s in right])
-    return PerfectStructure(build_product(spec), kron(p, r), params)
+    return PerfectStructure(build_product(spec), kron(left[0].structure, right[0].structure),
+                            params)
 
 
 def lexicographic_structure(left: PerfectStructure, right: PerfectStructure,
                             tol: float = DEFAULT_TOL) -> PerfectStructure:
-    """Structure in the lexicographic product: parameters S kron T' + I kron T,
-    where (J, R, T') is obtained by solving for the parameters of R against J."""
-    for s in (left, right):
-        if not verify(s, tol):
-            raise UnverifiedStructureError("unverified input structure")
-    h = right.n
-    j = Matrix.ones(h, h, right.domain)
-    t_prime = parameters_from_structure(j, right.structure, tol)
-    spec = lexicographic_spec(left.adjacency, right.adjacency)
-    adjacency = build_product(spec)
-    structure = kron(left.structure, right.structure)
-    ident = Matrix.identity(left.k, left.domain)
-    params = _kron_sum(spec.coefficients, [left.parameters, ident],
-                       [t_prime, right.parameters])
-    return PerfectStructure(adjacency, structure, params)
+    """Structure in the lexicographic product: the product of (M, P, S) and
+    (I, P, I) with (J, R, T') and (L, R, T), where T' solves J·R = R·T'."""
+    # T' is solved from R, so R is verified first; product_structures
+    # verifies the left structure
+    if not verify(right, tol):
+        raise UnverifiedStructureError("unverified input structure")
+    r = right.structure
+    j = Matrix.ones(right.n, right.n, right.domain)
+    unity = PerfectStructure(j, r, parameters_from_structure(j, r, tol))
+    return product_structures(lexicographic_spec(left.adjacency, right.adjacency),
+                              [left, classify_identity(left.structure)],
+                              [unity, right], tol)
 
 
 def _check_consolidated(factors, eigs, tol: float):
@@ -189,21 +189,9 @@ def product_spectrum(spec: ProductSpec, left_eigs, right_eigs,
     eigensystems (same vectors, per-factor values) on each side."""
     _check_consolidated(spec.left_factors, left_eigs, tol)
     _check_consolidated(spec.right_factors, right_eigs, tol)
-    n1 = spec.left_order
-    n2 = spec.right_order
-    values = []
-    for s in range(n1):
-        for t in range(n2):
-            acc = 0j
-            for i in range(len(spec.left_factors)):
-                for j in range(len(spec.right_factors)):
-                    c = spec.coefficients[i][j]
-                    if c == 0:
-                        continue
-                    acc += complex(c) * complex(left_eigs[i].values[s]) \
-                        * complex(right_eigs[j].values[t])
-            values.append(acc)
-    return Spectrum.from_values(values, radius)
+    values = grid_value(spec.coefficients, [e.values[:, None] for e in left_eigs],
+                        [e.values for e in right_eigs])
+    return Spectrum.from_values(values.ravel(), radius)
 
 
 def product_eigenvector(f, g) -> np.ndarray:
@@ -212,7 +200,7 @@ def product_eigenvector(f, g) -> np.ndarray:
     g = np.asarray(g)
     if f.size == 0 or g.size == 0 or not np.any(f) or not np.any(g):
         raise DimensionError("factor eigenvectors must be nonzero")
-    return kron_vec(f, g)
+    return np.kron(f, g)
 
 
 def identity_eigensystem(like: EigenSystem) -> EigenSystem:
@@ -221,35 +209,36 @@ def identity_eigensystem(like: EigenSystem) -> EigenSystem:
                        vectors=like.vectors, residual=0.0)
 
 
+def unity_value(g, tol: float = DEFAULT_TOL) -> int | None:
+    """The eigenvalue of J on g: n when g is collinear to the all-ones vector,
+    0 when it is orthogonal to it, None when g is no eigenvector of J."""
+    g = np.asarray(g)
+    n = g.size
+    s = np.sum(g)
+    if abs(s) <= max(tol, 1e-9) * max(1.0, float(np.max(np.abs(g)))) * n:
+        return 0
+    if np.max(np.abs(g - s / n)) > max(tol, 1e-9) * max(1.0, abs(s)):
+        return None
+    return n
+
+
 def unity_eigensystem(like: EigenSystem, tol: float = DEFAULT_TOL) -> EigenSystem:
-    """Eigensystem of J on the vectors of ``like``: n on vectors collinear to
-    the all-ones vector, 0 on vectors orthogonal to it (regular factors)."""
-    n = like.n
-    values = np.empty(n, dtype=np.complex128)
-    for t in range(n):
-        v = like.vectors.col(t)
-        s = np.sum(v)
-        if abs(s) <= max(tol, 1e-9) * max(1.0, float(np.max(np.abs(v)))) * n:
-            values[t] = 0.0
-        else:
-            # v must be collinear to the all-ones vector
-            if np.max(np.abs(v - s / n)) > max(tol, 1e-9) * max(1.0, abs(s)):
-                raise HypothesisNotMetError(
-                    "eigenvector is neither orthogonal nor collinear to all-ones; "
-                    "J does not share this eigenbasis")
-            values[t] = n
-    return EigenSystem(values=values, vectors=like.vectors, residual=0.0)
+    """Eigensystem of J on the vectors of ``like`` (regular factors)."""
+    values = [unity_value(like.vectors.col(t), tol) for t in range(like.n)]
+    if None in values:
+        raise HypothesisNotMetError(
+            "eigenvector is neither orthogonal nor collinear to all-ones; "
+            "J does not share this eigenbasis")
+    return EigenSystem(values=np.array(values, dtype=np.complex128),
+                       vectors=like.vectors, residual=0.0)
 
 
 def named_product_spectrum(kind: str, m: Matrix, l: Matrix,
                            tol: float = DEFAULT_TOL) -> Spectrum:
-    """Spectrum of a named product of M and L from one eigensystem per graph:
-    on those vectors I acts as 1 and J through ``unity_eigensystem``."""
+    """Spectrum of a named product of M and L from one eigensystem per graph,
+    by the product's eigenvalue rule on each pair of eigenvectors."""
     named = NAMED_SPECS[kind]
     em, el = eig(m, tol), eig(l, tol)
-
-    def side(layout, es):
-        return [identity_eigensystem(es) if t == "I"
-                else unity_eigensystem(es, tol) if t == "J" else es for t in layout]
-
-    return product_spectrum(named(m, l), side(named.left, em), side(named.right, el), tol)
+    unity = unity_eigensystem(el, tol).values if "J" in named.right else None
+    values = named.eigenvalue(em.values[:, None], el.values, unity)
+    return Spectrum.from_values(values.ravel())

@@ -196,6 +196,49 @@ class TestContract:
         g = write(tmp_path, "g.vec", "1\n-1\n")
         assert main(["contract", prod, h, g, "cartesian", "--right", "k2"]) == 2
 
+    def test_directed_right_factor_needs_a_left_eigenvector(self, tmp_path, capsys):
+        # 1->2, 2->1, 3->1: every row sum is 1, the column sums are 2, 1, 0.
+        # h is an eigenvector of nu = -1 that is no Kronecker product; with
+        # L g = g for g = 1 it would contract to mu = -2/3, while H·g = (1, -1)
+        # has mu = -1 in K_2.
+        right = write(tmp_path, "arcs.graph", "matrix 3\n0 1 0\n1 0 0\n1 0 0\n")
+        prod = str(tmp_path / "prod.graph")
+        assert main(["product", "lex", "k2", right, "-o", prod]) == 0
+        capsys.readouterr()
+        h = write(tmp_path, "h.vec", "1\n0\n0\n-1\n0\n0\n")
+        g = write(tmp_path, "g.vec", "1\n1\n1\n")
+        assert main(["contract", prod, h, g, "lex", "--right", right]) == 2
+        assert capsys.readouterr().err == \
+            "error: g is not an eigenvector of the right factor\n"
+
+    @pytest.mark.parametrize("g_text", ["1\n1\n1\n1\n", "2\n2\n2\n2\n"])
+    def test_lexicographic_round_trip(self, tmp_path, capsys, g_text):
+        prod = str(tmp_path / "prod.graph")
+        assert main(["product", "lex", "k2", "c4", "-o", prod]) == 0
+        capsys.readouterr()
+        # h = (1, -1) kron 1: nu = mu * 4 + 2 = -2
+        h = write(tmp_path, "h.vec", "1\n1\n1\n1\n-1\n-1\n-1\n-1\n")
+        g = write(tmp_path, "g.vec", g_text)
+        assert main(["contract", prod, h, g, "lex", "--right", "c4", "--left", "k2"]) == 0
+        assert "mu = -1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["tensor", "cartesian", "normal", "lex"])
+    def test_non_eigenvector_g(self, tmp_path, capsys, kind):
+        h = write(tmp_path, "h.vec", "1\n1\n1\n1\n1\n1\n")
+        g = write(tmp_path, "g.vec", "2\n2\n2\n")
+        assert main(["contract", "c6", h, g, kind, "--right", "p3"]) == 2
+        assert capsys.readouterr().err == \
+            "error: g is not an eigenvector of the right factor\n"
+
+    def test_zero_g(self, tmp_path, capsys):
+        prod = str(tmp_path / "prod.graph")
+        assert main(["product", "cartesian", "k2", "k2", "-o", prod]) == 0
+        capsys.readouterr()
+        h = write(tmp_path, "h.vec", "1\n-1\n-1\n1\n")
+        g = write(tmp_path, "g.vec", "0\n0\n")
+        assert main(["contract", prod, h, g, "cartesian", "--right", "k2"]) == 2
+        assert capsys.readouterr().err == "error: g must be nonzero\n"
+
 
 class TestCensus:
     def test_four_cycle_two_colors(self, capsys):
@@ -229,4 +272,22 @@ class TestTolerance:
         coloring = write(tmp_path, "w.col",
                          "0.75 0.25\n0.25 0.75\n0.75 0.25\n0.25 0.75\n")
         monkeypatch.setenv("PERFSTRUCT_TOL", "1e-3")
+        assert main(["verify", c4_file, coloring]) == 0
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "abc"])
+    def test_invalid_tolerance_is_an_input_error(self, tmp_path, monkeypatch, capsys, value):
+        prod = str(tmp_path / "prod.graph")
+        assert main(["product", "tensor", "k2", "p3", "-o", prod]) == 0
+        capsys.readouterr()
+        # h is no eigenvector; g is the excluded lambda = 0 eigenvector
+        h = write(tmp_path, "h.vec", "1\n0\n0\n0\n0\n0\n")
+        g = write(tmp_path, "g.vec", "1\n0\n-1\n")
+        monkeypatch.setenv("PERFSTRUCT_TOL", value)
+        assert main(["contract", prod, h, g, "tensor", "--right", "p3"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: PERFSTRUCT_TOL must be a finite number >= 0, got {value!r}\n"
+
+    def test_zero_tolerance_is_allowed(self, tmp_path, monkeypatch, c4_file):
+        coloring = write(tmp_path, "c.col", "1\n2\n1\n2\n")
+        monkeypatch.setenv("PERFSTRUCT_TOL", "0")
         assert main(["verify", c4_file, coloring]) == 0

@@ -178,9 +178,9 @@ class TestNamedContractions:
 
     def test_lexicographic_needs_all_ones(self):
         h = small("complete 3")
-        with pytest.raises(HypothesisNotMetError):
-            contract_named("lexicographic", ([1, 0, 0, 0, 0, 0], 2),
-                           ([1, -1, 0], -1), h)
+        for g in ([1, -1, 0], [1, 0, 0]):  # orthogonal to all-ones, then neither
+            with pytest.raises(HypothesisNotMetError, match="all-ones eigenvector"):
+                contract_named("lexicographic", ([1, 0, 0, 0, 0, 0], 2), (g, -1), h)
 
     def test_lexicographic_needs_regular_right_factor(self):
         h = small("path 3")
@@ -204,3 +204,92 @@ class TestNamedContractions:
         if abs(lam) > 1e-9:
             f, _ = contract_named("tensor", (hvec, nu), (other, lam), h)
             assert np.linalg.norm(f) <= 1e-9
+
+
+class TestContractionByTheRule:
+    """contract_named inverts each named product's eigenvalue rule; it checks
+    a J factor first, then the excluded eigenvalue, then L^T g = lambda g."""
+
+    def test_lexicographic_scaled_all_ones(self):
+        g, h = small("cycle 4"), small("complete 3")
+        em = eig(g.adjacency.to_complex())
+        ones = 2 * np.ones(h.n)
+        for s in range(g.n):
+            hvec = np.kron(em.vectors.col(s), ones)
+            nu = em.values[s] * h.n + 2
+            f, mu = contract_named("lexicographic", (hvec, nu), (ones, 2), h,
+                                   left_matrix=g.adjacency)
+            assert abs(mu - em.values[s]) <= 1e-9
+            assert np.allclose(f, 12 * em.vectors.col(s))
+
+    @pytest.mark.parametrize("kind", ["tensor", "cartesian", "normal", "lexicographic"])
+    def test_directed_right_factor_left_eigenvectors(self, kind):
+        # 1->2, 2->1, 1->3 has every column sum 1 (row sums 2, 1, 0), so the
+        # all-ones vector is a left eigenvector.  N·h reshapes to
+        # sum M_i H L_j^T, and contracting every eigenvector h of N, Kronecker
+        # or not, through a left eigenvector g of L gives zero or an
+        # eigenvector of K_2 with the rule's mu.
+        from perfstruct import from_edges
+        from perfstruct.products import NAMED_SPECS
+
+        k2 = small("complete 2")
+        arcs = from_edges(3, [(1, 2), (2, 1), (1, 3)], directed=True)
+        lmat = arcs.adjacency.to_complex().data
+        nmat = build_product(NAMED_SPECS[kind](k2.adjacency, arcs.adjacency))
+        nus, hs = np.linalg.eig(nmat.to_complex().data)
+        lams, gs = np.linalg.eig(lmat.T)
+        if kind == "lexicographic":  # J needs the all-ones vector
+            lams, gs = [1], np.ones((3, 1))
+        for nu, h in zip(nus, hs.T):
+            for lam, g in zip(lams, gs.T):
+                try:
+                    f, mu = contract_named(kind, (h, nu), (g, lam), arcs,
+                                           left_matrix=k2.adjacency)
+                except ExcludedEigenvalueError:
+                    continue
+                if np.linalg.norm(f) > 1e-9:
+                    assert np.allclose(np.array([[0, 1], [1, 0]]) @ f, mu * f)
+
+    @pytest.mark.parametrize("kind", ["tensor", "cartesian", "normal", "lexicographic"])
+    def test_directed_right_eigenvector_g_rejected(self, kind):
+        # 1->2, 2->1, 3->1 has every row sum 1 (column sums 2, 1, 0): the
+        # all-ones g has L g = g but not L^T g = g.  Contracting the
+        # eigenvectors h of the product through it would give a wrong mu
+        # (lexicographic K_2: mu = -2/3 for one h of nu = -1).
+        from perfstruct import from_edges
+        from perfstruct.products import NAMED_SPECS
+
+        k2 = small("complete 2")
+        arcs = from_edges(3, [(1, 2), (2, 1), (3, 1)], directed=True)
+        nmat = build_product(NAMED_SPECS[kind](k2.adjacency, arcs.adjacency))
+        nus, hs = np.linalg.eig(nmat.to_complex().data)
+        for nu, h in zip(nus, hs.T):
+            with pytest.raises(HypothesisNotMetError, match="g is not an eigenvector"):
+                contract_named(kind, (h, nu), (np.ones(3), 1), arcs)
+
+    @pytest.mark.parametrize("kind", ["tensor", "cartesian", "normal"])
+    def test_non_eigenvector_g_rejected(self, kind):
+        h = small("complete 3")
+        with pytest.raises(HypothesisNotMetError, match="g is not an eigenvector"):
+            contract_named(kind, ([1, 0, 0, 0, 0, 0], 2), ([1, 0, 0], 2), h)
+
+    def test_lexicographic_non_eigenvector_g_rejected(self):
+        h = small("path 3")
+        with pytest.raises(HypothesisNotMetError, match="g is not an eigenvector"):
+            contract_named("lexicographic", ([1] * 6, 2), ([2, 2, 2], 2), h)
+
+    @pytest.mark.parametrize("kind", ["tensor", "cartesian", "normal", "lexicographic"])
+    def test_zero_g_rejected(self, kind):
+        with pytest.raises(DimensionError, match="g must be nonzero"):
+            contract_named(kind, ([1, 0, 0, 0, 0, 0], 2), ([0, 0, 0], 2),
+                           small("complete 3"))
+
+    def test_nan_in_g_fails_the_eigenpair_check(self):
+        h = small("complete 3")
+        with pytest.raises(HypothesisNotMetError, match="g is not an eigenvector"):
+            contract_named("cartesian", ([1] * 6, 3), ([1, float("nan"), 1], 2), h)
+
+    def test_excluded_before_eigenpair(self):
+        # g is no lambda = -1 eigenvector of P_3, but the exclusion is reported
+        with pytest.raises(ExcludedEigenvalueError, match="lambda = -1"):
+            contract_named("normal", ([1] * 6, 0), ([1, 0, 0], -1), small("path 3"))

@@ -20,7 +20,7 @@ from perfstruct import (
     poly_eval,
     rank,
 )
-from perfstruct.errors import DefectiveMatrixError, DomainMismatchError
+from perfstruct.errors import DefectiveMatrixError, DimensionError, DomainMismatchError
 
 RNG = np.random.default_rng(20200419)
 
@@ -266,3 +266,43 @@ class TestMultisetLeq:
         if real:
             sub, full = [complex(v.real) for v in sub], [complex(w.real) for w in full]
         assert multiset_leq(sub, full) == brute_force_leq(sub, full)
+
+
+class TestExactConstructors:
+    @pytest.fixture
+    def conversions(self, monkeypatch):
+        """Counts the calls that turn an input entry into an exact scalar."""
+        import perfstruct.matrix as matrix_module
+
+        seen = []
+        original = matrix_module._as_exact
+
+        def spy(x):
+            seen.append(x)
+            return original(x)
+        monkeypatch.setattr(matrix_module, "_as_exact", spy)
+        return seen
+
+    def test_exact_converts_each_entry_once(self, conversions):
+        m = Matrix.exact([[1, "1/2"], [Fraction(3, 4), 2]])
+        assert len(conversions) == 4
+        assert m.data.tolist() == [[1, Fraction(1, 2)], [Fraction(3, 4), 2]]
+
+    def test_diag_converts_each_value_once(self, conversions):
+        m = Matrix.diag([1, "1/3", 2])
+        assert len(conversions) == 3
+        assert m == Matrix.exact([[1, 0, 0], [0, "1/3", 0], [0, 0, 2]])
+
+    def test_diag_complex_and_empty(self):
+        assert Matrix.diag([1j, 2], "complex") == Matrix.complex([[1j, 0], [0, 2]])
+        assert Matrix.diag([]).shape == (0, 0)
+        with pytest.raises(ValueError, match="unknown domain 'bogus'"):
+            Matrix.diag([1], "bogus")
+
+    def test_ragged_rows_are_named(self):
+        with pytest.raises(DimensionError, match="ragged: row 1 has 2 entries, row 2 has 1"):
+            Matrix.exact([[1, 2], [3]])
+
+    def test_no_rows(self):
+        with pytest.raises(DimensionError, match="at least one row"):
+            Matrix.exact([])

@@ -222,3 +222,77 @@ class TestFamilySpectraAgree:
         c5 = make_family("cycle", 5).adjacency
         k2 = make_family("complete", 2).adjacency
         assert p.adjacency == build_product(cartesian_spec(c5, k2))
+
+
+class TestEigenvalueRule:
+    """Each named product's eigenvalue rule, the one formula behind product
+    spectra, product-family closed forms and contraction."""
+
+    @pytest.mark.parametrize("kind", ["tensor", "cartesian", "normal", "lexicographic"])
+    @pytest.mark.parametrize("gname", SMALL_GRAPHS)
+    @pytest.mark.parametrize("hname", ["complete 2", "complete 3", "cycle 4"])
+    def test_rule_acts_on_kronecker_eigenvectors(self, kind, gname, hname):
+        from perfstruct.products import NAMED_SPECS, unity_value
+
+        named = NAMED_SPECS[kind]
+        g, h = small(gname), small(hname)
+        n = build_product(named(g.adjacency, h.adjacency)).to_complex().data
+        em, el = eig(g.adjacency), eig(h.adjacency)
+        for s in range(g.n):
+            for t in range(h.n):
+                f, v = em.vectors.col(s), el.vectors.col(t)
+                nu = named.eigenvalue(em.values[s], el.values[t], unity_value(v))
+                w = np.kron(f, v)
+                assert np.max(np.abs(n @ w - nu * w)) <= TOL
+
+    def test_unity_value(self):
+        from perfstruct.products import unity_value
+
+        assert unity_value(2 * np.ones(4)) == 4
+        assert unity_value([1, -1, 0]) == 0
+        assert unity_value([1, 0, 0]) is None
+
+    def test_lexicographic_structure_matches_the_product_coloring(self):
+        # C_4 with alternating colours and K_3 with three colours: the
+        # structure's parameters are those of the product coloring
+        from perfstruct import Coloring, PerfectStructure, verify_coloring
+        from perfstruct.colorings import product_coloring
+
+        c4, k3 = small("cycle 4"), small("complete 3")
+        alt, full = Coloring.from_colors([1, 2, 1, 2]), Coloring.from_colors([1, 2, 3])
+        left = PerfectStructure(c4.adjacency, alt.indicator, verify_coloring(c4, alt))
+        right = PerfectStructure(k3.adjacency, full.indicator, verify_coloring(k3, full))
+        prod = lexicographic_structure(left, right)
+        graph, coloring, params = product_coloring("lexicographic", (c4, alt), (k3, full))
+        assert prod.adjacency == graph.adjacency
+        assert prod.structure == coloring.indicator
+        assert prod.parameters == params
+
+    @pytest.mark.parametrize("left_degree, right_degree", [(3, 2), (2, 3)])
+    def test_lexicographic_structure_rejects_unverified_input(self, left_degree,
+                                                              right_degree):
+        # C_4 is 2-regular and K_3 is 2-regular: one side claims degree 3
+        from perfstruct import PerfectStructure
+
+        c4, k3 = small("cycle 4"), small("complete 3")
+        left = PerfectStructure(c4.adjacency, Matrix.ones(4, 1),
+                                Matrix.exact([[left_degree]]))
+        right = PerfectStructure(k3.adjacency, Matrix.ones(3, 1),
+                                 Matrix.exact([[right_degree]]))
+        with pytest.raises(UnverifiedStructureError):
+            lexicographic_structure(left, right)
+
+    def test_product_spectrum_matches_the_loop(self):
+        # the broadcast evaluation against the term-by-term sum it replaced
+        from fractions import Fraction
+
+        a, b = small("cycle 4").adjacency, small("path 3").adjacency
+        grid = ((1, Fraction(1, 3)), (2, 0))
+        spec = ProductSpec((a, Matrix.identity(4)), (Matrix.identity(3), b), grid)
+        ea, eb = eig(a), eig(b)
+        lefts, rights = [ea, identity_eigensystem(ea)], [identity_eigensystem(eb), eb]
+        loop = [sum(complex(grid[i][j]) * complex(lefts[i].values[s])
+                    * complex(rights[j].values[t]) for i in range(2) for j in range(2))
+                for s in range(4) for t in range(3)]
+        got = product_spectrum(spec, lefts, rights).values()
+        assert multiset_discrepancy(got, loop) <= 1e-12

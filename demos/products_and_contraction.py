@@ -1,8 +1,9 @@
 """Graph products and the contraction map.
 
 Builds the four named products of K_2 and K_3, predicts their spectra from
-the factor eigenvalues, transports a coloring through a Cartesian product,
-and contracts a product eigenfunction back down to a factor eigenvector.
+one common eigenbasis of each side's factors, transports a coloring through
+a Cartesian product, and contracts a product eigenfunction back down to a
+factor eigenvector.
 """
 
 import numpy as np
@@ -13,11 +14,13 @@ from perfstruct import (
     contract_named,
     eig,
     eigenvalues,
+    joint_eigensystems,
     make_family,
     multiset_discrepancy,
     product_coloring,
+    product_spectrum,
 )
-from perfstruct.products import NAMED_SPECS, named_product_spectrum
+from perfstruct.products import NAMED_SPECS
 
 
 def main():
@@ -27,8 +30,10 @@ def main():
     el = eig(k3.adjacency.to_complex())
 
     for kind, named in NAMED_SPECS.items():
-        predicted = named_product_spectrum(kind, k2.adjacency, k3.adjacency)
-        direct = eigenvalues(build_product(named(k2.adjacency, k3.adjacency)).to_complex())
+        spec = named(k2.adjacency, k3.adjacency)
+        predicted = product_spectrum(spec, joint_eigensystems(spec.left_factors),
+                                     joint_eigensystems(spec.right_factors))
+        direct = eigenvalues(build_product(spec).to_complex())
         d = multiset_discrepancy(predicted.values(), direct)
         vals = ", ".join(f"{complex(v).real:g}^{m}" for v, m in predicted.entries)
         print(f"{kind} product of K_2 and K_3: spectrum {{{vals}}}, "

@@ -9,6 +9,7 @@ from .matrix import (
     Matrix,
     cluster_values,
     eig,
+    eigensystem_on,
     eigenvalues,
     is_diagonalizable,
     kron,
@@ -53,6 +54,7 @@ from .products import (
     build_product,
     cartesian_spec,
     identity_eigensystem,
+    joint_eigensystems,
     lexicographic_spec,
     lexicographic_structure,
     normal_spec,

@@ -19,6 +19,7 @@ from . import files
 from .colorings import Coloring, census, verify_coloring, verify_fractional
 from .contraction import contract_named
 from .errors import (
+    DefectiveMatrixError,
     ExcludedEigenvalueError,
     HypothesisNotMetError,
     PerfstructError,
@@ -30,8 +31,14 @@ from .graphs import (
     make_family,
     numeric_spectrum,
 )
-from .matrix import DEFAULT_TOL, eigenvalues, multiset_discrepancy, rank
-from .products import NAMED_SPECS, ProductSpec, build_product, named_product_spectrum
+from .matrix import DEFAULT_TOL, eigensystem_on, eigenvalues, multiset_discrepancy, rank
+from .products import (
+    NAMED_SPECS,
+    ProductSpec,
+    build_product,
+    joint_eigensystems,
+    product_spectrum,
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -205,23 +212,15 @@ def cmd_product(args) -> int:
         print("parameter matrix:")
         for row in files.format_rows(params):
             print("  " + " ".join(row))
-    if kind == "general":
-        return EXIT_OK
     try:
-        spectrum = named_product_spectrum(kind, left.adjacency, right.adjacency, tol)
-    except HypothesisNotMetError:
+        spectrum = product_spectrum(spec, joint_eigensystems(spec.left_factors, tol),
+                                    joint_eigensystems(spec.right_factors, tol), tol)
+    except (DefectiveMatrixError, HypothesisNotMetError) as exc:
+        print(f"note: no product spectrum: {exc}", file=sys.stderr)
         return EXIT_OK
     print("product spectrum:")
     _print_spectrum(_spectrum_pairs(spectrum))
     return EXIT_OK
-
-
-def _rayleigh(a: np.ndarray, v: np.ndarray, name: str) -> complex:
-    """The Rayleigh quotient v*·A·v / v*·v of a nonzero vector."""
-    denom = np.vdot(v, v)
-    if abs(denom) == 0:
-        raise files.ParseError(f"{name} must be nonzero")
-    return complex(np.vdot(v, a @ v) / denom)
 
 
 def cmd_contract(args) -> int:
@@ -231,11 +230,12 @@ def cmd_contract(args) -> int:
     h = np.array(files.load_vector(args.h), dtype=np.complex128)
     g = np.array(files.load_vector(args.g), dtype=np.complex128)
 
-    nmat = product_graph.adjacency.to_complex().data
-    nu = _rayleigh(nmat, h, "h")
-    if np.max(np.abs(nmat @ h - nu * h)) > max(tol, 1e-8) * max(1.0, float(np.max(np.abs(nmat)))):
-        raise files.ParseError("h is not an eigenvector of the product graph")
-    lam = _rayleigh(right.adjacency.to_complex().data.T, g, "g")  # L^T g = lam g
+    nu = eigensystem_on(product_graph.adjacency, h, tol,
+                        message="h is not an eigenvector of the product graph").values[0]
+    lam = 0  # for a zero g, which contract_named rejects
+    if np.any(g):  # L^T g = lam g
+        lam = eigensystem_on(right.adjacency.T, g, tol,
+                             message="g is not an eigenvector of the right factor").values[0]
 
     left_matrix = None
     if args.left:
@@ -250,8 +250,7 @@ def cmd_contract(args) -> int:
     print("f = " + " ".join(_format_value(x) for x in f))
     print(f"mu = {_format_value(mu)}")
     if left_matrix is not None:
-        a = left_matrix.to_complex().data
-        resid = float(np.max(np.abs(a @ f - mu * f)))
+        resid = eigensystem_on(left_matrix, f, tol, [mu]).residual  # f scaled to unit length
         print(f"eigen-residual of f: {resid:.3e}")
     else:
         print("eigen-residual of f: unavailable (no --left factor given)")
@@ -265,6 +264,8 @@ def cmd_census(args) -> int:
     if len(rest) != 1:
         raise files.ParseError("census needs exactly one trailing color count k")
     k = int(rest[0])
+    if k < 1 or args.budget < 0:
+        raise files.ParseError("census needs k >= 1 and a budget >= 0")
     result = census(graph, k, budget=args.budget)
     # group coloring classes by parameter matrix
     groups: dict[tuple, dict] = {}
@@ -360,7 +361,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe is reported here, not at shutdown
+        return code
+    except BrokenPipeError:  # stdout's reader left: flush the rest into devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except ExcludedEigenvalueError as exc:
         print(f"error: excluded eigenvalue: {exc}", file=sys.stderr)
         return EXIT_INPUT

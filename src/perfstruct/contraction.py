@@ -24,8 +24,8 @@ from .errors import (
     ZeroContractionError,
 )
 from .graphs import Graph
-from .matrix import DEFAULT_TOL, Matrix
-from .products import NAMED_SPECS, unity_value
+from .matrix import DEFAULT_TOL, Matrix, eigensystem_on
+from .products import NAMED_SPECS
 
 
 @dataclass(frozen=True)
@@ -71,25 +71,18 @@ def verify_contraction_theorem(inp: ContractionInput, m1: Matrix, m2: Matrix,
     """
     if abs(complex(inp.lambda_dblprime)) <= tol:
         raise ExcludedEigenvalueError("lambda'' must be nonzero")
-    nmat = inp.product_matrix.to_complex().data
-    scale = max(1.0, float(np.max(np.abs(nmat))))
-    if np.max(np.abs(nmat @ inp.h - complex(inp.nu) * inp.h)) > tol * scale * 10:
-        raise HypothesisNotMetError("h is not an eigenvector of the product matrix")
+    eigensystem_on(inp.product_matrix, inp.h, tol, [inp.nu],
+                   "h is not an eigenvector of the product matrix")
     f = contract(inp)
-    fnorm = float(np.linalg.norm(f))
-    if fnorm <= tol:
+    if np.linalg.norm(f) <= tol:
         raise ZeroContractionError("the contraction H·g is the zero vector")
-    a1 = m1.to_complex().data
-    a2 = m2.to_complex().data
-    mu_prime = complex(np.vdot(f, a1 @ f) / np.vdot(f, f))
-    if np.max(np.abs(a1 @ f - mu_prime * f)) > tol * max(1.0, fnorm) * 10:
-        raise HypothesisNotMetError("H·g is not an eigenvector of M1")
+    mu_prime = eigensystem_on(m1, f, tol, message="H·g is not an eigenvector of M1").values[0]
     mu_dblprime = (complex(inp.nu) - complex(inp.lambda_prime) * mu_prime) \
         / complex(inp.lambda_dblprime)
-    resid = float(np.max(np.abs(a2 @ f - mu_dblprime * f)))
-    if resid > tol * max(1.0, fnorm) * 10:
-        raise ArithmeticError(
-            f"certified identity M2·f = mu''·f fails numerically (residual {resid:.3e})")
+    try:
+        eigensystem_on(m2, f, tol, [mu_dblprime])
+    except HypothesisNotMetError as exc:
+        raise ArithmeticError("certified identity M2·f = mu''·f fails numerically") from exc
     return mu_prime, mu_dblprime
 
 
@@ -120,31 +113,24 @@ def contract_named(product: str, product_eigfn, right_eigfn, right_graph: Graph,
         raise DimensionError("h length is not a multiple of the right factor order")
     if not np.any(g):
         raise DimensionError("g must be nonzero")
-    m = h.size // n
 
     unity = None
-    if "J" in named.right:
-        unity = unity_value(g, tol)
-        if not unity:
-            raise HypothesisNotMetError(
-                f"{product} contraction uses the all-ones eigenvector of the right factor")
+    if "J" in named.right:  # g must span the all-ones eigenspace, where J acts as n
+        message = f"{product} contraction uses the all-ones eigenvector of the right factor"
+        if abs(eigensystem_on(Matrix.ones(n), g, tol, message=message).values[0]) < n / 2:
+            raise HypothesisNotMetError(message)  # J acts as 0 on g
+        unity = n
     b = named.eigenvalue(0, lam, unity)
     a = named.eigenvalue(1, lam, unity) - b
     if not abs(a) > tol:
         raise ExcludedEigenvalueError(
             f"{product} contraction is undefined at lambda = {lam.real:.6g}")
-    lmat = right_graph.adjacency.to_complex().data
-    resid = np.max(np.abs(lmat.T @ g - lam * g))
-    if not resid <= max(tol, 1e-8) * max(1.0, float(np.max(np.abs(lmat)))):
-        raise HypothesisNotMetError("g is not an eigenvector of the right factor")
+    eigensystem_on(right_graph.adjacency.T, g, tol, [lam],
+                   "g is not an eigenvector of the right factor")
     mu = (nu - b) / a
 
-    f = h.reshape(m, n) @ g
+    f = h.reshape(-1, n) @ g
     if left_matrix is not None and np.linalg.norm(f) > tol:
-        mmat = left_matrix.to_complex().data
-        resid = float(np.max(np.abs(mmat @ f - mu * f)))
-        if resid > tol * max(1.0, float(np.linalg.norm(f))) * 10:
-            raise HypothesisNotMetError(
-                f"contracted vector is not an eigenvector of the left factor "
-                f"(residual {resid:.3e})")
+        eigensystem_on(left_matrix, f, tol, [mu],
+                       "contracted vector is not an eigenvector of the left factor")
     return f, mu

@@ -28,6 +28,7 @@ from .errors import (
     DefectiveMatrixError,
     DimensionError,
     DomainMismatchError,
+    HypothesisNotMetError,
     NonConvergenceError,
     SingularMatrixError,
 )
@@ -475,11 +476,12 @@ def rank(a: Matrix, tol: float = DEFAULT_TOL) -> int:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigenvalues sorted by (Re, Im) with matching unit eigenvector columns."""
+    """Eigenvalues with matching eigenvector columns; ``eig`` sorts them by
+    (Re, Im) and scales each column to unit length."""
 
     values: np.ndarray        # complex, length n
     vectors: Matrix           # complex n x n, column i pairs with values[i]
-    residual: float           # max_i || M v_i - lambda_i v_i ||_inf
+    residual: float           # max_i || M v_i - lambda_i v_i ||_inf, v_i of unit length
 
     @property
     def n(self) -> int:
@@ -541,6 +543,32 @@ def eig(m: Matrix, tol: float = DEFAULT_TOL) -> EigenSystem:
     if resid > max(tol, 1e3 * np.finfo(float).eps * max(1.0, np.max(np.abs(a)))):
         raise NonConvergenceError(f"eigen residual {resid:.3e} exceeds tolerance {tol:.3e}")
     return EigenSystem(values=values, vectors=Matrix(vectors, COMPLEX), residual=resid)
+
+
+def eigensystem_on(a: Matrix, vectors, tol: float = DEFAULT_TOL, values=None,
+                   message: str = "not an eigenvector") -> EigenSystem:
+    """A's eigenvalue on each column of ``vectors`` (a Matrix, or one vector):
+    its Rayleigh quotient, or ``values[j]`` when given.  Raises
+    HypothesisNotMetError(message) unless each column v, scaled to unit length,
+    has max |A v - value·v| <= 10·sqrt(n)·max(tol, 1e-9)·max(1, ||A||_F), n the
+    order of A: the one residual bound.  A zero column, or a nan, never passes."""
+    if not isinstance(vectors, Matrix):
+        vectors = Matrix(np.asarray(vectors, dtype=np.complex128)[:, None], COMPLEX)
+    m = a.to_complex().data
+    v = vectors.data
+    av = m @ v
+    sq = (v.conj() * v).real.sum(axis=0)  # exact for integer columns
+    if not (sq > 0).all():  # a zero or nan column is no eigenvector
+        raise HypothesisNotMetError(message)
+    values = (v.conj() * av).sum(axis=0) / sq if values is None \
+        else np.asarray(values, dtype=np.complex128)
+    if values.shape != sq.shape:
+        raise DimensionError("one value per column is required")
+    resid = float((np.abs(av - v * values).max(axis=0) / np.sqrt(sq)).max())
+    bound = 10 * math.sqrt(len(m)) * max(tol, 1e-9) * max(1.0, math.sqrt(np.vdot(m, m).real))
+    if not resid <= bound:
+        raise HypothesisNotMetError(message)
+    return EigenSystem(values, vectors, resid)
 
 
 def eigenvalues(m: Matrix, tol: float = DEFAULT_TOL) -> np.ndarray:

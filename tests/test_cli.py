@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line front end and its exit-code contract:
 0 success, 1 negative answer, 2 input error, 3 budget exceeded."""
 
+import io
 import json
+import sys
 
 import pytest
 
@@ -142,6 +144,41 @@ class TestProduct:
                      "--coeffs", coeffs, "-o", out_path]) == 0
         assert "matrix 4" in (tmp_path / "prod.graph").read_text()
 
+    def test_general_product_spectrum(self, tmp_path, capsys):
+        coeffs = write(tmp_path, "grid.txt", "1/2\n")
+        assert main(["product", "general", "k2", "k2", "--coeffs", coeffs,
+                     "-o", str(tmp_path / "prod.graph")]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("product spectrum:\n  -0.5  multiplicity 2\n"
+                            "  0.5  multiplicity 2\n")
+
+    def test_lexicographic_disconnected_regular_right_factor(self, tmp_path, capsys):
+        # the degree eigenspace of 3K_2 has dimension 3; J splits it
+        assert main(["product", "lex", "k2", "matching", "3",
+                     "-o", str(tmp_path / "prod.graph")]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("product spectrum:\n  -5  multiplicity 1\n  -1  multiplicity 6\n"
+                            "  1  multiplicity 4\n  7  multiplicity 1\n")
+
+    def test_no_common_eigenbasis_is_a_note(self, tmp_path, capsys):
+        # J and the irregular P_3 do not commute
+        out_path = tmp_path / "prod.graph"
+        assert main(["product", "lex", "k2", "p3", "-o", str(out_path)]) == 0
+        captured = capsys.readouterr()
+        assert "product spectrum" not in captured.out
+        assert captured.err == "note: no product spectrum: the factors share no eigenbasis\n"
+        assert out_path.exists()
+
+    def test_defective_factor_is_a_note(self, tmp_path, capsys):
+        path = write(tmp_path, "arc.graph", "matrix 2\n0 1\n0 0\n")
+        out_path = tmp_path / "prod.graph"
+        assert main(["product", "tensor", path, "k2", "-o", str(out_path)]) == 0
+        captured = capsys.readouterr()
+        assert "product spectrum" not in captured.out
+        assert captured.err == \
+            "note: no product spectrum: eigenvector matrix is rank deficient\n"
+        assert out_path.exists()
+
     def test_zero_denominator_coefficient_is_an_input_error(self, tmp_path):
         coeffs = write(tmp_path, "grid.txt", "1/0\n")
         assert main(["product", "general", "k2", "k2", "--coeffs", coeffs,
@@ -261,6 +298,13 @@ class TestCensus:
     def test_missing_k(self):
         assert main(["census", "c4"]) == 2
 
+    @pytest.mark.parametrize("args", [["-1"], ["0"], ["2", "--budget", "-5"]])
+    def test_bad_count_or_budget_is_an_input_error(self, capsys, args):
+        assert main(["census", "k4", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_complex_graph_is_an_input_error(self, tmp_path, capsys):
         g = write(tmp_path, "g.graph", "matrix 2\n0 2+i\n2-i 0\n")
         assert main(["census", g, "2"]) == 2
@@ -291,3 +335,16 @@ class TestTolerance:
         coloring = write(tmp_path, "c.col", "1\n2\n1\n2\n")
         monkeypatch.setenv("PERFSTRUCT_TOL", "0")
         assert main(["verify", c4_file, coloring]) == 0
+
+
+class TestClosedPipe:
+    def test_quiet_exit(self, tmp_path, monkeypatch, capsys):
+        # the reader of stdout went away, as in `perfstruct census ... | head -1`
+        class ClosedPipe(io.TextIOWrapper):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        stdout = ClosedPipe(open(tmp_path / "stdout", "wb"))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["census", "hamming", "3", "2", "2"]) == 0
+        assert capsys.readouterr().err == ""

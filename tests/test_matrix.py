@@ -12,6 +12,7 @@ from perfstruct import (
     CLUSTER_RADIUS,
     Matrix,
     eig,
+    eigensystem_on,
     eigenvalues,
     is_diagonalizable,
     kron,
@@ -20,7 +21,12 @@ from perfstruct import (
     poly_eval,
     rank,
 )
-from perfstruct.errors import DefectiveMatrixError, DimensionError, DomainMismatchError
+from perfstruct.errors import (
+    DefectiveMatrixError,
+    DimensionError,
+    DomainMismatchError,
+    HypothesisNotMetError,
+)
 
 RNG = np.random.default_rng(20200419)
 
@@ -147,6 +153,39 @@ class TestEig:
                 roots = np.roots([float(c) for c in coeffs])
                 vals = eigenvalues(m.to_complex())
                 assert multiset_discrepancy(vals, roots) <= 1e-8
+
+
+class TestOneResidualBound:
+    """eigensystem_on's one bound accepts, on unit vectors, every eigenpair
+    the four rules it replaced accepted; each case sits just inside one rule."""
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-6])
+    @pytest.mark.parametrize("n", [2, 5, 40, 400])
+    def test_no_tighter_than_the_replaced_rules(self, tol, n):
+        a = Matrix.diag(list(range(1, n + 1)))  # max entry n
+        eps = np.finfo(float).eps
+        for resid in (10 * max(tol, 1e2 * eps * n) * 0.999,  # the product_spectrum guard
+                      max(tol, 1e-8) * n * 0.999):            # contract_named and the CLI
+            v = np.zeros(n)
+            v[:2] = 1, resid  # A v - v = resid on the second entry
+            assert eigensystem_on(a, v / np.linalg.norm(v), tol, [1]).values[0] == 1
+        # J's eigenvalue on g: 0 when |sum g| <= t·n, n when g is within
+        # t·max(1, |sum g|) of its mean, t = max(tol, 1e-9)
+        t = max(tol, 1e-9) * 0.999
+        j = Matrix.ones(n)
+        g = np.zeros(n)
+        g[:2] = 1 / np.sqrt(2), -1 / np.sqrt(2)
+        assert abs(eigensystem_on(j, g + t, tol).values[0]) < 1e-3 * n
+        g = np.full(n, 1 / np.sqrt(n)) + t * np.sqrt(n) * (-1.0) ** np.arange(n)
+        g[-1] -= (n % 2) * t * np.sqrt(n)  # the deviations sum to 0
+        assert abs(eigensystem_on(j, g, tol).values[0] - n) < 1e-3 * n
+
+    def test_non_eigenvectors_rejected(self):
+        a = Matrix.diag([1, 2, 3])
+        for v, values in (([1, 1, 0], None), ([1, 0, 0], [2]), ([0, 0, 0], None),
+                          ([1, float("nan"), 0], None)):
+            with pytest.raises(HypothesisNotMetError, match="not an eigenvector"):
+                eigensystem_on(a, v, values=values)
 
 
 class TestDiagonalizable:

@@ -10,8 +10,11 @@ from perfstruct import (
     cartesian_spec,
     closed_form_spectrum,
     eig,
+    eigensystem_on,
     eigenvalues,
+    from_edges,
     identity_eigensystem,
+    joint_eigensystems,
     kron,
     lexicographic_spec,
     lexicographic_structure,
@@ -43,6 +46,11 @@ SMALL_GRAPHS = ["complete 2", "complete 3", "cycle 4", "path 3"]
 def small(name):
     fam, p = name.split()
     return make_family(fam, int(p))
+
+
+def joint_spectrum(spec):
+    return product_spectrum(spec, joint_eigensystems(spec.left_factors),
+                            joint_eigensystems(spec.right_factors))
 
 
 class TestSpecs:
@@ -156,11 +164,11 @@ class TestProductSpectra:
 
     @pytest.mark.parametrize("kind", ["tensor", "cartesian", "normal", "lexicographic"])
     def test_named_product_spectrum(self, kind):
-        from perfstruct.products import NAMED_SPECS, named_product_spectrum
+        from perfstruct.products import NAMED_SPECS
 
         g, h = small("cycle 4"), small("complete 3")
-        predicted = named_product_spectrum(kind, g.adjacency, h.adjacency).values()
         spec = NAMED_SPECS[kind](g.adjacency, h.adjacency)
+        predicted = joint_spectrum(spec).values()
         direct = eigenvalues(build_product(spec).to_complex())
         assert multiset_discrepancy(predicted, direct) <= TOL
 
@@ -232,25 +240,29 @@ class TestEigenvalueRule:
     @pytest.mark.parametrize("gname", SMALL_GRAPHS)
     @pytest.mark.parametrize("hname", ["complete 2", "complete 3", "cycle 4"])
     def test_rule_acts_on_kronecker_eigenvectors(self, kind, gname, hname):
-        from perfstruct.products import NAMED_SPECS, unity_value
+        from perfstruct.products import NAMED_SPECS
 
         named = NAMED_SPECS[kind]
         g, h = small(gname), small(hname)
         n = build_product(named(g.adjacency, h.adjacency)).to_complex().data
         em, el = eig(g.adjacency), eig(h.adjacency)
+        unity = unity_eigensystem(el).values
         for s in range(g.n):
             for t in range(h.n):
                 f, v = em.vectors.col(s), el.vectors.col(t)
-                nu = named.eigenvalue(em.values[s], el.values[t], unity_value(v))
+                nu = named.eigenvalue(em.values[s], el.values[t], unity[t])
                 w = np.kron(f, v)
                 assert np.max(np.abs(n @ w - nu * w)) <= TOL
 
     def test_unity_value(self):
-        from perfstruct.products import unity_value
+        # J's eigenvalue on one vector, read by the one eigenvector check
+        def unity_value(g):
+            return eigensystem_on(Matrix.ones(len(g)), g).values[0]
 
         assert unity_value(2 * np.ones(4)) == 4
         assert unity_value([1, -1, 0]) == 0
-        assert unity_value([1, 0, 0]) is None
+        with pytest.raises(HypothesisNotMetError):
+            unity_value([1, 0, 0])
 
     def test_lexicographic_structure_matches_the_product_coloring(self):
         # C_4 with alternating colours and K_3 with three colours: the
@@ -296,3 +308,78 @@ class TestEigenvalueRule:
                 for s in range(4) for t in range(3)]
         got = product_spectrum(spec, lefts, rights).values()
         assert multiset_discrepancy(got, loop) <= 1e-12
+
+
+#: right factors for the spectrum oracle: regular connected, regular
+#: disconnected (matching 3 = 3K_2, 2K_3), directed and irregular ones
+ORACLE_RIGHTS = {
+    "K3": lambda: make_family("complete", 3),
+    "C5": lambda: make_family("cycle", 5),
+    "matching 3": lambda: make_family("matching", 3),
+    "2K3": lambda: from_edges(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]),
+    "directed C4": lambda: from_edges(4, [(1, 2), (2, 3), (3, 4), (4, 1)], directed=True),
+    "P3": lambda: make_family("path", 3),
+}
+
+
+class TestJointEigensystems:
+    """product_spectrum over joint_eigensystems against a direct
+    eigendecomposition of the assembled product."""
+
+    @pytest.mark.parametrize("kind", ["tensor", "cartesian", "normal", "lexicographic"])
+    @pytest.mark.parametrize("left", ["complete 2", "path 4"])
+    @pytest.mark.parametrize("right", list(ORACLE_RIGHTS))
+    def test_named_products_against_eigvals(self, kind, left, right):
+        from perfstruct.products import NAMED_SPECS
+
+        spec = NAMED_SPECS[kind](small(left).adjacency, ORACLE_RIGHTS[right]().adjacency)
+        if kind == "lexicographic" and right == "P3":
+            # J and an irregular L do not commute: no common eigenbasis
+            with pytest.raises(HypothesisNotMetError):
+                joint_spectrum(spec)
+            return
+        direct = np.linalg.eigvals(build_product(spec).to_complex().data)
+        assert multiset_discrepancy(joint_spectrum(spec).values(), direct) <= 1e-8
+
+    def test_general_grid_with_commuting_factors(self):
+        c5 = make_family("cycle", 5).adjacency
+        k3 = make_family("complete", 3).adjacency
+        spec = ProductSpec((c5, c5 @ c5), (k3, Matrix.identity(3)), ((1, 2), (-1, 3)))
+        direct = np.linalg.eigvals(build_product(spec).to_complex().data)
+        assert multiset_discrepancy(joint_spectrum(spec).values(), direct) <= 1e-8
+
+    def test_one_basis_for_every_factor(self):
+        # J and 2K_3 share the degree eigenspace of dimension 2; the joint
+        # basis puts the all-ones direction into it
+        two_k3 = ORACLE_RIGHTS["2K3"]().adjacency
+        ej, el = joint_eigensystems((Matrix.ones(6), two_k3))
+        assert ej.vectors is el.vectors
+        assert sorted(np.round(ej.values.real, 9)) == [0] * 5 + [6]
+        assert sorted(np.round(el.values.real, 9)) == [-1] * 4 + [2, 2]
+
+    def test_defective_factor(self):
+        from perfstruct.errors import DefectiveMatrixError
+
+        with pytest.raises(DefectiveMatrixError):
+            joint_eigensystems((Matrix.exact([[0, 1], [0, 0]]),))
+
+
+class TestBuildProductOracle:
+    """build_product against networkx's products, nodes in left-major order."""
+
+    @pytest.mark.parametrize("kind, oracle", [
+        ("tensor", "tensor_product"), ("cartesian", "cartesian_product"),
+        ("normal", "strong_product"), ("lexicographic", "lexicographic_product")])
+    @pytest.mark.parametrize("left", ["complete 2", "path 3", "cycle 4"])
+    @pytest.mark.parametrize("right", ["complete 3", "path 3", "cycle 4", "matching 2"])
+    def test_named_kinds(self, kind, oracle, left, right):
+        import networkx as nx
+        from perfstruct.products import NAMED_SPECS
+
+        g, h = small(left), small(right)
+        ng, nh = (nx.from_numpy_array(np.array(x.adjacency.data, dtype=int)) for x in (g, h))
+        product = getattr(nx, oracle)(ng, nh)
+        order = [(u, v) for u in ng for v in nh]
+        expected = nx.to_numpy_array(product, nodelist=order, dtype=int, weight=None)
+        got = build_product(NAMED_SPECS[kind](g.adjacency, h.adjacency))
+        assert got == Matrix.exact(expected.tolist())

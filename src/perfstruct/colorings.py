@@ -20,6 +20,7 @@ from .matrix import (
     DEFAULT_TOL,
     EXACT,
     Matrix,
+    _narrow,
     eigenvalues,
 )
 from .products import NAMED_SPECS, _kron_sum, build_product
@@ -204,7 +205,7 @@ def orthogonality_check(g: Graph, p: Coloring, r: Coloring,
 class CensusResult:
     results: tuple           # ((Coloring, Matrix), ...) in deterministic order
     complete: bool           # False when the budget was exhausted
-    evaluated: int           # number of search nodes expanded
+    evaluated: int           # search nodes, one per tried color, at most the budget
 
 
 def canonical_colors(colors) -> tuple:
@@ -219,67 +220,209 @@ def canonical_colors(colors) -> tuple:
     return tuple(out)
 
 
-def census(g: Graph, k: int, budget: int = 10 ** 8) -> CensusResult:
-    """All perfect k-colorings of g up to color renaming, with parameters.
+def _search_order(g: Graph) -> list:
+    """The vertices in breadth-first order over edges in either direction, one
+    component at a time from its lowest index, neighbors by index."""
+    adjacent = [set() for _ in range(g.n)]
+    for v, row in enumerate(g.neighbors):
+        for w, _ in row:
+            adjacent[v].add(w)
+            adjacent[w].add(v)
+    seen = [False] * g.n
+    order: list[int] = []
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order.append(root)
+        for v in order[len(order) - 1:]:  # the list grows while it is read
+            for w in sorted(adjacent[v]):
+                if not seen[w]:
+                    seen[w] = True
+                    order.append(w)
+    return order
 
-    Backtracking over vertices in index order; a branch dies as soon as some
-    fully-colored vertex disagrees with an established same-colored vertex.
-    Canonical representatives use colors in order of first appearance, which
-    also breaks the renaming symmetry during the search.
+
+def _search(g: Graph, k: int, budget: int) -> tuple[list, bool, int]:
+    """Every perfect k-coloring of g, each once up to renaming, as color
+    tuples in vertex order (colors 0..k-1); whether the search finished; and
+    the nodes expanded, one per tried color, never more than ``budget``.
+
+    Vertices are colored in ``_search_order``, each with a color already used
+    or the next new one.  Coloring u with c adds A[v, u] to slot c of the
+    count vector of every in-neighbor v of u, so a vertex's counts are final
+    once all its out-neighbors are colored.  A class's reference is the count
+    vector of its first finalized member, and a branch dies when
+      - u's weighted out-degree differs from its class's;
+      - a finalized vertex's counts differ from its class's reference;
+      - a colored vertex v has counts[v][j] + open_neg[v] > reference[j] in
+        a slot j, where open_neg[v] <= 0 is the weight of v's negative
+        out-edges to uncolored vertices: v's final count in slot j is at
+        least the left side.  Without negative weights this is
+        counts[v][j] <= reference[j].  It is tested on every slot when v is
+        colored or its class gets its reference, and on the one slot that
+        each later neighbor color changes.
     """
-    if g.adjacency.domain != EXACT:
-        raise DomainMismatchError("the census needs an exact adjacency matrix")
     n = g.n
-    if k < 1 or k > n:
-        return CensusResult((), True, 0)
-    # a vertex's neighbor counts are final once it and all its neighbors are colored
-    final_step = [max([v] + [w for w, _ in g.neighbors[v]]) for v in range(n)]
-    finalized_at = [[v for v in range(n) if final_step[v] == i] for i in range(n)]
-
-    colors = [0] * n
+    order = _search_order(g)
+    in_edges: list[list] = [[] for _ in range(n)]
+    for v, row in enumerate(g.neighbors):
+        for u, x in row:
+            in_edges[u].append((v, x, min(x, 0)))
+    degree = [sum(x for _, x in row) for row in g.neighbors]
+    open_edges = [len(row) for row in g.neighbors]   # to uncolored out-neighbors
+    open_neg = [sum(min(x, 0) for _, x in row) for row in g.neighbors]
+    counts = [[0] * k for _ in range(n)]
+    color = [-1] * n
+    reference = [-1] * k        # the vertex whose final counts are the class's
+    class_degree = [0] * k
+    members: list[list] = [[] for _ in range(k)]
+    slots = range(k)
     found: list[tuple] = []
     evaluated = 0
     aborted = False
 
-    def counts_of(v):
-        return _neighbor_counts(g, colors, k, v)
-
-    def finalized_consistent(i) -> bool:
-        for v in finalized_at[i]:
-            cnt = counts_of(v)
-            for w in range(n):
-                if w != v and colors[v] == colors[w] and final_step[w] <= i:
-                    if counts_of(w) != cnt:
-                        return False
+    def fits(w, r) -> bool:
+        """The forward check of colored vertex w against reference r."""
+        cw, cr, neg = counts[w], counts[r], open_neg[w]
+        for j in slots:
+            if cw[j] + neg > cr[j]:
+                return False
         return True
 
-    def extend(i, used):
-        nonlocal evaluated, aborted
-        if aborted:
-            return
-        if i == n:
-            if used == k:
-                found.append(tuple(colors))
-            return
-        if k - used > n - i:
-            return  # not enough vertices left to reach surjectivity
-        for c in range(1, min(used + 1, k) + 1):
-            evaluated += 1
-            if evaluated > budget:
+    def set_reference(d, r) -> bool:
+        """Make r class d's reference; do its colored members still fit?"""
+        reference[d] = r
+        for w in members[d]:
+            if open_edges[w] and not fits(w, r):
+                return False
+        return True
+
+    # order[:i] is colored with used[i] colors, and k - used[i] <= n - i; c is
+    # the next color to try on order[i], up to top[i]; stop[i] is where
+    # coloring order[i] stopped updating in-neighbors.  A loop, not
+    # recursion: n may exceed the interpreter's recursion limit.
+    used = [0] * n
+    top = [0] * n
+    stop = [-1] * n
+    i = c = 0
+    while True:
+        if c > top[i]:  # every color tried: back to the parent
+            i -= 1
+            if i < 0:
+                break
+            u = order[i]
+        else:
+            if evaluated == budget:
                 aborted = True
-                return
-            colors[i] = c
-            if finalized_consistent(i):
-                extend(i + 1, max(used, c))
-            colors[i] = 0
+                break
+            evaluated += 1
+            u = order[i]
+            if c == used[i]:
+                class_degree[c] = degree[u]
+            elif degree[u] != class_degree[c] or k - used[i] == n - i:
+                c += 1  # another out-degree, or every color left must be new
+                continue
+            # color u, finalizing it and its in-neighbors where they close
+            color[u] = c
+            members[c].append(u)
+            closed = open_edges[u] == 0
+            ok = True
+            v = -1
+            for v, x, neg in in_edges[u]:
+                cv = counts[v]
+                cv[c] += x
+                open_edges[v] -= 1
+                open_neg[v] -= neg
+                d = color[v]
+                if d >= 0:
+                    r = reference[d]
+                    if open_edges[v] == 0:
+                        ok = set_reference(d, v) if r < 0 else cv == counts[r]
+                    elif r >= 0:
+                        ok = cv[c] + open_neg[v] <= counts[r][c]
+                    if not ok:
+                        break
+            stop[i] = v
+            if ok:
+                r = reference[c]
+                if closed:
+                    ok = set_reference(c, u) if r < 0 else counts[u] == counts[r]
+                elif r >= 0 and open_edges[u]:
+                    ok = fits(u, r)
+            if ok:
+                if i + 1 == n:
+                    found.append(tuple(color))
+                else:
+                    now = used[i] + (c == used[i])
+                    i += 1
+                    used[i], top[i] = now, min(now, k - 1)
+                    c = 0
+                    continue
+        # uncolor u = order[i] up to stop[i], then try its next color; a
+        # reference set when u was colored is u or an in-neighbor it closed
+        c = color[u]
+        if reference[c] == u:
+            reference[c] = -1
+        last = stop[i]
+        for w, x, neg in in_edges[u]:
+            if open_edges[w] == 0 and color[w] >= 0 and reference[color[w]] == w:
+                reference[color[w]] = -1
+            counts[w][c] -= x
+            open_edges[w] += 1
+            open_neg[w] += neg
+            if w == last:
+                break
+        color[u] = -1
+        members[c].pop()
+        c += 1
 
-    extend(0, 0)
+    return found, not aborted, evaluated
 
-    results = []
-    for cols in sorted(set(canonical_colors(c) for c in found)):
-        coloring = Coloring.from_colors(cols)
-        s = verify_coloring(g, coloring)
-        if s is None:
-            raise ArithmeticError("census found a coloring that fails verification")
-        results.append((coloring, s))
-    return CensusResult(tuple(results), not aborted, evaluated)
+
+def _verified_results(g: Graph, keys: list) -> tuple:
+    """(Coloring, parameter matrix) for each canonical coloring in ``keys``,
+    all verified by one exact identity.
+
+    Perfect structures sharing A concatenate: (A, [P_1 ... P_R], S_1 + ... +
+    S_R, a direct sum) is perfect exactly when every (A, P_r, S_r) is.  S_r is
+    read from A·P_r at the first vertex of each class, and A·[P_1 ... P_R] =
+    [P_1 ... P_R]·(S_1 + ... + S_R) is compared numerator for numerator over
+    the one denominator of A·[P_1 ... P_R]; a coloring it rejects raises
+    ArithmeticError.  The indicators P_r are views of the one batch array.
+    """
+    n, batches, k = g.n, len(keys), max(keys[0])
+    colors = np.array(keys, dtype=np.intp) - 1                       # R x n
+    onehot = (colors[:, :, None] == np.arange(k)).astype(np.int64)   # P_r = onehot[r]
+    ap = g.adjacency @ Matrix(onehot.transpose(1, 0, 2).reshape(n, batches * k), EXACT)
+    blocks = ap._ints.reshape(n, batches, k)                          # A·P_r = blocks[:, r]
+    batch = np.arange(batches)[:, None]
+    s = blocks[onehot.argmax(axis=1), batch]                          # R x k x k
+    if not np.array_equal(blocks, s[batch, colors].transpose(1, 0, 2)):
+        raise ArithmeticError("census found a coloring that fails verification")
+    sizes = onehot.sum(axis=1).tolist()
+    return tuple((Coloring(key, k, Matrix._wrap(p), tuple(size)),
+                  Matrix._wrap(_narrow(s_r), ap._den))
+                 for key, p, size, s_r in zip(keys, onehot, sizes, s))
+
+
+def census(g: Graph, k: int, budget: int = 10 ** 8) -> CensusResult:
+    """All perfect k-colorings of g up to color renaming, with parameters.
+
+    A backtracking search (``_search``) colors the vertices in breadth-first
+    order and keeps each vertex's neighbor color counts as it goes.  It
+    prunes at assignment on the weighted out-degree, at each update by a
+    forward check against the class's reference counts, and once a vertex's
+    counts are final by comparing them with that reference.  ``budget`` caps
+    the nodes expanded, one per tried color; a capped result is partial and
+    reports ``evaluated == budget``.  Every result is re-canonicalized in
+    vertex order (colors in order of first appearance), and all of them are
+    verified together by one exact block identity (``_verified_results``).
+    """
+    if g.adjacency.domain != EXACT:
+        raise DomainMismatchError("the census needs an exact adjacency matrix")
+    if k < 1 or k > g.n:
+        return CensusResult((), True, 0)
+    found, complete, evaluated = _search(g, k, budget)
+    keys = sorted(set(canonical_colors(c) for c in found))
+    return CensusResult(_verified_results(g, keys) if keys else (), complete, evaluated)

@@ -308,18 +308,20 @@ def is_connected(g: Graph) -> bool:
 
 
 def complement_spectrum(g: Graph, tol: float = DEFAULT_TOL) -> Spectrum:
-    """sp(J - M - I) from sp(G) for a connected regular graph:
-    one copy of the degree r becomes n - r - 1, all others map to -λ - 1."""
+    """sp(J - M - I) from sp(G) for a regular graph, connected or not:
+    one copy of the degree r becomes n - r - 1, all others map to -λ - 1.
+
+    M maps the all-ones vector to r times itself and keeps its orthogonal
+    complement invariant; J is n on the one and 0 on the other.  So one copy
+    of r belongs to the all-ones vector however many components share r."""
     r = is_regular(g)
     if r is None:
         raise HypothesisNotMetError("complement spectrum needs a regular graph")
-    if not is_connected(g):
-        raise HypothesisNotMetError("complement spectrum needs a connected graph")
     if g.family is not None:
         vals = closed_form_spectrum(g).values()
     else:
         vals = list(eigenvalues(g.adjacency, tol))
-    # drop the single copy of the degree eigenvalue
+    # one copy of the degree belongs to the all-ones vector
     idx = min(range(len(vals)), key=lambda i: abs(vals[i] - r))
     vals.pop(idx)
     out = [-v - 1 for v in vals] + [complex(g.n - r - 1)]

@@ -508,10 +508,11 @@ def _sort_and_normalize(values: np.ndarray, vectors: np.ndarray):
 
 def _is_hermitian(m: Matrix, a: np.ndarray, tol: float) -> bool:
     """Does ``m`` take the Hermitian solver?  An exact matrix must be exactly
-    symmetric; ``a``, the complex cast of ``m``, need only be within ``tol``."""
+    symmetric; ``a``, the complex cast of ``m``, need only be within ``tol``
+    of its conjugate transpose, entry by entry, with no relative slack."""
     if m.domain == EXACT:
         return bool(np.array_equal(m._ints, m._ints.T))
-    return np.allclose(a, a.conj().T, atol=tol)
+    return np.allclose(a, a.conj().T, rtol=0, atol=tol)
 
 
 def eig(m: Matrix, tol: float = DEFAULT_TOL) -> EigenSystem:

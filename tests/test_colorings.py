@@ -256,6 +256,12 @@ class TestCensus:
         assert census(g, 0).results == ()
         assert census(g, 5).results == ()
 
+    def test_more_vertices_than_the_recursion_limit(self):
+        # C_1200 has six 2-coloring classes: 1212..., two rotations of
+        # 1122... and three of 112...
+        res = census(make_family("cycle", 1200), 2)
+        assert res.complete and len(res.results) == 6
+
     def test_canonical_colors(self):
         assert canonical_colors([3, 1, 3, 2]) == (1, 2, 1, 3)
 
@@ -277,6 +283,89 @@ class TestCensusOracleAgreementRandom:
                 assert got == enumerate_perfect_colorings(g, k)
 
 
+class TestCensusSearchOracles:
+    """Cases an incremental search gets wrong when it updates the out- rather
+    than the in-neighbors of a colored vertex, or bounds partial counts by
+    the reference without the open negative weight."""
+
+    @staticmethod
+    def _agrees(g, ks=(1, 2, 3)):
+        for k in ks:
+            if k <= g.n:
+                res = census(g, k)
+                assert res.complete
+                assert {c.colors for c, _ in res.results} == enumerate_perfect_colorings(g, k)
+                for c, s in res.results:
+                    assert verify_coloring(g, c) == s
+
+    def test_directed_weighted(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            n = int(rng.integers(3, 7))
+            arcs = rng.choice([0, 0, 0, 1, 2, 3], size=(n, n))  # loops included
+            self._agrees(Graph(Matrix.exact(arcs.tolist()), directed=True))
+
+    def test_symmetric_signed(self):
+        rng = np.random.default_rng(8)
+        for _ in range(25):
+            n = int(rng.integers(3, 8))
+            upper = np.triu(rng.choice([0, 0, -2, -1, 1, 2], size=(n, n)), 1)
+            self._agrees(Graph(Matrix.exact((upper + upper.T).tolist())))
+
+    def test_signed_coloring_a_plain_bound_misses(self):
+        g = Graph(Matrix.exact([[0, -1, 0, -1], [-1, 0, -1, 0],
+                                [0, -1, 0, 1], [-1, 0, 1, 0]]))
+        assert (1, 1, 2, 2) in {c.colors for c, _ in census(g, 2).results}
+        self._agrees(g, ks=(2,))
+
+    def test_rational_weights(self):
+        half = Fraction(1, 2)
+        g = Graph(Matrix.exact([[0, half, 0, half], [half, 0, 1, 0],
+                                [0, 1, 0, half], [half, 0, half, 0]]))
+        self._agrees(g)
+        params = [s for _, s in census(Graph(make_family("cycle", 4).adjacency.scale(half)),
+                                       2).results]
+        mixed = Matrix.exact([[half, half], [half, half]])
+        assert params == [mixed, Matrix.exact([[0, 1], [1, 0]]), mixed]
+
+    @pytest.mark.parametrize("k,classes", [(2, 111), (3, 316)])
+    def test_hamming_3_3(self, k, classes):
+        g = make_family("hamming", 3, 3)
+        res = census(g, k)
+        assert res.complete and len(res.results) == classes
+        for c, s in res.results:
+            assert verify_coloring(g, c) == s
+
+
+class TestCensusBudget:
+    # the capped searches of the benchmark's census and cli-cold workloads,
+    # whose checks require them to stay incomplete
+    @pytest.mark.parametrize("fam,k,budget", [
+        (("hamming", 3, 3), 2, 2400),
+        (("hamming", 3, 3), 2, 8000),
+        (("hamming", 3, 3), 2, 250),
+        (("hamming", 3, 3), 3, 2500),
+        (("hamming", 3, 2), 2, 40),
+        (("hamming", 3, 2), 2, 5),
+        (("hamming", 3, 2), 3, 10),
+    ])
+    def test_benchmark_caps_stay_incomplete(self, fam, k, budget):
+        assert not census(make_family(*fam), k, budget).complete
+
+    @pytest.mark.parametrize("k,budget", [(2, 2400), (3, 2500), (2, 8000), (2, 0)])
+    def test_capped_run_reports_its_budget(self, k, budget):
+        res = census(make_family("hamming", 3, 3), k, budget)
+        assert not res.complete and res.evaluated == budget
+
+    @pytest.mark.parametrize("fam,k", [(("complete", 6), 3), (("hamming", 3, 2), 2)])
+    def test_a_budget_of_exactly_the_search_completes(self, fam, k):
+        g = make_family(*fam)
+        full = census(g, k)
+        assert census(g, k, full.evaluated) == full
+        short = census(g, k, full.evaluated - 1)
+        assert not short.complete and short.evaluated == full.evaluated - 1
+
+
 class TestCrossChecks:
     """Each internal cross-check raises ArithmeticError, so it also runs
     under ``python -O``; a wrong kernel makes it fire."""
@@ -296,16 +385,20 @@ class TestCrossChecks:
             product_coloring("cartesian", (g, c), (g, c))
 
     def test_census(self, monkeypatch):
-        monkeypatch.setattr(colorings, "verify_coloring", lambda g, c: None)
+        # the search hands the block check a coloring of C4 that is not
+        # perfect: vertices 2 and 3 share a color, but only 2 has a color-1
+        # neighbor
+        monkeypatch.setattr(colorings, "_search",
+                            lambda g, k, budget: ([(0, 1, 1, 1)], True, 1))
         with pytest.raises(ArithmeticError):
             census(make_family("cycle", 4), 2)
 
 
 def test_census_rejects_a_complex_adjacency_before_searching(monkeypatch):
-    def unreachable(g, c):
-        raise AssertionError("the search ran to its final verification")
+    def unreachable(g, k, budget):
+        raise AssertionError("the search ran")
 
-    monkeypatch.setattr(colorings, "verify_coloring", unreachable)
+    monkeypatch.setattr(colorings, "_search", unreachable)
     g = Graph(Matrix.complex([[0, 2 + 1j], [2 - 1j, 0]]))
     with pytest.raises(DomainMismatchError):
         census(g, 2)

@@ -16,6 +16,7 @@ from perfstruct import (
     from_edges,
     is_connected,
     is_regular,
+    kron,
     make_family,
     multiset_discrepancy,
     numeric_spectrum,
@@ -192,6 +193,15 @@ class TestComplementSpectrum:
         with pytest.raises(HypothesisNotMetError):
             complement_spectrum(make_family("path", 4))
 
-    def test_disconnected_rejected(self):
-        with pytest.raises(HypothesisNotMetError):
-            complement_spectrum(make_family("matching", 3))
+    @pytest.mark.parametrize("g", [
+        make_family("matching", 3),
+        Graph(kron(Matrix.identity(2), make_family("complete", 3).adjacency)),
+        Graph(kron(Matrix.identity(2), make_family("cycle", 4).adjacency)),
+    ], ids=["matching 3", "2K3", "C4 + C4"])
+    def test_disconnected_regular(self, g):
+        """The degree has one copy per component; only the all-ones vector's
+        copy maps to n - r - 1."""
+        n = g.n
+        comp = np.ones((n, n)) - np.eye(n) - g.adjacency.to_complex().data.real
+        assert multiset_discrepancy(complement_spectrum(g).values(),
+                                    np.linalg.eigvalsh(comp)) <= TOL

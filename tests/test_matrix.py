@@ -251,6 +251,15 @@ class TestSolverChoice:
         eigenvalues(Matrix.complex([[0, 1], [1 + 1e-12, 0]]))
         assert calls == ["eigvalsh"]
 
+    def test_complex_input_has_no_relative_slack(self, calls):
+        """Off Hermitian by a relative 1e-6, far above the 1e-9 tolerance: the
+        general solver runs and both eigenvalues are ±sqrt(1 + 1e-6)."""
+        m = Matrix.complex([[0, 1], [1 + 1e-6, 0]])
+        root = np.sqrt(1 + 1e-6)
+        assert np.allclose(eig(m).values, [-root, root], rtol=0, atol=1e-12)
+        assert np.allclose(eigenvalues(m), [-root, root], rtol=0, atol=1e-12)
+        assert calls == ["eig", "eigvals"]
+
 
 class TestRowQueries:
     def test_entry_strings(self):

@@ -253,15 +253,18 @@ def _tag_spectrum(tag) -> Spectrum:
 
 def _product_spectrum(name: str, params) -> Spectrum:
     """Spectrum of a product family from its factors' closed forms, by the
-    product's eigenvalue rule on each pair of factor eigenvalues.  Each raw
-    value is labelled by its factors' labels, or by their eigenvalues where a
-    factor records none."""
+    product's eigenvalue rule on each pair of factor eigenvalues, evaluated
+    once over the grid of all pairs.  Each raw value is labelled by its
+    factors' labels, or by their eigenvalues where a factor records none."""
     from .products import NAMED_SPECS
     kind, factors = PRODUCT_FAMILIES[name]
     named = NAMED_SPECS[kind]
     left, right = (_raw_spectrum(_tag_spectrum(f)) for f in factors(*params))
-    labels = [(named.eigenvalue(mu, lam), (a, b)) for mu, a in left for lam, b in right]
-    return Spectrum.from_values([v for v, _ in labels], labels=labels)
+    mus = np.array([mu for mu, _ in left], dtype=np.complex128)
+    lams = np.array([lam for lam, _ in right], dtype=np.complex128)
+    values = named.eigenvalue(mus[:, None], lams[None, :]).ravel().tolist()
+    pairs = ((a, b) for _, a in left for _, b in right)
+    return Spectrum.from_values(values, labels=list(zip(values, pairs)))
 
 
 def _raw_spectrum(spec: Spectrum) -> list:

@@ -489,21 +489,18 @@ class EigenSystem:
 
 
 def _sort_and_normalize(values: np.ndarray, vectors: np.ndarray):
+    """Sort by (Re, Im), scale each column to unit length and rotate its phase
+    so that its first entry above 1e-12 in modulus is real and positive; a
+    column with no such entry keeps its phase."""
     order = np.lexsort((values.imag, values.real))
     values = values[order]
     vectors = vectors[:, order]
-    for j in range(vectors.shape[1]):
-        v = vectors[:, j]
-        nrm = np.linalg.norm(v)
-        if nrm > 0:
-            v = v / nrm
-        idx = np.argmax(np.abs(v) > 1e-12)
-        pivot = v[idx]
-        if abs(pivot) > 1e-12:
-            # rotate phase so the leading entry is real and nonnegative
-            v = v * (pivot.conjugate() / abs(pivot))
-        vectors[:, j] = v
-    return values, vectors
+    norms = np.linalg.norm(vectors, axis=0)
+    vectors = vectors / np.where(norms > 0, norms, 1)
+    pivots = vectors[np.argmax(np.abs(vectors) > 1e-12, axis=0), np.arange(vectors.shape[1])]
+    size = np.abs(pivots)
+    phases = np.divide(pivots.conj(), size, out=np.ones_like(pivots), where=size > 1e-12)
+    return values, vectors * phases
 
 
 def _is_hermitian(m: Matrix, a: np.ndarray, tol: float) -> bool:
@@ -515,35 +512,51 @@ def _is_hermitian(m: Matrix, a: np.ndarray, tol: float) -> bool:
     return np.allclose(a, a.conj().T, rtol=0, atol=tol)
 
 
+def _hermitian_input(m: Matrix, a: np.ndarray, tol: float) -> np.ndarray | None:
+    """What the symmetric solver reads for ``m``, or None when ``m`` takes the
+    general solver.  It is the Hermitian part (A + Aᴴ)/2 of ``a``, the complex
+    cast of ``m``, so the answer does not depend on which triangle LAPACK
+    reads; an exactly Hermitian ``a`` is its own Hermitian part.  When ``a``
+    has no imaginary part the array is float64, for the real solver, which
+    takes less than half the time of the complex one."""
+    if not _is_hermitian(m, a, tol):
+        return None
+    if m.domain == EXACT:
+        return a.real  # exactly symmetric: its own symmetric part
+    if not a.imag.any():
+        a = a.real
+    return (a + a.conj().T) / 2
+
+
 def eig(m: Matrix, tol: float = DEFAULT_TOL) -> EigenSystem:
     """Full eigendecomposition with deterministic ordering and normalization.
 
     Hermitian inputs go through the symmetric solver, guaranteeing real
-    eigenvalues and an orthonormal eigenbasis.  Raises on non-convergence or
-    when the eigenvector matrix is numerically rank deficient (defective
-    input).
+    eigenvalues and an orthonormal eigenbasis: the real solver when the input
+    is real, the complex one otherwise (``_hermitian_input``).  Raises on
+    non-convergence or when the eigenvector matrix is numerically rank
+    deficient (defective input).
     """
     if not m.is_square():
         raise DimensionError("eig needs a square matrix")
-    a = m.to_complex().data.copy()
-    hermitian = _is_hermitian(m, a, tol)
+    a = m.to_complex().data
+    h = _hermitian_input(m, a, tol)
     try:
-        if hermitian:
-            values, vectors = np.linalg.eigh(a)
-            values = values.astype(np.complex128)
-        else:
-            values, vectors = np.linalg.eig(a)
+        values, vectors = np.linalg.eig(a) if h is None else np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(str(exc)) from exc
     values, vectors = _sort_and_normalize(values, vectors)
-    if not hermitian and len(values) > 1:
+    if h is None and len(values) > 1:
         s = np.linalg.svd(vectors, compute_uv=False)
         if s[-1] < 1e-8 * s[0]:
             raise DefectiveMatrixError("eigenvector matrix is rank deficient")
+    if vectors.dtype == np.float64:
+        a = a.real  # a real input: the residual is real arithmetic too
     resid = float(np.max(np.abs(a @ vectors - vectors * values))) if len(values) else 0.0
     if resid > max(tol, 1e3 * np.finfo(float).eps * max(1.0, np.max(np.abs(a)))):
         raise NonConvergenceError(f"eigen residual {resid:.3e} exceeds tolerance {tol:.3e}")
-    return EigenSystem(values=values, vectors=Matrix(vectors, COMPLEX), residual=resid)
+    return EigenSystem(values=values.astype(np.complex128),
+                       vectors=Matrix(vectors.astype(np.complex128), COMPLEX), residual=resid)
 
 
 def eigensystem_on(a: Matrix, vectors, tol: float = DEFAULT_TOL, values=None,
@@ -575,19 +588,27 @@ def eigensystem_on(a: Matrix, vectors, tol: float = DEFAULT_TOL, values=None,
 def eigenvalues(m: Matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Eigenvalues only, same deterministic ordering, no diagonalizability gate."""
     a = m.to_complex().data
-    if _is_hermitian(m, a, tol):
-        vals = np.linalg.eigvalsh(a).astype(np.complex128)
-    else:
-        vals = np.linalg.eigvals(a)
+    h = _hermitian_input(m, a, tol)
+    if h is not None:
+        return np.linalg.eigvalsh(h).astype(np.complex128)  # real and ascending
+    vals = np.linalg.eigvals(a)
     order = np.lexsort((vals.imag.round(12), vals.real.round(12)))
     return vals[order]
 
 
+def _complex_array(values) -> np.ndarray:
+    """Numbers, from any iterable, as a complex128 array."""
+    return np.asarray(values if isinstance(values, np.ndarray) else list(values),
+                      dtype=np.complex128)
+
+
 def cluster_values(values, radius: float = CLUSTER_RADIUS) -> list[tuple[complex, int]]:
-    """Greedy clustering of eigenvalues into (representative, multiplicity) pairs."""
-    vals = sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag))
+    """Greedy clustering of eigenvalues into (representative, multiplicity)
+    pairs: in (Re, Im) order, each value joins the last cluster when within
+    ``radius`` of its representative, the first value in it."""
+    vals = _complex_array(values)
     clusters: list[tuple[complex, int]] = []
-    for v in vals:
+    for v in vals[np.lexsort((vals.imag, vals.real))].tolist():
         if clusters and abs(v - clusters[-1][0]) <= radius:
             rep, mult = clusters[-1]
             clusters[-1] = (rep, mult + 1)
@@ -596,24 +617,16 @@ def cluster_values(values, radius: float = CLUSTER_RADIUS) -> list[tuple[complex
     return clusters
 
 
-def multiset_leq(sub, full, radius: float = CLUSTER_RADIUS) -> bool:
-    """Is ``sub`` included in ``full`` as a multiset, up to clustering radius?
-
-    True when every value of ``sub`` can be paired with its own value of
-    ``full`` within ``radius``: a maximum bipartite matching over the pairs
-    within ``radius``.
-    """
-    sub = [complex(v) for v in sub]
-    full = [complex(v) for v in full]
-    if len(sub) > len(full):
-        return False
-    close = np.abs(np.subtract.outer(sub, full)) <= radius
+def _matches_every_row(close: np.ndarray) -> bool:
+    """Can each row of the boolean matrix ``close`` be paired with its own
+    column j where ``close[i, j]`` holds?  A maximum bipartite matching by
+    shortest augmenting paths."""
     near = [np.flatnonzero(row).tolist() for row in close]
-    owner: dict[int, int] = {}    # index into full -> index into sub paired with it
-    partner: dict[int, int] = {}  # the same pairs, from sub to full
-    for i in range(len(sub)):
+    owner: dict[int, int] = {}    # column -> row paired with it
+    partner: dict[int, int] = {}  # the same pairs, from row to column
+    for i in range(len(near)):
         # breadth-first search for a shortest augmenting path from i
-        via: dict[int, int] = {}  # index into full -> index into sub that reached it
+        via: dict[int, int] = {}  # column -> row that reached it
         frontier, free = [i], None
         while frontier and free is None:
             reached = []
@@ -630,7 +643,7 @@ def multiset_leq(sub, full, radius: float = CLUSTER_RADIUS) -> bool:
             frontier = reached
         if free is None:
             return False
-        # flip the path: each sub index on it takes the full index that reached it
+        # flip the path: each row on it takes the column that reached it
         j = free
         while j is not None:
             u = via[j]
@@ -640,6 +653,19 @@ def multiset_leq(sub, full, radius: float = CLUSTER_RADIUS) -> bool:
     return True
 
 
+def multiset_leq(sub, full, radius: float = CLUSTER_RADIUS) -> bool:
+    """Is ``sub`` included in ``full`` as a multiset, up to clustering radius?
+
+    True when every value of ``sub`` can be paired with its own value of
+    ``full`` within ``radius``: a maximum bipartite matching over the pairs
+    within ``radius``.
+    """
+    sub, full = _complex_array(sub), _complex_array(full)
+    if len(sub) > len(full):
+        return False
+    return _matches_every_row(np.abs(np.subtract.outer(sub, full)) <= radius)
+
+
 def multiset_equal(a, b, radius: float = CLUSTER_RADIUS) -> bool:
     a = list(a)
     b = list(b)
@@ -647,31 +673,44 @@ def multiset_equal(a, b, radius: float = CLUSTER_RADIUS) -> bool:
 
 
 def multiset_discrepancy(a, b) -> float:
-    """Max pair distance under greedy closest-pair matching; inf if sizes differ.
+    """The bottleneck distance: the smallest d such that each value of ``a``
+    pairs with its own value of ``b`` within d; inf if sizes differ.
 
-    Sorting both lists and zipping is unstable when nearly equal real parts
-    differ by floating point noise (conjugate pairs can swap), so instead
-    repeatedly match the globally closest remaining pair.
+    On the real line, pairing both lists in sorted order attains it.
+    Otherwise d is a pair distance, and no smaller than the distance from any
+    value to its nearest partner: a binary search over those distances finds
+    the smallest at which ``multiset_leq``'s matching pairs every value.
     """
-    a = np.array([complex(v) for v in a], dtype=np.complex128)
-    b = np.array([complex(v) for v in b], dtype=np.complex128)
+    a, b = _complex_array(a), _complex_array(b)
     if a.size != b.size:
         return float("inf")
     if a.size == 0:
         return 0.0
-    dist = np.abs(a[:, None] - b[None, :])
-    worst = 0.0
-    for _ in range(a.size):
-        i, j = np.unravel_index(np.argmin(dist), dist.shape)
-        worst = max(worst, float(dist[i, j]))
-        dist[i, :] = np.inf
-        dist[:, j] = np.inf
-    return worst
+    if not (a.imag.any() or b.imag.any()):
+        return float(np.max(np.abs(np.sort(a.real) - np.sort(b.real))))
+    dist = np.abs(np.subtract.outer(a, b))
+    floor = max(dist.min(axis=1).max(), dist.min(axis=0).max())
+    candidates = np.unique(dist[dist >= floor])
+    lo, hi = 0, len(candidates) - 1  # the largest distance pairs any two values
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _matches_every_row(dist <= candidates[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(candidates[lo])
 
 
 def is_diagonalizable(m: Matrix, tol: float = DEFAULT_TOL,
                       cluster_radius: float = CLUSTER_RADIUS) -> bool:
-    """Geometric multiplicity equals algebraic multiplicity for every eigenvalue."""
+    """Geometric multiplicity equals algebraic multiplicity for every eigenvalue.
+
+    A simple eigenvalue always has a one-dimensional eigenspace, so only a
+    cluster of two or more eigenvalues is checked, by the nullity of A - λI:
+    its singular values up to the blur max(cluster_radius, 10·tol)·max(1,
+    max|a_ij|).  The blur exceeds the cluster radius when an entry of A
+    exceeds 1, so the nullity is compared with the number of eigenvalues
+    within the blur of λ, which counts the neighbours it cannot tell apart."""
     if not m.is_square():
         raise DimensionError("is_diagonalizable needs a square matrix")
     a = m.to_complex().data
@@ -681,11 +720,12 @@ def is_diagonalizable(m: Matrix, tol: float = DEFAULT_TOL,
     if n <= 1:
         return True
     vals = np.linalg.eigvals(a)
-    scale = max(1.0, float(np.max(np.abs(a))))
+    blur = max(cluster_radius, 10 * tol) * max(1.0, float(np.max(np.abs(a))))
     for rep, mult in cluster_values(vals, cluster_radius):
+        if mult == 1:
+            continue
         s = np.linalg.svd(a - rep * np.eye(n), compute_uv=False)
-        nullity = int(np.sum(s <= max(cluster_radius, 10 * tol) * scale))
-        if nullity != mult:
+        if np.sum(s <= blur) != np.sum(np.abs(vals - rep) <= blur):
             return False
     return True
 

@@ -184,14 +184,9 @@ def structure_space_basis(m: Matrix, s: Matrix, tol: float = DEFAULT_TOL,
         raise DefectiveMatrixError("parameter matrix is defective")
     em = eig(m, tol)
     est = eig(s.T, tol)  # left eigenvectors of S
-    basis = []
-    for a in range(em.n):
-        for b in range(est.n):
-            if abs(em.values[a] - est.values[b]) <= cluster_radius:
-                x = em.vectors.col(a)
-                y = est.vectors.col(b)
-                basis.append(Matrix(np.outer(x, y), COMPLEX))
-    return basis
+    a, b = np.nonzero(np.abs(np.subtract.outer(em.values, est.values)) <= cluster_radius)
+    outers = em.vectors.data.T[a, :, None] * est.vectors.data.T[b, None, :]
+    return [Matrix(x, COMPLEX) for x in outers]
 
 
 def parameters_from_structure(m: Matrix, p: Matrix,

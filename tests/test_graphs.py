@@ -21,6 +21,8 @@ from perfstruct import (
     multiset_discrepancy,
     numeric_spectrum,
 )
+from perfstruct.graphs import PRODUCT_FAMILIES, Spectrum
+from perfstruct.products import NAMED_SPECS
 from perfstruct.errors import HypothesisNotMetError
 
 TOL = 1e-8
@@ -93,6 +95,21 @@ class TestClosedFormSpectra:
         g = make_family(name, *params)
         mults = [m for _, m in closed_form_spectrum(g).entries]
         assert min(mults) >= 1 and sum(mults) == g.n
+
+    @pytest.mark.parametrize("name,params", [
+        case for case in FAMILY_CASES if case[0] in PRODUCT_FAMILIES])
+    def test_product_rule_pair_by_pair(self, name, params):
+        """The closed form evaluates the product's eigenvalue rule over all
+        pairs at once; each value equals the scalar rule on its pair."""
+        kind, factors = PRODUCT_FAMILIES[name]
+        named = NAMED_SPECS[kind]
+        left, right = (list(sp.labels) or [(v, v) for v in sp.values()]
+                       for sp in (closed_form_spectrum(make_family(*f))
+                                  for f in factors(*params)))
+        labels = [(named.eigenvalue(mu, lam), (a, b)) for mu, a in left for lam, b in right]
+        got = closed_form_spectrum(make_family(name, *params))
+        assert got.labels == tuple(labels)
+        assert got.entries == Spectrum.from_values([v for v, _ in labels]).entries
 
     def test_hamming_multiplicities(self):
         sp = closed_form_spectrum(make_family("hamming", 3, 2))

@@ -202,6 +202,34 @@ class TestDiagonalizable:
     def test_distinct_eigenvalues_nonsymmetric(self):
         assert is_diagonalizable(Matrix.complex([[1, 5], [0, 2]]))
 
+    def test_simple_eigenvalues_inside_the_nullity_threshold(self):
+        """Eigenvalues 0, 5e-5 and 100, all simple, so diagonalizable.  The
+        nullity threshold 1e-6·max|a| = 1e-4 sees two small singular values
+        of A - 0·I, which must not be held against the multiplicity 1."""
+        assert is_diagonalizable(Matrix.exact([[100, 1, 0], [0, 0, 0], [0, 0, "1/20000"]]))
+
+    def test_jordan_block_beside_an_eigenvalue_inside_the_threshold(self):
+        """A Jordan block at 0 and a simple eigenvalue 5e-5: A - 0·I has two
+        small singular values, but three eigenvalues lie within 1e-4 of 0."""
+        assert not is_diagonalizable(
+            Matrix.exact([[0, 100, 0], [0, 0, 0], [0, 0, "1/20000"]]))
+
+    def test_distinct_eigenvalues_inside_the_threshold(self):
+        """Eigenvalues 0 and 1e-3, both simple, within the threshold 1e-2 of
+        each other; A - 0·I has one small singular value, not two."""
+        assert is_diagonalizable(Matrix.exact([[0, 10000], [0, "1/1000"]]))
+
+    def test_simple_eigenvalues_need_no_svd(self, monkeypatch):
+        calls = []
+        original = np.linalg.svd
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        assert is_diagonalizable(Matrix.exact([[1, 5, 0], [0, 2, 0], [0, 0, 2]]))
+        assert calls == [(3, 3)]  # one SVD, for the double eigenvalue 2
+
 
 class TestPolyEval:
     def test_square_of_single_edge(self):
@@ -219,37 +247,80 @@ class TestPolyEval:
 
 
 class TestSolverChoice:
-    """An exact input takes the Hermitian solver exactly when it is symmetric."""
+    """An exact input takes the Hermitian solver exactly when it is symmetric;
+    a real symmetric input takes the real one."""
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        seen = []
+    def spies(self, monkeypatch):
+        """The solvers called, and the dtype of the array each one read."""
+        names, dtypes = [], []
         for name in ("eigh", "eigvalsh", "eig", "eigvals"):
             original = getattr(np.linalg, name)
 
-            def spy(*args, _name=name, _original=original, **kwargs):
-                seen.append(_name)
-                return _original(*args, **kwargs)
+            def spy(a, *args, _name=name, _original=original, **kwargs):
+                names.append(_name)
+                dtypes.append(a.dtype)
+                return _original(a, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, spy)
-        return seen
+        return names, dtypes
 
-    def test_symmetric_exact_input(self, calls):
+    @pytest.fixture
+    def calls(self, spies):
+        return spies[0]
+
+    @pytest.fixture
+    def dtypes(self, spies):
+        return spies[1]
+
+    def test_symmetric_exact_input(self, calls, dtypes):
         m = Matrix.exact([[0, 1, "1/2"], [1, 0, 1], ["1/2", 1, 0]])
         eig(m)
         eigenvalues(m)
         assert is_diagonalizable(m)
         assert calls == ["eigh", "eigvalsh"]
+        assert dtypes == [np.float64, np.float64]
 
-    def test_exact_input_asymmetric_below_tolerance(self, calls):
+    def test_exact_input_asymmetric_below_tolerance(self, calls, dtypes):
         m = Matrix.exact([[0, 1], [1 + Fraction(1, 10 ** 12), 0]])
         eig(m)
         eigenvalues(m)
         assert is_diagonalizable(m)
         assert calls == ["eig", "eigvals", "eigvals"]
+        assert dtypes == [np.complex128] * 3
 
-    def test_complex_input_keeps_the_tolerance(self, calls):
+    def test_complex_input_keeps_the_tolerance(self, calls, dtypes):
         eigenvalues(Matrix.complex([[0, 1], [1 + 1e-12, 0]]))
         assert calls == ["eigvalsh"]
+        assert dtypes == [np.float64]
+
+    def test_complex_input_with_no_imaginary_part_is_real(self, calls, dtypes):
+        m = Matrix.complex([[2, 1], [1, 2]])
+        es = eig(m)
+        vals = eigenvalues(m)
+        assert calls == ["eigh", "eigvalsh"]
+        assert dtypes == [np.float64, np.float64]
+        for out in (es.values, es.vectors.data, vals):
+            assert out.dtype == np.complex128
+        assert np.array_equal(vals, [1, 3]) and np.allclose(es.values, [1, 3])
+
+    def test_hermitian_complex_input(self, calls, dtypes):
+        m = Matrix.complex([[0, 1j], [-1j, 0]])
+        es = eig(m)
+        assert np.allclose(eigenvalues(m), [-1, 1])
+        assert np.allclose(es.values, [-1, 1])
+        assert calls == ["eigh", "eigvalsh"]
+        assert dtypes == [np.complex128, np.complex128]
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_nearly_hermitian_input_reads_both_triangles(self, calls, transpose):
+        """Hermitian only within the tolerance: the solver reads (A + Aᴴ)/2,
+        so either triangle gives ±sqrt(1 + 2e-10) to 1e-13."""
+        m = Matrix.complex([[0, 1], [1 + 2e-10, 0]])
+        m = m.T if transpose else m
+        root = np.sqrt(1 + 2e-10)
+        assert np.allclose(eigenvalues(m), [-root, root], rtol=0, atol=1e-13)
+        assert np.allclose(eig(m).values, [-root, root], rtol=0, atol=1e-13)
+        assert calls == ["eigvalsh", "eigh"]
 
     def test_complex_input_has_no_relative_slack(self, calls):
         """Off Hermitian by a relative 1e-6, far above the 1e-9 tolerance: the
@@ -314,6 +385,65 @@ class TestMultisetLeq:
         if real:
             sub, full = [complex(v.real) for v in sub], [complex(w.real) for w in full]
         assert multiset_leq(sub, full) == brute_force_leq(sub, full)
+
+
+def greedy_discrepancy(a, b):
+    """The matching multiset_discrepancy once used: repeatedly pair the
+    globally closest remaining values; returns its largest pair distance."""
+    dist = np.abs(np.subtract.outer(np.array(a, dtype=complex), np.array(b, dtype=complex)))
+    worst = 0.0
+    for _ in range(len(a)):
+        i, j = np.unravel_index(np.argmin(dist), dist.shape)
+        worst = max(worst, float(dist[i, j]))
+        dist[i, :] = dist[:, j] = np.inf
+    return worst
+
+
+def brute_force_bottleneck(a, b):
+    dist = np.abs(np.subtract.outer(np.array(a, dtype=complex), np.array(b, dtype=complex)))
+    return min(float(dist[range(len(a)), chosen].max())
+               for chosen in map(list, permutations(range(len(b)))))
+
+
+class TestMultisetDiscrepancy:
+    """The bottleneck distance: the smallest largest pair distance over all
+    pairings of the two multisets."""
+
+    def test_greedy_closest_pair_overstates(self):
+        # greedy pairs 1 with 0.6 first and is left with 0 against 1.7
+        assert multiset_discrepancy([0, 1], [0.6, 1.7]) == pytest.approx(0.7, abs=1e-15)
+        assert greedy_discrepancy([0, 1], [0.6, 1.7]) == pytest.approx(1.7, abs=1e-15)
+
+    def test_complex_values_take_the_matching(self, monkeypatch):
+        import perfstruct.matrix as matrix_module
+
+        steps = []
+        original = matrix_module._matches_every_row
+
+        def spy(close):
+            steps.append(close.shape)
+            return original(close)
+        monkeypatch.setattr(matrix_module, "_matches_every_row", spy)
+        got = multiset_discrepancy([0.1j, 1 + 0.1j], [0.6 + 0.1j, 1.7 + 0.1j])
+        assert got == pytest.approx(0.7, abs=1e-15)
+        assert steps and set(steps) == {(2, 2)}
+
+    def test_size_mismatch_and_empty(self):
+        assert multiset_discrepancy([1], [1, 2]) == float("inf")
+        assert multiset_discrepancy([1j, 2], []) == float("inf")
+        assert multiset_discrepancy([], []) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.lists(near_value, min_size=n, max_size=n),
+        st.lists(near_value, min_size=n, max_size=n))), st.booleans())
+    def test_matches_brute_force(self, pair, real):
+        a, b = pair
+        if real:
+            a, b = [complex(v.real) for v in a], [complex(w.real) for w in b]
+        got = multiset_discrepancy(a, b)
+        assert got == brute_force_bottleneck(a, b)
+        assert got <= greedy_discrepancy(a, b)
 
 
 class TestExactConstructors:

@@ -15,6 +15,7 @@ from perfstruct import (
     compose,
     eigenvalues,
     is_nonsingular,
+    kron,
     multiset_discrepancy,
     parameters_from_structure,
     similar_transform,
@@ -177,6 +178,20 @@ class TestSpectrumInclusion:
     def test_alternating(self):
         assert spectrum_inclusion_check(alternating_structure())
 
+    def test_simple_eigenvalues_inside_the_nullity_threshold(self):
+        """S has the simple eigenvalues 0, 5e-5 and 100, closer together than
+        the nullity threshold 1e-6·max|S|; it is diagonalizable."""
+        assert spectrum_inclusion_check(close_eigenvalue_structure())
+
+
+def close_eigenvalue_structure() -> PerfectStructure:
+    """M = S ⊗ I₂ with P = I₃ ⊗ 𝟙₂, for S with eigenvalues 0, 5e-5, 100."""
+    s = Matrix.exact([[100, 1, 0], [0, 0, 0], [0, 0, "1/20000"]])
+    st = PerfectStructure(kron(s, Matrix.identity(2)),
+                          kron(Matrix.identity(3), Matrix.ones(2, 1)), s)
+    assert verify(st)
+    return st
+
 
 class TestStructureSpace:
     def test_dimension_matches_brute_force(self):
@@ -195,6 +210,14 @@ class TestStructureSpace:
         sp = s.parameters.to_complex()
         for b in structure_space_basis(m, sp):
             assert (m @ b - b @ sp).max_abs() <= 1e-8
+
+    def test_simple_eigenvalues_inside_the_nullity_threshold(self):
+        st = close_eigenvalue_structure()
+        m, sp = st.adjacency, st.parameters
+        basis = structure_space_basis(m, sp)
+        assert len(basis) == brute_force_structure_space_dim(m, sp) == 6
+        for b in basis:
+            assert (m.to_complex() @ b - b @ sp.to_complex()).max_abs() <= 1e-8
 
     def test_disjoint_spectra_trivial_space(self):
         m = Matrix.complex(np.diag([1.0, 2.0]))

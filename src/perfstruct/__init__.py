@@ -14,7 +14,6 @@ from .matrix import (
     is_diagonalizable,
     kron,
     multiset_discrepancy,
-    multiset_equal,
     multiset_leq,
     poly_eval,
     rank,

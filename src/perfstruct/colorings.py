@@ -16,11 +16,11 @@ import numpy as np
 from .errors import DimensionError, DomainMismatchError, HypothesisNotMetError
 from .graphs import Graph, is_connected, is_regular
 from .matrix import (
-    CLUSTER_RADIUS,
     DEFAULT_TOL,
     EXACT,
     Matrix,
     _narrow,
+    _same_value,
     eigenvalues,
 )
 from .products import NAMED_SPECS, _kron_sum, build_product
@@ -173,8 +173,7 @@ def product_coloring(product: str, left, right):
 
 
 def orthogonality_check(g: Graph, p: Coloring, r: Coloring,
-                        tol: float = DEFAULT_TOL,
-                        radius: float = CLUSTER_RADIUS) -> bool:
+                        tol: float = DEFAULT_TOL) -> bool:
     """<P_i, R_j> = l_i * m_j / n for all columns, checked in exact rationals.
 
     Hypotheses: g connected and regular, both colorings perfect, and the
@@ -188,9 +187,8 @@ def orthogonality_check(g: Graph, p: Coloring, r: Coloring,
     if sp is None or sr is None:
         raise HypothesisNotMetError("both colorings must be perfect")
     vp = eigenvalues(sp, tol)
-    vr = eigenvalues(sr, tol)
-    shared = [complex(a) for a in vp if any(abs(a - b) <= radius for b in vr)]
-    if not (len(shared) >= 1 and all(abs(a - deg) <= radius for a in shared)):
+    shared = vp[_same_value(vp, eigenvalues(sr, tol)).any(axis=1)]
+    if not (shared.size and _same_value(shared, [complex(deg)]).all()):
         raise HypothesisNotMetError(
             "parameter spectra share an eigenvalue other than the degree")
     # <P_i, R_j> counts the vertices colored i by p and j by r

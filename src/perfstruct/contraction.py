@@ -25,7 +25,7 @@ from .errors import (
 )
 from .graphs import Graph
 from .matrix import DEFAULT_TOL, Matrix, eigensystem_on
-from .products import NAMED_SPECS
+from .products import NAMED_SPECS, _unity_values
 
 
 @dataclass(frozen=True)
@@ -117,9 +117,10 @@ def contract_named(product: str, product_eigfn, right_eigfn, right_graph: Graph,
     unity = None
     if "J" in named.right:  # g must span the all-ones eigenspace, where J acts as n
         message = f"{product} contraction uses the all-ones eigenvector of the right factor"
-        if abs(eigensystem_on(Matrix.ones(n), g, tol, message=message).values[0]) < n / 2:
+        quotient = eigensystem_on(Matrix.ones(n), g, tol, message=message).values
+        unity = int(_unity_values(quotient, n)[0])
+        if unity == 0:
             raise HypothesisNotMetError(message)  # J acts as 0 on g
-        unity = n
     b = named.eigenvalue(0, lam, unity)
     a = named.eigenvalue(1, lam, unity) - b
     if not abs(a) > tol:

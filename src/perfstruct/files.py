@@ -14,6 +14,7 @@ decimals per line.
 
 from __future__ import annotations
 
+import cmath
 import re
 from fractions import Fraction
 
@@ -38,7 +39,15 @@ _COMPLEX_RE = re.compile(
 
 
 def parse_scalar(token: str):
-    """A rational Fraction, or a complex for 'i'-suffixed / decimal tokens."""
+    """A rational Fraction, or a complex for 'i'-suffixed / decimal tokens; a
+    decimal part that overflows to infinity is rejected."""
+    x = _parse_token(token)
+    if isinstance(x, complex) and not cmath.isfinite(x):
+        raise ValueError(f"{token.strip()!r} overflows to infinity")
+    return x
+
+
+def _parse_token(token: str):
     token = token.strip()
     if not token:
         raise ValueError("empty scalar token")

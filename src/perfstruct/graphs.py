@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import DimensionError, HypothesisNotMetError
 from .matrix import (
-    CLUSTER_RADIUS,
     DEFAULT_TOL,
     EXACT,
     Matrix,
@@ -44,10 +43,8 @@ class Spectrum:
     labels: tuple = ()      # ((complex, label), ...) raw generator list
 
     @staticmethod
-    def from_values(values, radius: float = CLUSTER_RADIUS,
-                    labels=()) -> "Spectrum":
-        return Spectrum(entries=tuple(cluster_values(values, radius)),
-                        labels=tuple(labels))
+    def from_values(values, labels=()) -> "Spectrum":
+        return Spectrum(entries=tuple(cluster_values(values)), labels=tuple(labels))
 
     def values(self) -> list[complex]:
         """The full multiset, expanded with multiplicities."""
@@ -331,6 +328,5 @@ def complement_spectrum(g: Graph, tol: float = DEFAULT_TOL) -> Spectrum:
     return Spectrum.from_values(out)
 
 
-def numeric_spectrum(g: Graph, tol: float = DEFAULT_TOL,
-                     radius: float = CLUSTER_RADIUS) -> Spectrum:
-    return Spectrum.from_values(eigenvalues(g.adjacency, tol), radius)
+def numeric_spectrum(g: Graph, tol: float = DEFAULT_TOL) -> Spectrum:
+    return Spectrum.from_values(eigenvalues(g.adjacency, tol))

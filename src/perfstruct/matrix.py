@@ -38,7 +38,8 @@ COMPLEX = "complex"
 
 #: default absolute tolerance on eigen residuals
 DEFAULT_TOL = 1e-9
-#: radius used when clustering eigenvalues into multiplicity classes
+#: radius used when clustering eigenvalues into multiplicity classes; two
+#: values within it are the same eigenvalue (``_same_value``)
 CLUSTER_RADIUS = 1e-6
 
 #: largest magnitude an int64 entry may hold; -2**63 is left out so that
@@ -366,10 +367,13 @@ class Matrix:
             return self.T
         return Matrix(self._data.conj().T, COMPLEX)
 
-    def is_zero(self) -> bool:
+    def is_zero(self, tol: float = 0.0) -> bool:
+        """Is every entry zero?  Bit-exact in the exact domain, where ``tol``
+        plays no part; otherwise every entry has modulus at most ``tol``, and
+        a nan entry is never zero."""
         if self.domain == EXACT:
             return not self._ints.any()
-        return bool(np.all(self._data == 0))
+        return bool((np.abs(self._data) <= tol).all())
 
     def max_abs(self) -> float:
         if self.rows * self.cols == 0:
@@ -468,7 +472,7 @@ def rank(a: Matrix, tol: float = DEFAULT_TOL) -> int:
         # eliminate along the shorter side: the rank is the same
         ints = a._ints if a.rows <= a.cols else a._ints.T
         return len(_bareiss(ints.tolist())[1])
-    if a.max_abs() == 0.0:
+    if a.is_zero():
         return 0
     s = np.linalg.svd(a.data, compute_uv=False)
     return int(np.sum(s > max(tol, s[0] * max(a.shape) * np.finfo(float).eps)))
@@ -506,10 +510,18 @@ def _sort_and_normalize(values: np.ndarray, vectors: np.ndarray):
 def _is_hermitian(m: Matrix, a: np.ndarray, tol: float) -> bool:
     """Does ``m`` take the Hermitian solver?  An exact matrix must be exactly
     symmetric; ``a``, the complex cast of ``m``, need only be within ``tol``
-    of its conjugate transpose, entry by entry, with no relative slack."""
+    of its conjugate transpose, entry by entry, with no relative slack.  An
+    infinite or nan entry never is."""
     if m.domain == EXACT:
         return bool(np.array_equal(m._ints, m._ints.T))
-    return np.allclose(a, a.conj().T, rtol=0, atol=tol)
+    return bool((np.abs(a - a.conj().T) <= tol).all())
+
+
+def _eig_residual_bound(a: np.ndarray, tol: float) -> float:
+    """The largest residual max |A v - λ v| an eigendecomposition of ``a`` may
+    leave on unit columns v: ``tol``, or 1e3 unit roundoffs of max(1,
+    max|a_ij|) when that is larger."""
+    return max(tol, 1e3 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(a)))))
 
 
 def _hermitian_input(m: Matrix, a: np.ndarray, tol: float) -> np.ndarray | None:
@@ -553,7 +565,7 @@ def eig(m: Matrix, tol: float = DEFAULT_TOL) -> EigenSystem:
     if vectors.dtype == np.float64:
         a = a.real  # a real input: the residual is real arithmetic too
     resid = float(np.max(np.abs(a @ vectors - vectors * values))) if len(values) else 0.0
-    if resid > max(tol, 1e3 * np.finfo(float).eps * max(1.0, np.max(np.abs(a)))):
+    if not resid <= _eig_residual_bound(a, tol):  # a nan residual fails too
         raise NonConvergenceError(f"eigen residual {resid:.3e} exceeds tolerance {tol:.3e}")
     return EigenSystem(values=values.astype(np.complex128),
                        vectors=Matrix(vectors.astype(np.complex128), COMPLEX), residual=resid)
@@ -602,14 +614,20 @@ def _complex_array(values) -> np.ndarray:
                       dtype=np.complex128)
 
 
-def cluster_values(values, radius: float = CLUSTER_RADIUS) -> list[tuple[complex, int]]:
+def _same_value(a, b) -> np.ndarray:
+    """The boolean matrix |a_i - b_j| <= CLUSTER_RADIUS: which pairs of values
+    count as one eigenvalue."""
+    return np.abs(np.subtract.outer(a, b)) <= CLUSTER_RADIUS
+
+
+def cluster_values(values) -> list[tuple[complex, int]]:
     """Greedy clustering of eigenvalues into (representative, multiplicity)
     pairs: in (Re, Im) order, each value joins the last cluster when within
-    ``radius`` of its representative, the first value in it."""
+    CLUSTER_RADIUS of its representative, the first value in it."""
     vals = _complex_array(values)
     clusters: list[tuple[complex, int]] = []
     for v in vals[np.lexsort((vals.imag, vals.real))].tolist():
-        if clusters and abs(v - clusters[-1][0]) <= radius:
+        if clusters and abs(v - clusters[-1][0]) <= CLUSTER_RADIUS:
             rep, mult = clusters[-1]
             clusters[-1] = (rep, mult + 1)
         else:
@@ -653,23 +671,17 @@ def _matches_every_row(close: np.ndarray) -> bool:
     return True
 
 
-def multiset_leq(sub, full, radius: float = CLUSTER_RADIUS) -> bool:
-    """Is ``sub`` included in ``full`` as a multiset, up to clustering radius?
+def multiset_leq(sub, full) -> bool:
+    """Is ``sub`` included in ``full`` as a multiset, up to CLUSTER_RADIUS?
 
     True when every value of ``sub`` can be paired with its own value of
-    ``full`` within ``radius``: a maximum bipartite matching over the pairs
-    within ``radius``.
+    ``full`` that ``_same_value`` calls the same: a maximum bipartite
+    matching over those pairs.
     """
     sub, full = _complex_array(sub), _complex_array(full)
     if len(sub) > len(full):
         return False
-    return _matches_every_row(np.abs(np.subtract.outer(sub, full)) <= radius)
-
-
-def multiset_equal(a, b, radius: float = CLUSTER_RADIUS) -> bool:
-    a = list(a)
-    b = list(b)
-    return len(a) == len(b) and multiset_leq(a, b, radius)
+    return _matches_every_row(_same_value(sub, full))
 
 
 def multiset_discrepancy(a, b) -> float:
@@ -701,13 +713,12 @@ def multiset_discrepancy(a, b) -> float:
     return float(candidates[lo])
 
 
-def is_diagonalizable(m: Matrix, tol: float = DEFAULT_TOL,
-                      cluster_radius: float = CLUSTER_RADIUS) -> bool:
+def is_diagonalizable(m: Matrix, tol: float = DEFAULT_TOL) -> bool:
     """Geometric multiplicity equals algebraic multiplicity for every eigenvalue.
 
     A simple eigenvalue always has a one-dimensional eigenspace, so only a
     cluster of two or more eigenvalues is checked, by the nullity of A - λI:
-    its singular values up to the blur max(cluster_radius, 10·tol)·max(1,
+    its singular values up to the blur max(CLUSTER_RADIUS, 10·tol)·max(1,
     max|a_ij|).  The blur exceeds the cluster radius when an entry of A
     exceeds 1, so the nullity is compared with the number of eigenvalues
     within the blur of λ, which counts the neighbours it cannot tell apart."""
@@ -720,8 +731,8 @@ def is_diagonalizable(m: Matrix, tol: float = DEFAULT_TOL,
     if n <= 1:
         return True
     vals = np.linalg.eigvals(a)
-    blur = max(cluster_radius, 10 * tol) * max(1.0, float(np.max(np.abs(a))))
-    for rep, mult in cluster_values(vals, cluster_radius):
+    blur = max(CLUSTER_RADIUS, 10 * tol) * max(1.0, float(np.max(np.abs(a))))
+    for rep, mult in cluster_values(vals):
         if mult == 1:
             continue
         s = np.linalg.svd(a - rep * np.eye(n), compute_uv=False)

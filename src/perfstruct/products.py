@@ -18,11 +18,11 @@ import numpy as np
 from .errors import DimensionError, UnverifiedStructureError
 from .graphs import Spectrum
 from .matrix import (
-    CLUSTER_RADIUS,
     COMPLEX,
     DEFAULT_TOL,
     EigenSystem,
     Matrix,
+    _same_value,
     eig,
     eigensystem_on,
     kron,
@@ -174,18 +174,18 @@ def joint_eigensystems(factors, tol: float = DEFAULT_TOL) -> list:
     """One eigensystem per factor, all on one common eigenbasis.
 
     ``eig`` diagonalizes the first factor.  Each later factor F is diagonalized
-    on every group W of columns whose values under all earlier factors agree
-    within CLUSTER_RADIUS, through the least-squares B of W·B = F·W, so
+    on every group W of columns whose values under all earlier factors are the
+    same eigenvalue, through the least-squares B of W·B = F·W, so
     non-normal factors work too.  Commuting diagonalizable factors always
     share such a basis (Horn-Johnson, Matrix Analysis, Thm 1.3.21); otherwise
     eigensystem_on raises HypothesisNotMetError.
     """
     first = eig(factors[0], tol)
     v = first.vectors.data.copy()
-    keys = first.values[:, None]  # column j's values under the factors so far
+    keys = [first.values]  # the columns' values under each factor so far
     for factor in factors[1:]:
         a = factor.to_complex().data
-        near = np.max(np.abs(keys[:, None] - keys[None]), axis=2) <= CLUSTER_RADIUS
+        near = np.logical_and.reduce([_same_value(key, key) for key in keys])
         group = np.argmax(near, axis=1)  # each column joins the first one near it
         values = np.empty(len(v), dtype=np.complex128)
         for i in sorted(set(group.tolist())):  # not np.unique: ~12 ms first call (numpy 2.4)
@@ -194,15 +194,14 @@ def joint_eigensystems(factors, tol: float = DEFAULT_TOL) -> list:
             es = eig(Matrix(np.linalg.lstsq(w, a @ w, rcond=None)[0], COMPLEX), tol)
             v[:, cols] = w @ es.vectors.data
             values[cols] = es.values
-        keys = np.column_stack([keys, values])
+        keys.append(values)
     basis = Matrix(v / np.linalg.norm(v, axis=0), COMPLEX)
     return [eigensystem_on(f, basis, tol, message="the factors share no eigenbasis")
             for f in factors]
 
 
 def product_spectrum(spec: ProductSpec, left_eigs, right_eigs,
-                     tol: float = DEFAULT_TOL,
-                     radius: float = CLUSTER_RADIUS) -> Spectrum:
+                     tol: float = DEFAULT_TOL) -> Spectrum:
     """Spectrum {sum a_ij mu^i_s lambda^j_t} of the product, given one
     eigensystem per factor, each holding on its side's first vectors."""
     for factors, eigs in ((spec.left_factors, left_eigs), (spec.right_factors, right_eigs)):
@@ -213,7 +212,7 @@ def product_spectrum(spec: ProductSpec, left_eigs, right_eigs,
                            "factors do not share an eigenbasis")
     values = grid_value(spec.coefficients, [e.values[:, None] for e in left_eigs],
                         [e.values for e in right_eigs])
-    return Spectrum.from_values(values.ravel(), radius)
+    return Spectrum.from_values(values.ravel())
 
 
 def product_eigenvector(f, g) -> np.ndarray:
@@ -236,5 +235,12 @@ def unity_eigensystem(like: EigenSystem, tol: float = DEFAULT_TOL) -> EigenSyste
     0 orthogonal to it (regular factors)."""
     es = eigensystem_on(Matrix.ones(like.n), like.vectors, tol,
                         message="J does not share this eigenbasis")
-    values = np.where(np.abs(es.values) < like.n / 2, 0, like.n)  # J's eigenvalues
-    return EigenSystem(values.astype(np.complex128), like.vectors, es.residual)
+    return EigenSystem(_unity_values(es.values, like.n).astype(np.complex128),
+                       like.vectors, es.residual)
+
+
+def _unity_values(quotients, n: int) -> np.ndarray:
+    """J_n's eigenvalue on vectors where its Rayleigh quotients are
+    ``quotients``: n on the all-ones direction, 0 orthogonal to it, decided
+    by which of the two each quotient is nearer."""
+    return np.where(np.abs(quotients) < n / 2, 0, n)

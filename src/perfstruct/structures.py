@@ -9,7 +9,6 @@ the complex domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -21,11 +20,12 @@ from .errors import (
     UnverifiedStructureError,
 )
 from .matrix import (
-    CLUSTER_RADIUS,
     COMPLEX,
     DEFAULT_TOL,
     EXACT,
     Matrix,
+    _eig_residual_bound,
+    _same_value,
     eig,
     eigenvalues,
     exact_solve,
@@ -83,16 +83,13 @@ class UnityClassification:
     """Which case of the J-adjacency classification a structure falls into."""
 
     case: str                    # "zero_parameters" | "rank_one_parameters"
-    v: np.ndarray | None = None  # length-k factor, normalized so first nonzero = 1
+    v: np.ndarray | None = None  # length-k factor, first entry not zero within tol = 1
     u: np.ndarray | None = None  # length-k factor with s_ij = n * v_i * u_j
 
 
 def verify(s: PerfectStructure, tol: float = DEFAULT_TOL) -> bool:
     """Does M·P = P·S hold (bit-exact for exact matrices, ||.||_inf <= tol else)?"""
-    diff = s.adjacency @ s.structure - s.structure @ s.parameters
-    if s.domain == EXACT:
-        return diff.is_zero()
-    return diff.max_abs() <= tol
+    return (s.adjacency @ s.structure - s.structure @ s.parameters).is_zero(tol)
 
 
 def _require_verified(s: PerfectStructure, tol: float = DEFAULT_TOL):
@@ -153,38 +150,35 @@ def canonical_form(s: PerfectStructure, tol: float = DEFAULT_TOL) -> CanonicalFo
     b = w.inverse()
     m = s.adjacency.to_complex()
     resid = (m @ r - r @ t).max_abs()
-    if resid > max(tol, 1e3 * np.finfo(float).eps * max(1.0, m.max_abs())):
+    if not resid <= _eig_residual_bound(m.data, tol):
         raise DefectiveMatrixError(
             f"canonical columns fail the eigenvector check (residual {resid:.3e})")
     return CanonicalForm(diagonal_parameters=t, eigen_columns=r, basis_change=b)
 
 
-def spectrum_inclusion_check(s: PerfectStructure, tol: float = DEFAULT_TOL,
-                             cluster_radius: float = CLUSTER_RADIUS) -> bool:
+def spectrum_inclusion_check(s: PerfectStructure, tol: float = DEFAULT_TOL) -> bool:
     """sp(S) included in sp(M) as a multiset, and S diagonalizable."""
     _require_verified(s, tol)
     if not is_nonsingular(s, tol):
         raise UnverifiedStructureError("spectrum inclusion needs a nonsingular structure")
-    if not is_diagonalizable(s.parameters, tol, cluster_radius):
+    if not is_diagonalizable(s.parameters, tol):
         return False
-    return multiset_leq(eigenvalues(s.parameters, tol),
-                        eigenvalues(s.adjacency, tol), cluster_radius)
+    return multiset_leq(eigenvalues(s.parameters, tol), eigenvalues(s.adjacency, tol))
 
 
-def structure_space_basis(m: Matrix, s: Matrix, tol: float = DEFAULT_TOL,
-                          cluster_radius: float = CLUSTER_RADIUS) -> list[Matrix]:
+def structure_space_basis(m: Matrix, s: Matrix, tol: float = DEFAULT_TOL) -> list[Matrix]:
     """Basis of the linear space {P : MP = PS} for diagonalizable M and S.
 
     Built from rank-one outer products x·yᵀ where M·x = λ·x and Sᵀ·y = λ·y
     share an eigenvalue; the count is Σ ν_M(λ)·ν_S(λ).
     """
-    if not is_diagonalizable(m, tol, cluster_radius):
+    if not is_diagonalizable(m, tol):
         raise DefectiveMatrixError("adjacency matrix is defective")
-    if not is_diagonalizable(s, tol, cluster_radius):
+    if not is_diagonalizable(s, tol):
         raise DefectiveMatrixError("parameter matrix is defective")
     em = eig(m, tol)
     est = eig(s.T, tol)  # left eigenvectors of S
-    a, b = np.nonzero(np.abs(np.subtract.outer(em.values, est.values)) <= cluster_radius)
+    a, b = np.nonzero(_same_value(em.values, est.values))
     outers = em.vectors.data.T[a, :, None] * est.vectors.data.T[b, None, :]
     return [Matrix(x, COMPLEX) for x in outers]
 
@@ -205,7 +199,7 @@ def parameters_from_structure(m: Matrix, p: Matrix,
         return sol
     sol, _, _, _ = np.linalg.lstsq(p.data, mp.data, rcond=None)
     s = Matrix(sol, COMPLEX)
-    if (mp - p @ s).max_abs() > tol:
+    if not (mp - p @ s).is_zero(tol):
         raise NoParameterMatrixError("column span of P is not M-invariant")
     return s
 
@@ -216,32 +210,26 @@ def classify_identity(p: Matrix) -> PerfectStructure:
                             Matrix.identity(p.cols, p.domain))
 
 
-def _column_sums(m: Matrix):
-    return m.data.sum(axis=0)
-
-
 def classify_unity(s: PerfectStructure, tol: float = DEFAULT_TOL) -> UnityClassification:
     """Classify a verified nonsingular structure over J_n.
 
     Either S = 0 and every column sum of P vanishes, or S has rank one with
-    s_ij = n·v_i·u_j and the column sums of P obey the induced law.
+    s_ij = n·v_i·u_j and the column sums of P obey the induced law
+    1·(1ᵀP) = n·(P·v)·uᵀ.  v and u are read from the column and the row of
+    the largest |s_ij|, and v is scaled so that its first entry not zero
+    within ``tol`` is 1 (the pair is only defined up to reciprocal scaling).
     """
-    n = s.n
-    j = Matrix.ones(n, n, s.domain)
-    if s.adjacency.domain == EXACT:
-        if s.adjacency != j:
-            raise UnverifiedStructureError("adjacency matrix is not J")
-    elif (s.adjacency - j.to_complex()).max_abs() > tol:
+    n, k, domain = s.n, s.k, s.domain
+    if not (s.adjacency - Matrix.ones(n, n, domain)).is_zero(tol):
         raise UnverifiedStructureError("adjacency matrix is not J")
     _require_verified(s, tol)
     if not is_nonsingular(s, tol):
         raise UnverifiedStructureError("classification needs a nonsingular structure")
 
-    sp = s.parameters
-    if sp.is_zero() if s.domain == EXACT else sp.max_abs() <= tol:
-        csums = _column_sums(s.structure)
-        ok = np.all(csums == 0) if s.domain == EXACT else np.max(np.abs(csums)) <= tol
-        if not ok:
+    sp, p = s.parameters, s.structure
+    ones = Matrix.ones(n, 1, domain)
+    if sp.is_zero(tol):
+        if not (ones.T @ p).is_zero(tol):
             raise UnverifiedStructureError(
                 "zero parameter matrix but nonzero column sums in P")
         return UnityClassification(case="zero_parameters")
@@ -250,34 +238,16 @@ def classify_unity(s: PerfectStructure, tol: float = DEFAULT_TOL) -> UnityClassi
         raise UnverifiedStructureError(
             "parameter matrix over J must be zero or of rank one")
     data = sp.data
-    # pivot row/column with a nonzero entry
-    i0, j0 = next((i, j2) for i in range(s.k) for j2 in range(s.k) if data[i, j2] != 0)
-    # normalize v so its first nonzero entry is 1 (the (v, u) pair is only
-    # defined up to reciprocal scaling)
-    v = np.array([data[i, j0] / data[i0, j0] for i in range(s.k)], dtype=object)
-    first = next(i for i in range(s.k) if v[i] != 0)
-    v = v / v[first]
-    inv_n = Fraction(1, n) if s.domain == EXACT else 1.0 / n
-    iv = next(i for i in range(s.k) if v[i] != 0)
-    u = np.array([data[iv, j2] * inv_n / v[iv] for j2 in range(s.k)], dtype=object)
-    recon = np.outer(v, u) * (Fraction(n) if s.domain == EXACT else float(n))
-    if s.domain == EXACT:
-        if not np.all(recon == data):
-            raise UnverifiedStructureError("parameter matrix is not of the form n·v·uᵀ")
-    elif np.max(np.abs((recon - data).astype(np.complex128))) > tol:
+    i0, j0 = np.unravel_index(np.argmax(np.abs(data)), data.shape)
+    col = data[:, j0]
+    first = next(i for i in range(k) if not Matrix.column([col[i]], domain).is_zero(tol))
+    v = Matrix.column(col / col[first], domain)                  # k x 1
+    u = Matrix.column(data[i0] / (n * v[i0, 0]), domain).T      # 1 x k
+    if not ((v @ u).scale(n) - sp).is_zero(tol):
         raise UnverifiedStructureError("parameter matrix is not of the form n·v·uᵀ")
-    # column-sum law: sum of column j of P equals n·u_j·Σ_t p_it·v_t, every row i
-    csums = _column_sums(s.structure)
-    for i in range(s.n):
-        rowdot = sum(s.structure.data[i, t] * v[t] for t in range(s.k))
-        for j2 in range(s.k):
-            expected = n * u[j2] * rowdot
-            if s.domain == EXACT:
-                if csums[j2] != expected:
-                    raise UnverifiedStructureError("column sums of P violate the rank-one law")
-            elif abs(complex(csums[j2]) - complex(expected)) > tol * max(1, n):
-                raise UnverifiedStructureError("column sums of P violate the rank-one law")
-    return UnityClassification(case="rank_one_parameters", v=v, u=u)
+    if not (ones @ (ones.T @ p) - (p @ v @ u).scale(n)).is_zero(tol * n):
+        raise UnverifiedStructureError("column sums of P violate the rank-one law")
+    return UnityClassification(case="rank_one_parameters", v=v.data[:, 0], u=u.data[0])
 
 
 def eigenvector_structure(m: Matrix, f, value) -> PerfectStructure:

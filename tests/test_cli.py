@@ -44,6 +44,19 @@ class TestVerify:
                          "0.75 0.25\n0.25 0.75\n0.75 0.25\n0.25 0.75\n")
         assert main(["verify", c4_file, coloring]) == 0
 
+    def test_fractional_coloring_json_is_nonsingular(self, tmp_path, c4_file, capsys):
+        coloring = write(tmp_path, "w.col",
+                         "0.75 0.25\n0.25 0.75\n0.75 0.25\n0.25 0.75\n")
+        assert main(["verify", c4_file, coloring, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verified"] is True and report["nonsingular"] is True
+
+    def test_rank_deficient_fractional_coloring_is_a_negative_answer(
+            self, tmp_path, c4_file, capsys):
+        coloring = write(tmp_path, "w.col", "0.5 0.5\n0.5 0.5\n0.5 0.5\n0.5 0.5\n")
+        assert main(["verify", c4_file, coloring, "--json"]) == 1
+        assert json.loads(capsys.readouterr().out) == {"verified": False}
+
     def test_json_output_is_stable(self, tmp_path, c4_file, capsys):
         coloring = write(tmp_path, "c.col", "1\n2\n1\n2\n")
         assert main(["verify", c4_file, coloring, "--json"]) == 0
@@ -100,6 +113,11 @@ class TestSpectrum:
 
     def test_file_input_numeric_only(self, c4_file, capsys):
         assert main(["spectrum", c4_file, "--numeric"]) == 0
+
+    def test_overflowing_entry_is_an_input_error(self, tmp_path, capsys):
+        g = write(tmp_path, "g.graph", "matrix 2\n0 1e999\n1 0\n")
+        assert main(["spectrum", g, "--numeric"]) == 2
+        assert capsys.readouterr().err.startswith("error: line 2: ")
 
     def test_file_without_closed_form(self, c4_file):
         assert main(["spectrum", c4_file, "--closed-form"]) == 2

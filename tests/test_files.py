@@ -45,6 +45,11 @@ class TestScalarGrammar:
         with pytest.raises(ValueError):
             parse_scalar(token)
 
+    @pytest.mark.parametrize("token", ["1e999", "-1e999", "1e999i", "1+1e999i", "-1e999+2i"])
+    def test_rejects_overflow_to_infinity(self, token):
+        with pytest.raises(ValueError, match="overflows"):
+            parse_scalar(token)
+
     def test_round_trip_through_format(self):
         for token in ["3", "-1/2", "2+3i", "-i", "0"]:
             assert parse_scalar(format_scalar(parse_scalar(token))) \
@@ -96,6 +101,7 @@ class TestGraphFormat:
         ("matrix 2\n0 1 0\n1 0\n", "line 2"),
         ("matrix 2\n0 x\n1 0\n", "line 2"),
         ("matrix 2\n0 1/0\n1 0\n", "line 2"),
+        ("matrix 2\n0 1e999\n1 0\n", "line 2"),
         ("edges 2 1\n1 3\n", "line 2"),
         ("edges 2 1\n1 1\n", "line 2"),
         ("edges 2 2\n1 2\n2 1\n", "duplicate"),

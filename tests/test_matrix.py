@@ -26,6 +26,7 @@ from perfstruct.errors import (
     DimensionError,
     DomainMismatchError,
     HypothesisNotMetError,
+    NonConvergenceError,
 )
 
 RNG = np.random.default_rng(20200419)
@@ -140,6 +141,15 @@ class TestEig:
     def test_defective_input_detected(self):
         with pytest.raises(DefectiveMatrixError):
             eig(Matrix.complex([[0, 1], [0, 0]]))
+
+    @pytest.mark.parametrize("rows", [
+        [[np.inf, 1], [1, 0]],              # inf - inf: not Hermitian within tol
+        [[1e308, 1e308], [1e308, -1e308]],  # finite, but the eigenvalues overflow
+    ])
+    def test_non_finite_result_is_no_eigensystem(self, rows):
+        # a nan residual fails the gate; it used to return nan eigenvalues
+        with np.errstate(all="ignore"), pytest.raises(NonConvergenceError):
+            eig(Matrix.complex(rows))
 
     def test_against_characteristic_polynomial(self):
         # roots of the exactly-expanded characteristic polynomial, n <= 4

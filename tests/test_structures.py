@@ -282,6 +282,18 @@ class TestUnityAdjacency:
         recon = np.outer(got.v, got.u) * Fraction(n)
         assert np.all(recon == s.parameters.data)
 
+    def test_complex_rank_one_pivots_past_solver_noise(self):
+        # least squares leaves ~4e-16 where S has true zeros; the pivot is the
+        # largest entry, and v is scaled at its first entry above tol
+        j = Matrix.ones(3, 3).to_complex()
+        p = Matrix.complex([[0.1, 1], [0.7, 1], [0.3, 1]])
+        s = PerfectStructure(j, p, parameters_from_structure(j, p))
+        assert verify(s) and is_nonsingular(s)
+        got = classify_unity(s)
+        assert got.case == "rank_one_parameters"
+        assert abs(got.v[0]) <= 1e-9 and got.v[1] == 1
+        assert np.allclose(got.u, [1.1 / 3, 1], rtol=0, atol=1e-12)
+
     def test_random_unity_structures(self):
         for _ in range(30):
             n = int(RNG.integers(2, 6))

@@ -7,6 +7,7 @@ from .matrix import (
     EXACT,
     EigenSystem,
     Matrix,
+    Spectrum,
     cluster_values,
     eig,
     eigensystem_on,
@@ -37,7 +38,6 @@ from .structures import (
 )
 from .graphs import (
     Graph,
-    Spectrum,
     bipartite_double,
     closed_form_spectrum,
     complement_spectrum,

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import files
-from .colorings import Coloring, census, verify_coloring, verify_fractional
+from .colorings import Coloring, census, product_coloring, verify_coloring, verify_fractional
 from .contraction import contract_named
 from .errors import (
     DefectiveMatrixError,
@@ -66,7 +66,7 @@ def resolve_graph_tokens(tokens: list[str]) -> tuple[Graph, int]:
     head = tokens[0]
     arity = FAMILY_ARITY.get(head)
     if arity is not None:
-        params = [int(t) for t in tokens[1:1 + arity]]
+        params = [files.parse_int(t) for t in tokens[1:1 + arity]]
         if len(params) != arity:
             raise files.ParseError(f"family {head!r} needs {arity} parameter(s)")
         return make_family(head, *params), 1 + arity
@@ -197,7 +197,6 @@ def cmd_product(args) -> int:
     if args.left_coloring or args.right_coloring:
         if not (args.left_coloring and args.right_coloring):
             raise files.ParseError("both factor colorings are required")
-        from .colorings import product_coloring
         cl = files.load_coloring(args.left_coloring)
         cr = files.load_coloring(args.right_coloring)
         if not isinstance(cl, Coloring) or not isinstance(cr, Coloring):
@@ -263,9 +262,9 @@ def cmd_census(args) -> int:
     rest = tokens[used:]
     if len(rest) != 1:
         raise files.ParseError("census needs exactly one trailing color count k")
-    k = int(rest[0])
-    if k < 1 or args.budget < 0:
-        raise files.ParseError("census needs k >= 1 and a budget >= 0")
+    k = files.parse_int(rest[0])
+    if k < 1:
+        raise files.ParseError("census needs k >= 1")
     result = census(graph, k, budget=args.budget)
     # group coloring classes by parameter matrix
     groups: dict[tuple, dict] = {}

@@ -413,12 +413,14 @@ def census(g: Graph, k: int, budget: int = 10 ** 8) -> CensusResult:
     forward check against the class's reference counts, and once a vertex's
     counts are final by comparing them with that reference.  ``budget`` caps
     the nodes expanded, one per tried color; a capped result is partial and
-    reports ``evaluated == budget``.  Every result is re-canonicalized in
+    reports ``evaluated == budget``, and a negative budget is a ValueError.  Every result is re-canonicalized in
     vertex order (colors in order of first appearance), and all of them are
     verified together by one exact block identity (``_verified_results``).
     """
     if g.adjacency.domain != EXACT:
         raise DomainMismatchError("the census needs an exact adjacency matrix")
+    if budget < 0:
+        raise ValueError(f"the census budget must be >= 0, got {budget}")
     if k < 1 or k > g.n:
         return CensusResult((), True, 0)
     found, complete, evaluated = _search(g, k, budget)

@@ -38,6 +38,15 @@ _COMPLEX_RE = re.compile(
 )
 
 
+def parse_int(token: str, line: int | None = None) -> int:
+    """An integer token; a ParseError that names the token, and its line when
+    given, for anything else."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"expected an integer, got {token!r}", line) from None
+
+
 def parse_scalar(token: str):
     """A rational Fraction, or a complex for 'i'-suffixed / decimal tokens; a
     decimal part that overflows to infinity is rejected."""
@@ -97,7 +106,7 @@ def parse_graph_text(text: str) -> Graph:
     if header[0] == "matrix":
         if len(header) != 2:
             raise ParseError("matrix header must be 'matrix n'", idx + 1)
-        n = int(header[1])
+        n = parse_int(header[1], idx + 1)
         if len(body) != n:
             raise ParseError(f"expected {n} matrix rows, found {len(body)}")
         rows = []
@@ -114,7 +123,7 @@ def parse_graph_text(text: str) -> Graph:
     if header[0] == "edges":
         if len(header) != 3:
             raise ParseError("edge-list header must be 'edges n m'", idx + 1)
-        n, m_edges = int(header[1]), int(header[2])
+        n, m_edges = (parse_int(tok, idx + 1) for tok in header[1:])
         if len(body) != m_edges:
             raise ParseError(f"expected {m_edges} edge lines, found {len(body)}")
         edges = []
@@ -123,7 +132,7 @@ def parse_graph_text(text: str) -> Graph:
             parts = ln.split()
             if len(parts) != 2:
                 raise ParseError("edge lines must be 'u v'", lineno)
-            u, v = int(parts[0]), int(parts[1])
+            u, v = (parse_int(tok, lineno) for tok in parts)
             if not (1 <= u <= n and 1 <= v <= n) or u == v:
                 raise ParseError(f"bad edge ({u}, {v})", lineno)
             key = (min(u, v), max(u, v))

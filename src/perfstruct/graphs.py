@@ -1,19 +1,23 @@
-"""Graphs, named families, and the closed-form spectra of the classic ones.
+"""Graphs, the table of named families, and their closed-form spectra.
 
-Family-tagged graphs regenerate their adjacency bit-exact from the tag.  Each
-product-defined family (grid, torus, prism, ladder, Hamming, bipartite double)
-is one ``PRODUCT_FAMILIES`` entry: a named product and its factor tags.  Its
-graph is that product of the factor graphs, and its closed-form spectrum is
-derived from the factors' closed forms by the product's eigenvalue rule,
-``NamedProduct.eigenvalue`` (mu + lam for Cartesian, mu * lam for tensor),
-recursing on tags without building a graph.  The remaining families are
-Kronecker products with I or J, which are not families, and keep their own
-formulas.
+Every named family is one row of ``FAMILIES``, of one of two kinds.  A
+``Leaf`` builds its adjacency from its integer parameters and lists its
+eigenvalues: the identity I, the all-ones J (the two adjacency matrices whose
+perfect structures the paper classifies), complete graphs, paths and cycles.
+A ``ProductFamily`` names a product kind of ``products.NAMED_SPECS`` and maps
+its parameters to its (left, right) factors, each a family tag or a Graph:
+matching = I ⊗ K_2, K_{n,n} = K_2 ⊗ J_n, double(G) = G ⊗ J_2, the torus
+C_m □ C_n, and so on.  Its graph is that product of the factor graphs, and
+its closed-form spectrum is derived from the factors' eigenvalues by the
+product's eigenvalue rule, ``NamedProduct.eigenvalue`` (mu + lam for
+Cartesian, mu * lam for tensor), recursing on tags without building a graph.
+Family-tagged graphs regenerate their adjacency bit-exact from the tag.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -25,44 +29,16 @@ from .matrix import (
     DEFAULT_TOL,
     EXACT,
     Matrix,
-    cluster_values,
+    Spectrum,
     eigenvalues,
-    kron,
 )
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Multiset of eigenvalues as (value, multiplicity) pairs.
-
-    ``labels``, when present, records the generating indices of each raw
-    value (e.g. the (i, j) of a torus eigenvalue) for reproducibility.
-    """
-
-    entries: tuple          # ((complex, int), ...) distinct under clustering
-    labels: tuple = ()      # ((complex, label), ...) raw generator list
-
-    @staticmethod
-    def from_values(values, labels=()) -> "Spectrum":
-        return Spectrum(entries=tuple(cluster_values(values)), labels=tuple(labels))
-
-    def values(self) -> list[complex]:
-        """The full multiset, expanded with multiplicities."""
-        out = []
-        for value, mult in self.entries:
-            out.extend([complex(value)] * mult)
-        return out
-
-    @property
-    def size(self) -> int:
-        return sum(mult for _, mult in self.entries)
+from .products import NAMED_SPECS, build_product
 
 
 @dataclass(frozen=True)
 class Graph:
     adjacency: Matrix
     family: tuple | None = None   # e.g. ("cycle", 5) or ("double", ("cycle", 5))
-    directed: bool = False
 
     @property
     def n(self) -> int:
@@ -87,10 +63,10 @@ def from_edges(n: int, edges, directed: bool = False) -> Graph:
         m[u - 1, v - 1] += 1
         if not directed:
             m[v - 1, u - 1] += 1
-    return Graph(Matrix(m, EXACT), directed=directed)
+    return Graph(Matrix(m, EXACT))
 
 
-# -- family constructors ----------------------------------------------
+# -- the family table -------------------------------------------------
 
 def _complete_adjacency(n: int) -> Matrix:
     return Matrix.ones(n, n) - Matrix.identity(n)
@@ -104,6 +80,8 @@ def _path_adjacency(n: int) -> Matrix:
 
 
 def _cycle_adjacency(n: int) -> Matrix:
+    if n < 3:
+        raise ValueError("a cycle needs at least 3 vertices")
     m = np.zeros((n, n), dtype=np.int64)
     i = np.arange(n)
     np.add.at(m, (i, (i + 1) % n), 1)
@@ -111,87 +89,94 @@ def _cycle_adjacency(n: int) -> Matrix:
     return Matrix(m, EXACT)
 
 
-#: number of integer parameters per family; None for a family over one graph
-FAMILY_ARITY = {
-    "complete": 1, "matching": 1, "complete_bipartite": 1,
-    "complete_multipartite": 2, "hamming": 2, "path": 1, "cycle": 1,
-    "grid": 2, "torus": 2, "prism": 1, "ladder": 1,
-    "double": None, "bipartite_double": None,
+@dataclass(frozen=True)
+class Leaf:
+    """A family built from its integer parameters: ``adjacency`` maps them to
+    the adjacency matrix, ``eigenvalues`` to every eigenvalue, listed with
+    its multiplicity."""
+
+    arity: int
+    adjacency: Callable
+    eigenvalues: Callable
+
+    def build(self, name: str, params: tuple) -> Graph:
+        return Graph(self.adjacency(*params), family=(name, *params))
+
+    def values(self, params) -> np.ndarray:
+        return np.array(self.eigenvalues(*params), dtype=np.complex128)
+
+
+@dataclass(frozen=True)
+class ProductFamily:
+    """A family that is the named product ``kind`` of two factors: ``factors``
+    maps the family's parameters to its (left, right) pair, each a family tag
+    or a Graph.  ``arity`` is None for a family over one graph."""
+
+    kind: str
+    arity: int | None
+    factors: Callable
+
+    def build(self, name: str, params: tuple) -> Graph:
+        """The product of the factor graphs; untagged when a graph parameter
+        carries no tag."""
+        left, right = (f if isinstance(f, Graph) else make_family(*f)
+                       for f in self.factors(*params))
+        adj = build_product(NAMED_SPECS[self.kind](left.adjacency, right.adjacency))
+        tag = tuple(p.family if isinstance(p, Graph) else p for p in params)
+        return Graph(adj, family=None if None in tag else (name, *tag))
+
+    def values(self, params) -> np.ndarray:
+        """The eigenvalue rule on every pair of factor eigenvalues, evaluated
+        once over the grid of all pairs."""
+        left, right = (_tag_values(f) for f in self.factors(*params))
+        return NAMED_SPECS[self.kind].eigenvalue(left[:, None], right[None, :]).ravel()
+
+
+#: every named family.  H(1, q) = K_q is written K_q □ K_1.
+FAMILIES = {
+    "identity": Leaf(1, Matrix.identity, lambda n: [1] * n),
+    "ones": Leaf(1, Matrix.ones, lambda n: [0] * (n - 1) + [n]),
+    "complete": Leaf(1, _complete_adjacency, lambda n: [-1] * (n - 1) + [n - 1]),
+    "path": Leaf(1, _path_adjacency, lambda n: [
+        2 * math.cos(math.pi * i / (n + 1)) for i in range(1, n + 1)]),
+    "cycle": Leaf(1, _cycle_adjacency, lambda n: [
+        2 * math.cos(2 * math.pi * i / n) for i in range(1, n + 1)]),
+    "matching": ProductFamily("tensor", 1, lambda n: (("identity", n), ("complete", 2))),
+    "complete_bipartite": ProductFamily("tensor", 1, lambda n: (("complete", 2), ("ones", n))),
+    "complete_multipartite": ProductFamily(
+        "tensor", 2, lambda k, n: (("complete", k), ("ones", n))),
+    "double": ProductFamily("tensor", None, lambda g: (g, ("ones", 2))),
+    "bipartite_double": ProductFamily("tensor", None, lambda g: (g, ("complete", 2))),
+    "grid": ProductFamily("cartesian", 2, lambda m, n: (("path", m), ("path", n))),
+    "torus": ProductFamily("cartesian", 2, lambda m, n: (("cycle", m), ("cycle", n))),
+    "prism": ProductFamily("cartesian", 1, lambda n: (("cycle", n), ("complete", 2))),
+    "ladder": ProductFamily("cartesian", 1, lambda n: (("path", n), ("complete", 2))),
+    "hamming": ProductFamily("cartesian", 2, lambda n, q: (
+        ("complete", q), ("hamming", n - 1, q) if n > 1 else ("complete", 1))),
 }
 
-#: product-defined families: name -> (named product kind, map from the
-#: family's parameters to its (left, right) factors, each a family tag or a
-#: Graph).  The kinds used have no J factor, so their closed-form spectra
-#: follow from the factors'.  H(1, q) = K_q is written K_q x K_1.
-PRODUCT_FAMILIES = {
-    "grid": ("cartesian", lambda m, n: (("path", m), ("path", n))),
-    "torus": ("cartesian", lambda m, n: (("cycle", m), ("cycle", n))),
-    "prism": ("cartesian", lambda n: (("cycle", n), ("complete", 2))),
-    "ladder": ("cartesian", lambda n: (("path", n), ("complete", 2))),
-    "hamming": ("cartesian", lambda n, q: (
-        ("complete", q), ("hamming", n - 1, q) if n > 1 else ("complete", 1))),
-    "bipartite_double": ("tensor", lambda g: (g, ("complete", 2))),
-}
+#: number of integer parameters per family; None for a family over one graph
+FAMILY_ARITY = {name: family.arity for name, family in FAMILIES.items()}
 
 
 def make_family(name: str, *params) -> Graph:
     """Construct a named family member; the tag regenerates it bit-exact."""
-    if name not in FAMILY_ARITY:
+    family = FAMILIES.get(name)
+    if family is None:
         raise ValueError(f"unknown graph family {name!r}")
-    if FAMILY_ARITY[name] is None:
-        (base,) = params
-        if name == "double":
-            return double_graph(base if isinstance(base, Graph) else make_family(*base))
-        return _product_family(name, base)
-
-    params = tuple(int(p) for p in params)
-    if len(params) != FAMILY_ARITY[name] or any(p < 1 for p in params):
-        raise ValueError(f"invalid parameters {params} for family {name!r}")
-    if name in PRODUCT_FAMILIES:
-        return _product_family(name, *params)
-
-    if name == "complete":
-        (n,) = params
-        adj = _complete_adjacency(n)
-    elif name == "matching":
-        (n,) = params  # n disjoint edges, 2n vertices
-        adj = kron(Matrix.identity(n), _complete_adjacency(2))
-    elif name == "complete_bipartite":
-        (n,) = params  # K_{n,n}: tensor of the single edge with the J-graph
-        adj = kron(_complete_adjacency(2), Matrix.ones(n, n))
-    elif name == "complete_multipartite":
-        k, n = params
-        adj = kron(_complete_adjacency(k), Matrix.ones(n, n))
-    elif name == "path":
-        (n,) = params
-        adj = _path_adjacency(n)
-    elif name == "cycle":
-        (n,) = params
-        if n < 3:
-            raise ValueError("a cycle needs at least 3 vertices")
-        adj = _cycle_adjacency(n)
-    else:  # pragma: no cover
-        raise AssertionError(name)
-    return Graph(adj, family=(name, *params))
-
-
-def _product_family(name: str, *params) -> Graph:
-    """A PRODUCT_FAMILIES member built by its named product; untagged when a
-    graph parameter carries no tag."""
-    from .products import NAMED_SPECS, build_product
-    kind, factors = PRODUCT_FAMILIES[name]
-    left, right = (f if isinstance(f, Graph) else make_family(*f)
-                   for f in factors(*params))
-    adj = build_product(NAMED_SPECS[kind](left.adjacency, right.adjacency))
-    tag = tuple(p.family if isinstance(p, Graph) else p for p in params)
-    return Graph(adj, family=None if None in tag else (name, *tag))
+    if family.arity is None:
+        if len(params) != 1 or not isinstance(params[0], (Graph, tuple)):
+            raise ValueError(f"family {name!r} takes one graph or tag")
+    else:
+        params = tuple(int(p) for p in params)
+        if len(params) != family.arity or any(p < 1 for p in params):
+            raise ValueError(f"invalid parameters {params} for family {name!r}")
+    return family.build(name, params)
 
 
 def double_graph(g: Graph) -> Graph:
     """Two copies of G plus all cross edges along edges of G: G x J_2."""
-    adj = kron(g.adjacency, Matrix.ones(2, 2))
-    tag = ("double", g.family) if g.family else None
-    return Graph(adj, family=tag)
+    return make_family("double", g)
 
 
 def bipartite_double(g: Graph) -> Graph:
@@ -205,69 +190,15 @@ def closed_form_spectrum(g: Graph) -> Spectrum:
     """Closed-form spectrum for family-tagged graphs; exact where rational."""
     if g.family is None:
         raise ValueError("graph carries no family tag; use a numeric spectrum")
-    return _tag_spectrum(g.family)
+    return Spectrum.from_values(_tag_values(g.family))
 
 
-def _tag_spectrum(tag) -> Spectrum:
+def _tag_values(tag) -> np.ndarray:
+    """Every eigenvalue of the family member ``tag``, with multiplicity."""
     name, *params = tag
-    if name in PRODUCT_FAMILIES:
-        return _product_spectrum(name, params)
-    if name == "complete":
-        (n,) = params
-        entries = [(-1 + 0j, n - 1), (n - 1 + 0j, 1)] if n > 1 else [(0j, 1)]
-        return Spectrum(tuple(entries))
-    if name == "matching":
-        (n,) = params
-        return Spectrum((((-1 + 0j), n), ((1 + 0j), n)))
-    if name == "complete_bipartite":
-        (n,) = params
-        entries = [(complex(-n), 1)]
-        if n > 1:
-            entries.append((0j, 2 * n - 2))
-        entries.append((complex(n), 1))
-        return Spectrum(tuple(entries))
-    if name == "complete_multipartite":
-        k, n = params
-        raw = [complex(-n)] * (k - 1) + [0j] * (k * (n - 1)) + [complex(n * (k - 1))]
-        return Spectrum.from_values(raw)
-    if name == "path":
-        (n,) = params
-        raw = [(2 * math.cos(math.pi * i / (n + 1)), i) for i in range(1, n + 1)]
-        return Spectrum.from_values([v for v, _ in raw],
-                                    labels=[(complex(v), i) for v, i in raw])
-    if name == "cycle":
-        (n,) = params
-        raw = [(2 * math.cos(2 * math.pi * i / n), i) for i in range(1, n + 1)]
-        return Spectrum.from_values([v for v, _ in raw],
-                                    labels=[(complex(v), i) for v, i in raw])
-    if name == "double":
-        base = _tag_spectrum(params[0])
-        raw = [0j] * (sum(m for _, m in base.entries)) + \
-              [2 * v for v in base.values()]
-        return Spectrum.from_values(raw)
-    raise ValueError(f"no closed-form spectrum known for family {name!r}")
-
-
-def _product_spectrum(name: str, params) -> Spectrum:
-    """Spectrum of a product family from its factors' closed forms, by the
-    product's eigenvalue rule on each pair of factor eigenvalues, evaluated
-    once over the grid of all pairs.  Each raw value is labelled by its
-    factors' labels, or by their eigenvalues where a factor records none."""
-    from .products import NAMED_SPECS
-    kind, factors = PRODUCT_FAMILIES[name]
-    named = NAMED_SPECS[kind]
-    left, right = (_raw_spectrum(_tag_spectrum(f)) for f in factors(*params))
-    mus = np.array([mu for mu, _ in left], dtype=np.complex128)
-    lams = np.array([lam for lam, _ in right], dtype=np.complex128)
-    values = named.eigenvalue(mus[:, None], lams[None, :]).ravel().tolist()
-    pairs = ((a, b) for _, a in left for _, b in right)
-    return Spectrum.from_values(values, labels=list(zip(values, pairs)))
-
-
-def _raw_spectrum(spec: Spectrum) -> list:
-    """(value, label) per raw eigenvalue; a value is its own label when the
-    spectrum records none."""
-    return list(spec.labels) or [(v, v) for v in spec.values()]
+    if name not in FAMILIES:
+        raise ValueError(f"no closed-form spectrum known for family {name!r}")
+    return FAMILIES[name].values(params)
 
 
 # -- structural predicates --------------------------------------------

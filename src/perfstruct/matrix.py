@@ -507,11 +507,20 @@ def _sort_and_normalize(values: np.ndarray, vectors: np.ndarray):
     return values, vectors * phases
 
 
+def _solver_input(m: Matrix) -> np.ndarray:
+    """The complex cast of ``m`` that the eigensolvers read.  Raises
+    NonConvergenceError for an infinite or nan entry, which no solver takes."""
+    a = m.to_complex().data
+    if not np.isfinite(a).all():
+        raise NonConvergenceError("matrix has an infinite or nan entry")
+    return a
+
+
 def _is_hermitian(m: Matrix, a: np.ndarray, tol: float) -> bool:
     """Does ``m`` take the Hermitian solver?  An exact matrix must be exactly
-    symmetric; ``a``, the complex cast of ``m``, need only be within ``tol``
-    of its conjugate transpose, entry by entry, with no relative slack.  An
-    infinite or nan entry never is."""
+    symmetric; ``a``, the finite complex cast of ``m``, need only be within
+    ``tol`` of its conjugate transpose, entry by entry, with no relative
+    slack."""
     if m.domain == EXACT:
         return bool(np.array_equal(m._ints, m._ints.T))
     return bool((np.abs(a - a.conj().T) <= tol).all())
@@ -551,7 +560,7 @@ def eig(m: Matrix, tol: float = DEFAULT_TOL) -> EigenSystem:
     """
     if not m.is_square():
         raise DimensionError("eig needs a square matrix")
-    a = m.to_complex().data
+    a = _solver_input(m)
     h = _hermitian_input(m, a, tol)
     try:
         values, vectors = np.linalg.eig(a) if h is None else np.linalg.eigh(h)
@@ -599,7 +608,7 @@ def eigensystem_on(a: Matrix, vectors, tol: float = DEFAULT_TOL, values=None,
 
 def eigenvalues(m: Matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Eigenvalues only, same deterministic ordering, no diagonalizability gate."""
-    a = m.to_complex().data
+    a = _solver_input(m)
     h = _hermitian_input(m, a, tol)
     if h is not None:
         return np.linalg.eigvalsh(h).astype(np.complex128)  # real and ascending
@@ -633,6 +642,29 @@ def cluster_values(values) -> list[tuple[complex, int]]:
         else:
             clusters.append((v, 1))
     return clusters
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Multiset of eigenvalues as (value, multiplicity) pairs, distinct under
+    ``cluster_values``."""
+
+    entries: tuple          # ((complex, int), ...)
+
+    @staticmethod
+    def from_values(values) -> "Spectrum":
+        return Spectrum(entries=tuple(cluster_values(values)))
+
+    def values(self) -> list[complex]:
+        """The full multiset, expanded with multiplicities."""
+        out = []
+        for value, mult in self.entries:
+            out.extend([complex(value)] * mult)
+        return out
+
+    @property
+    def size(self) -> int:
+        return sum(mult for _, mult in self.entries)
 
 
 def _matches_every_row(close: np.ndarray) -> bool:
@@ -724,7 +756,7 @@ def is_diagonalizable(m: Matrix, tol: float = DEFAULT_TOL) -> bool:
     within the blur of λ, which counts the neighbours it cannot tell apart."""
     if not m.is_square():
         raise DimensionError("is_diagonalizable needs a square matrix")
-    a = m.to_complex().data
+    a = _solver_input(m)
     if _is_hermitian(m, a, tol):
         return True
     n = a.shape[0]

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, UnverifiedStructureError
-from .graphs import Spectrum
 from .matrix import (
     COMPLEX,
     DEFAULT_TOL,
     EigenSystem,
     Matrix,
+    Spectrum,
     _same_value,
     eig,
     eigensystem_on,

@@ -135,8 +135,7 @@ def similar_transform(s: PerfectStructure, a: Matrix, b: Matrix,
 def canonical_form(s: PerfectStructure, tol: float = DEFAULT_TOL) -> CanonicalForm:
     """Diagonalize the parameter matrix: T = diag(sp(S)), columns of R = P·W
     are eigenvectors of M, and P = R·B with B = W^-1."""
-    _require_verified(s, tol)
-    if not is_nonsingular(s, tol):
+    if not is_nonsingular(s, tol):  # verifies the triple
         raise SingularMatrixError("canonical form needs a full-rank structure matrix")
     try:
         es = eig(s.parameters, tol)
@@ -158,8 +157,7 @@ def canonical_form(s: PerfectStructure, tol: float = DEFAULT_TOL) -> CanonicalFo
 
 def spectrum_inclusion_check(s: PerfectStructure, tol: float = DEFAULT_TOL) -> bool:
     """sp(S) included in sp(M) as a multiset, and S diagonalizable."""
-    _require_verified(s, tol)
-    if not is_nonsingular(s, tol):
+    if not is_nonsingular(s, tol):  # verifies the triple
         raise UnverifiedStructureError("spectrum inclusion needs a nonsingular structure")
     if not is_diagonalizable(s.parameters, tol):
         return False
@@ -222,8 +220,7 @@ def classify_unity(s: PerfectStructure, tol: float = DEFAULT_TOL) -> UnityClassi
     n, k, domain = s.n, s.k, s.domain
     if not (s.adjacency - Matrix.ones(n, n, domain)).is_zero(tol):
         raise UnverifiedStructureError("adjacency matrix is not J")
-    _require_verified(s, tol)
-    if not is_nonsingular(s, tol):
+    if not is_nonsingular(s, tol):  # verifies the triple
         raise UnverifiedStructureError("classification needs a nonsingular structure")
 
     sp, p = s.parameters, s.structure

@@ -137,6 +137,20 @@ class TestSpectrum:
         assert graph.adjacency == make_family(name, *params).adjacency
 
 
+class TestIntegerTokens:
+    @pytest.mark.parametrize("argv", [["spectrum", "cycle", "x"],
+                                      ["census", "c6", "x"],
+                                      ["census", "hamming", "3", "x", "2"]])
+    def test_non_integer_token_is_named(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: expected an integer, got 'x'\n"
+
+    def test_non_integer_header_is_named_with_its_line(self, tmp_path, capsys):
+        g = write(tmp_path, "g.graph", "matrix x\n")
+        assert main(["spectrum", g]) == 2
+        assert capsys.readouterr().err == "error: line 1: expected an integer, got 'x'\n"
+
+
 class TestProduct:
     def test_cartesian(self, tmp_path, capsys):
         out_path = str(tmp_path / "prod.graph")

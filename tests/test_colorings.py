@@ -251,6 +251,11 @@ class TestCensus:
         res = census(g, 3, budget=10)
         assert not res.complete
 
+    def test_negative_budget_is_refused(self):
+        # it used to search without limit: 1,067,937 nodes for this graph
+        with pytest.raises(ValueError):
+            census(make_family("hamming", 3, 3), 3, budget=-1)
+
     def test_out_of_range_k(self):
         g = make_family("cycle", 4)
         assert census(g, 0).results == ()
@@ -303,7 +308,7 @@ class TestCensusSearchOracles:
         for _ in range(40):
             n = int(rng.integers(3, 7))
             arcs = rng.choice([0, 0, 0, 1, 2, 3], size=(n, n))  # loops included
-            self._agrees(Graph(Matrix.exact(arcs.tolist()), directed=True))
+            self._agrees(Graph(Matrix.exact(arcs.tolist())))
 
     def test_symmetric_signed(self):
         rng = np.random.default_rng(8)

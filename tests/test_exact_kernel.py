@@ -352,22 +352,22 @@ def networkx_digraph(rows):
 @settings(max_examples=200, deadline=None)
 @given(weighted_graphs())
 def test_is_connected_matches_networkx(case):
-    rows, directed = case
+    rows, _ = case
     nx, oracle = networkx_digraph(rows)
-    got = is_connected(Graph(Matrix.exact(rows), directed=directed))
+    got = is_connected(Graph(Matrix.exact(rows)))
     assert got == nx.is_weakly_connected(oracle)
 
 
 @settings(max_examples=200, deadline=None)
 @given(weighted_graphs())
 def test_is_regular_matches_networkx(case):
-    rows, directed = case
+    rows, _ = case
     _, oracle = networkx_digraph(rows)
     symmetric = all(oracle.has_edge(v, u) and oracle[v][u]["weight"] == d["weight"]
                     for u, v, d in oracle.edges(data=True))
     degrees = {oracle.out_degree(v, weight="weight") for v in oracle}
     expected = degrees.pop() if symmetric and len(degrees) == 1 else None
-    got = is_regular(Graph(Matrix.exact(rows), directed=directed))
+    got = is_regular(Graph(Matrix.exact(rows)))
     assert got == expected
     if expected is not None and Fraction(expected).denominator == 1:
         assert type(got) is int

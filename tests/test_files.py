@@ -106,6 +106,9 @@ class TestGraphFormat:
         ("edges 2 1\n1 1\n", "line 2"),
         ("edges 2 2\n1 2\n2 1\n", "duplicate"),
         ("triangles 3\n", "unknown header"),
+        ("matrix x\n", "line 1: expected an integer, got 'x'"),
+        ("edges 2 x\n1 2\n", "line 1: expected an integer, got 'x'"),
+        ("\nedges 2 1\n1 x\n", "line 3: expected an integer, got 'x'"),
     ])
     def test_errors_carry_line_numbers(self, text, fragment):
         with pytest.raises(ParseError) as exc:

@@ -21,7 +21,7 @@ from perfstruct import (
     multiset_discrepancy,
     numeric_spectrum,
 )
-from perfstruct.graphs import PRODUCT_FAMILIES, Spectrum
+from perfstruct.graphs import FAMILIES, ProductFamily, Spectrum
 from perfstruct.products import NAMED_SPECS
 from perfstruct.errors import HypothesisNotMetError
 
@@ -44,6 +44,10 @@ FAMILY_CASES = [
     ("prism", (5,)),
     ("ladder", (4,)),
     ("hamming", (2, 1)),
+    ("identity", (3,)),
+    ("ones", (4,)),
+    ("double", (("cycle", 5),)),
+    ("bipartite_double", (("complete", 4),)),
 ]
 
 
@@ -75,6 +79,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_family("petersen", 10)
 
+    @pytest.mark.parametrize("params", [(), (("cycle", 5), ("cycle", 5)), (3,)])
+    def test_a_family_over_one_graph_takes_one(self, params):
+        with pytest.raises(ValueError):
+            make_family("double", *params)
+
     def test_family_tags_regenerate(self):
         for name, params in FAMILY_CASES:
             g = make_family(name, *params)
@@ -97,19 +106,17 @@ class TestClosedFormSpectra:
         assert min(mults) >= 1 and sum(mults) == g.n
 
     @pytest.mark.parametrize("name,params", [
-        case for case in FAMILY_CASES if case[0] in PRODUCT_FAMILIES])
+        case for case in FAMILY_CASES if isinstance(FAMILIES[case[0]], ProductFamily)])
     def test_product_rule_pair_by_pair(self, name, params):
         """The closed form evaluates the product's eigenvalue rule over all
         pairs at once; each value equals the scalar rule on its pair."""
-        kind, factors = PRODUCT_FAMILIES[name]
-        named = NAMED_SPECS[kind]
-        left, right = (list(sp.labels) or [(v, v) for v in sp.values()]
-                       for sp in (closed_form_spectrum(make_family(*f))
-                                  for f in factors(*params)))
-        labels = [(named.eigenvalue(mu, lam), (a, b)) for mu, a in left for lam, b in right]
+        family = FAMILIES[name]
+        named = NAMED_SPECS[family.kind]
+        left, right = (closed_form_spectrum(make_family(*f)).values()
+                       for f in family.factors(*params))
+        values = [named.eigenvalue(mu, lam) for mu in left for lam in right]
         got = closed_form_spectrum(make_family(name, *params))
-        assert got.labels == tuple(labels)
-        assert got.entries == Spectrum.from_values([v for v, _ in labels]).entries
+        assert got.entries == Spectrum.from_values(values).entries
 
     def test_hamming_multiplicities(self):
         sp = closed_form_spectrum(make_family("hamming", 3, 2))
@@ -144,6 +151,11 @@ class TestClosedFormSpectra:
 
     def test_untagged_graph_has_no_closed_form(self):
         g = from_edges(3, [(1, 2)])
+        with pytest.raises(ValueError):
+            closed_form_spectrum(g)
+
+    def test_unknown_tag_has_no_closed_form(self):
+        g = Graph(Matrix.identity(2), family=("petersen", 2))
         with pytest.raises(ValueError):
             closed_form_spectrum(g)
 

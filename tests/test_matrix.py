@@ -1,5 +1,6 @@
 """Numerics: Kronecker products, rank, eigendecomposition, polynomials."""
 
+import warnings
 from fractions import Fraction
 from itertools import permutations
 
@@ -150,6 +151,14 @@ class TestEig:
         # a nan residual fails the gate; it used to return nan eigenvalues
         with np.errstate(all="ignore"), pytest.raises(NonConvergenceError):
             eig(Matrix.complex(rows))
+
+    @pytest.mark.parametrize("solver", [eig, eigenvalues, is_diagonalizable])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_is_refused_without_a_warning(self, solver, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergenceError):
+                solver(Matrix.complex([[bad, 1], [1, 0]]))
 
     def test_against_characteristic_polynomial(self):
         # roots of the exactly-expanded characteristic polynomial, n <= 4

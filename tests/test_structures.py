@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from perfstruct import structures
 from perfstruct import (
     Matrix,
     PerfectStructure,
@@ -142,6 +143,29 @@ class TestClosureOperations:
                                Matrix.exact([[1, 1], [1, 1]]))
         with pytest.raises(UnverifiedStructureError):
             similar_transform(bad, Matrix.identity(4), Matrix.identity(2))
+
+
+def unity_structure():
+    """J_4 with the all-ones column: J P = 4 P, so S = [4]."""
+    return PerfectStructure(Matrix.ones(4, 4), Matrix.exact([[1]] * 4), Matrix.exact([[4]]))
+
+
+class TestVerifiesOnce:
+    @pytest.mark.parametrize("check,make", [
+        (canonical_form, alternating_structure),
+        (spectrum_inclusion_check, alternating_structure),
+        (classify_unity, unity_structure),
+    ])
+    def test_one_verify_call(self, monkeypatch, check, make):
+        calls = []
+
+        def counting_verify(s, tol):
+            calls.append(s)
+            return verify(s, tol)
+
+        monkeypatch.setattr(structures, "verify", counting_verify)
+        check(make())
+        assert len(calls) == 1
 
 
 class TestCanonicalForm:

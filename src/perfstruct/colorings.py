@@ -19,6 +19,8 @@ from .matrix import (
     DEFAULT_TOL,
     EXACT,
     Matrix,
+    _guarded,
+    _magnitude,
     _narrow,
     _same_value,
     eigenvalues,
@@ -40,15 +42,21 @@ class Coloring:
     @staticmethod
     def from_colors(colors) -> "Coloring":
         colors = tuple(int(c) for c in colors)
-        k = max(colors)
-        if sorted(set(colors)) != list(range(1, k + 1)):
+        if not colors:
+            raise DimensionError("a coloring needs at least one vertex")
+        n, k = len(colors), max(colors)
+        # a surjective range 1..k has k <= n, which keeps the bincount small
+        surjective = min(colors) >= 1 and k <= n
+        if surjective:
+            index = np.array(colors) - 1
+            sizes = np.bincount(index)
+            surjective = bool(sizes.all())
+        if not surjective:
             raise DimensionError("colors must form a contiguous surjective range 1..k")
-        n = len(colors)
         p = np.zeros((n, k), dtype=np.int64)
-        p[np.arange(n), np.array(colors) - 1] = 1
-        sizes = tuple(colors.count(j + 1) for j in range(k))
-        return Coloring(colors=colors, k=k, indicator=Matrix(p, EXACT),
-                        class_sizes=sizes)
+        p[np.arange(n), index] = 1
+        return Coloring(colors=colors, k=k, indicator=Matrix._wrap(p),
+                        class_sizes=tuple(sizes.tolist()))
 
     @property
     def n(self) -> int:
@@ -70,37 +78,55 @@ class FractionalColoring:
             raise DimensionError(f"row {i + 1} of the weights does not sum to 1")
 
 
-def _neighbor_counts(g: Graph, colors, k: int, v: int) -> list:
-    """Color-count vector over the neighborhood of vertex v (entries weight
-    multi-edges)."""
-    counts = [0] * k
-    for w, x in g.neighbors[v]:
-        counts[colors[w] - 1] += x
-    return counts
+def _class_counts(a: Matrix, colors: np.ndarray, sizes) -> np.ndarray:
+    """The numerators of A·P over A's denominator, for the coloring with
+    colors ``colors`` (0..k-1) and class sizes ``sizes``: entry (v, j) sums
+    row v of A's numerators over the columns colored j.  One ``reduceat``
+    over the columns sorted by color, in int64 when max|A|·n bounds every
+    sum, else over Python ints (``_guarded``)."""
+    order = np.argsort(colors, kind="stable")
+    starts = np.cumsum((0, *sizes[:-1]))
+    return _guarded(_magnitude(a._ints) * len(colors),
+                    lambda x: np.add.reduceat(x[:, order], starts, axis=1), a._ints)
+
+
+def _parameters_at_first(counts: np.ndarray, colors: np.ndarray, k: int):
+    """S read from class counts: for R colorings ``colors`` (R x n, colors
+    0..k-1) with class counts ``counts`` (R x n x k), row i of S_r is the
+    counts of class i's first vertex.  The R x k x k stack of S_r, or None
+    unless every vertex's counts equal its class's row, that is unless
+    counts[r] == P_r·S_r for every r."""
+    batch = np.arange(len(colors))[:, None]
+    first = np.argmax(colors[:, None, :] == np.arange(k)[:, None], axis=-1)   # R x k
+    s = counts[batch, first]
+    return s if np.array_equal(counts, s[batch, colors]) else None
 
 
 def verify_coloring(g: Graph, c: Coloring) -> Matrix | None:
     """Parameter matrix S of a perfect coloring, or None when not perfect.
 
-    Checked combinatorially (all color-i vertices share one neighbor count
-    vector), then cross-checked as M·P = P·S bit-exact, which needs an exact
+    Row v of A·P counts v's neighbors in each color, weighted by A.  One
+    vectorised kernel (``_class_counts``) forms these counts from the
+    numerators of A, S is read at each class's first vertex, and the
+    coloring is perfect when every vertex agrees with its class
+    (``_parameters_at_first``).  S is then cross-checked as A·P = P·S
+    bit-exact through ``Matrix`` products, which compute A·P independently
+    of the counts; a disagreement raises ArithmeticError.  Needs an exact
     adjacency.
     """
-    if g.adjacency.domain != EXACT:
+    a = g.adjacency
+    if a.domain != EXACT:
         raise DomainMismatchError(
             "integer colorings are verified over an exact adjacency matrix")
     if c.n != g.n:
         raise DimensionError("coloring length must equal the number of vertices")
-    reference: list[list | None] = [None] * c.k
-    for v in range(g.n):
-        counts = _neighbor_counts(g, c.colors, c.k, v)
-        i = c.colors[v] - 1
-        if reference[i] is None:
-            reference[i] = counts
-        elif reference[i] != counts:
-            return None
-    s = Matrix.exact([ref for ref in reference])
-    if not (g.adjacency @ c.indicator - c.indicator @ s).is_zero():
+    colors = np.array(c.colors) - 1
+    counts = _class_counts(a, colors, c.class_sizes)
+    s = _parameters_at_first(counts[None], colors[None], c.k)
+    if s is None:
+        return None
+    s = Matrix._wrap(_narrow(s[0]), a._den)
+    if not (a @ c.indicator - c.indicator @ s).is_zero():
         raise ArithmeticError("combinatorial and algebraic verifiers disagree")
     return s
 
@@ -386,17 +412,17 @@ def _verified_results(g: Graph, keys: list) -> tuple:
     S_R, a direct sum) is perfect exactly when every (A, P_r, S_r) is.  S_r is
     read from A·P_r at the first vertex of each class, and A·[P_1 ... P_R] =
     [P_1 ... P_R]·(S_1 + ... + S_R) is compared numerator for numerator over
-    the one denominator of A·[P_1 ... P_R]; a coloring it rejects raises
+    the one denominator of A·[P_1 ... P_R], both by ``_parameters_at_first``,
+    the rule ``verify_coloring`` decides by; a coloring it rejects raises
     ArithmeticError.  The indicators P_r are views of the one batch array.
     """
     n, batches, k = g.n, len(keys), max(keys[0])
     colors = np.array(keys, dtype=np.intp) - 1                       # R x n
     onehot = (colors[:, :, None] == np.arange(k)).astype(np.int64)   # P_r = onehot[r]
     ap = g.adjacency @ Matrix(onehot.transpose(1, 0, 2).reshape(n, batches * k), EXACT)
-    blocks = ap._ints.reshape(n, batches, k)                          # A·P_r = blocks[:, r]
-    batch = np.arange(batches)[:, None]
-    s = blocks[onehot.argmax(axis=1), batch]                          # R x k x k
-    if not np.array_equal(blocks, s[batch, colors].transpose(1, 0, 2)):
+    blocks = ap._ints.reshape(n, batches, k).transpose(1, 0, 2)       # A·P_r = blocks[r]
+    s = _parameters_at_first(blocks, colors, k)                       # R x k x k
+    if s is None:
         raise ArithmeticError("census found a coloring that fails verification")
     sizes = onehot.sum(axis=1).tolist()
     return tuple((Coloring(key, k, Matrix._wrap(p), tuple(size)),

@@ -186,23 +186,21 @@ def save_graph(g: Graph, path: str):
 
 def parse_coloring_text(text: str):
     """A Coloring (one integer per line) or FractionalColoring (k decimals)."""
-    rows = [ln.split() for ln in text.splitlines() if ln.strip()]
+    rows = [(lineno, ln.split()) for lineno, ln in enumerate(text.splitlines(), start=1)
+            if ln.strip()]
     if not rows:
         raise ParseError("empty coloring file")
-    if all(len(r) == 1 for r in rows):
-        try:
-            colors = [int(r[0]) for r in rows]
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
+    if all(len(r) == 1 for _, r in rows):
+        colors = [parse_int(r[0], lineno) for lineno, r in rows]
         try:
             return Coloring.from_colors(colors)
         except DimensionError as exc:
             raise ParseError(str(exc)) from exc
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    width = len(rows[0][1])
+    if any(len(r) != width for _, r in rows):
         raise ParseError("fractional coloring rows must all have k entries")
     entries = []
-    for lineno, r in enumerate(rows, start=1):
+    for lineno, r in rows:
         try:
             entries.append([parse_scalar(tok) for tok in r])
         except ValueError as exc:

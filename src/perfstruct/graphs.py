@@ -69,14 +69,14 @@ def from_edges(n: int, edges, directed: bool = False) -> Graph:
 # -- the family table -------------------------------------------------
 
 def _complete_adjacency(n: int) -> Matrix:
-    return Matrix.ones(n, n) - Matrix.identity(n)
+    return Matrix._wrap(1 - np.eye(n, dtype=np.int64))
 
 
 def _path_adjacency(n: int) -> Matrix:
     m = np.zeros((n, n), dtype=np.int64)
     i = np.arange(n - 1)
     m[i, i + 1] = m[i + 1, i] = 1
-    return Matrix(m, EXACT)
+    return Matrix._wrap(m)
 
 
 def _cycle_adjacency(n: int) -> Matrix:
@@ -86,7 +86,7 @@ def _cycle_adjacency(n: int) -> Matrix:
     i = np.arange(n)
     np.add.at(m, (i, (i + 1) % n), 1)
     np.add.at(m, ((i + 1) % n, i), 1)
-    return Matrix(m, EXACT)
+    return Matrix._wrap(m)
 
 
 @dataclass(frozen=True)

@@ -456,14 +456,21 @@ def exact_solve(a: Matrix, b: Matrix) -> Matrix | None:
 
 # -- module operations ------------------------------------------------
 
+def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The Kronecker product of two 2-d arrays as one broadcast product:
+    entry (i·p + k, j·q + l) is x[i, j]·y[k, l], for y of shape (p, q)."""
+    (m, n), (p, q) = x.shape, y.shape
+    return (x[:, None, :, None] * y[None, :, None, :]).reshape(m * p, n * q)
+
+
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product, block layout (a_11*B ... a_1n*B; ...)."""
     if a.domain != b.domain:
         raise DomainMismatchError("kron requires both factors in one domain")
     if a.domain == COMPLEX:
-        return Matrix(np.kron(a.data, b.data), COMPLEX)
+        return Matrix(_kron(a._data, b._data), COMPLEX)
     x, y = a._ints, b._ints
-    return Matrix._wrap(_guarded(_magnitude(x) * _magnitude(y), np.kron, x, y),
+    return Matrix._wrap(_guarded(_magnitude(x) * _magnitude(y), _kron, x, y),
                         a._den * b._den)
 
 

@@ -11,17 +11,23 @@ share an eigenbasis: ``joint_eigensystems`` builds one per side, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .errors import DimensionError, UnverifiedStructureError
+from .errors import DimensionError, DomainMismatchError, UnverifiedStructureError
 from .matrix import (
     COMPLEX,
     DEFAULT_TOL,
     EigenSystem,
     Matrix,
     Spectrum,
+    _as_exact,
+    _guarded,
+    _kron,
+    _magnitude,
     _same_value,
     eig,
     eigensystem_on,
@@ -112,16 +118,35 @@ def grid_value(coefficients, xs, ys):
 
 
 def _kron_sum(coefficients, lefts, rights) -> Matrix:
-    """sum a_ij * (lefts[i] kron rights[j]) over the nonzero coefficients."""
-    acc = None
-    for i, a in enumerate(lefts):
-        for j, b in enumerate(rights):
-            c = coefficients[i][j]
-            if c == 0:
-                continue
-            term = kron(a, b).scale(c)
-            acc = term if acc is None else acc + term
-    return acc
+    """sum a_ij * (lefts[i] kron rights[j]) over the nonzero coefficients.
+
+    Exact terms are summed in one pass over the numerators.  Term t is
+    a_ij·X ⊗ Y with X = N_X/d_X and Y = N_Y/d_Y; over the lcm D of the terms'
+    denominators it is m_t·N_X ⊗ N_Y / D for an integer m_t.  One bound,
+    sum |m_t|·max(1, max|N_X|)·max(1, max|N_Y|), caps every entry and
+    partial sum, m_t itself included, so the whole sum runs in int64 or over
+    Python ints (``_guarded``).  Complex terms are one numpy sum."""
+    terms = [(c, lefts[i], rights[j]) for i, row in enumerate(coefficients)
+             for j, c in enumerate(row) if c != 0]
+    if len({f.domain for _, x, y in terms for f in (x, y)}) != 1:
+        raise DomainMismatchError("a product needs all its factors in one domain")
+    if terms[0][1].domain == COMPLEX:
+        return Matrix(reduce(np.add, (_kron(x._data, y._data) * complex(c)
+                                      for c, x, y in terms)), COMPLEX)
+    scalars = [_as_exact(c) for c, _, _ in terms]
+    dens = [c.denominator * x._den * y._den for c, (_, x, y) in zip(scalars, terms)]
+    den = math.lcm(*dens)
+    multipliers = [c.numerator * (den // d) for c, d in zip(scalars, dens)]
+    size = {id(f): max(_magnitude(f._ints), 1) for _, x, y in terms for f in (x, y)}
+    bound = sum(abs(m) * size[id(x)] * size[id(y)]
+                for m, (_, x, y) in zip(multipliers, terms))
+
+    def kron_sum(*ints):
+        return reduce(np.add, (_kron(x * m, y) for m, x, y
+                               in zip(multipliers, ints[::2], ints[1::2])))
+
+    return Matrix._wrap(_guarded(bound, kron_sum,
+                                 *(f._ints for _, x, y in terms for f in (x, y))), den)
 
 
 def build_product(spec: ProductSpec) -> Matrix:

@@ -150,6 +150,11 @@ class TestIntegerTokens:
         assert main(["spectrum", g]) == 2
         assert capsys.readouterr().err == "error: line 1: expected an integer, got 'x'\n"
 
+    def test_non_integer_color_is_named_with_its_line(self, tmp_path, c4_file, capsys):
+        coloring = write(tmp_path, "bad.col", "1\nx\n1\n2\n")
+        assert main(["verify", c4_file, coloring]) == 2
+        assert capsys.readouterr().err == "error: line 2: expected an integer, got 'x'\n"
+
 
 class TestProduct:
     def test_cartesian(self, tmp_path, capsys):

@@ -1,11 +1,17 @@
 """Tests for perfect colorings, coverings, product colorings, orthogonality,
 and the exhaustive census."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product as iproduct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfstruct import (
     Coloring,
@@ -42,6 +48,11 @@ class TestColoring:
         with pytest.raises(DimensionError):
             Coloring.from_colors([1, 3, 1])
 
+    @pytest.mark.parametrize("colors", [[], [0, 1], [-1, 1], [2, 2], [1, 2, 10 ** 30]])
+    def test_invalid_colors_are_a_dimension_error(self, colors):
+        with pytest.raises(DimensionError):
+            Coloring.from_colors(colors)
+
 
 class TestVerifyColoring:
     def test_alternating_on_even_cycle(self):
@@ -70,6 +81,106 @@ class TestVerifyColoring:
         g = Graph(Matrix.complex([[0, 1.5], [1.5, 0]]))
         with pytest.raises(DomainMismatchError):
             verify_coloring(g, Coloring.from_colors([1, 2]))
+
+    def test_builds_no_neighbor_lists(self):
+        g = make_family("torus", 4, 4)
+        assert verify_coloring(g, Coloring.from_colors([1, 2] * 8)) is not None
+        assert verify_coloring(g, Coloring.from_colors([1, 1, 2, 2] * 4)) is not None
+        assert verify_coloring(g, Coloring.from_colors([1] * 15 + [2])) is None
+        assert "neighbors" not in g.__dict__
+
+
+BIG = 2 ** 62
+#: adjacency weights: mostly zero, small signed integers and rationals, and
+#: entries near ±2**62, whose class counts leave int64
+WEIGHTS = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                    st.sampled_from([BIG, -BIG, BIG - 1]))
+
+
+def brute_force_parameters(rows, colors):
+    """S by counting every vertex's neighbors one by one, or None when two
+    same-colored vertices count differently."""
+    k = max(colors)
+    reference = [None] * k
+    for v, row in enumerate(rows):
+        counts = [Fraction(0)] * k
+        for w, x in enumerate(row):
+            counts[colors[w] - 1] += x
+        i = colors[v] - 1
+        if reference[i] is None:
+            reference[i] = counts
+        elif reference[i] != counts:
+            return None
+    return Matrix.exact(reference)
+
+
+def invariant_rows(perm, weights, directed):
+    """A weighted adjacency that the vertex permutation ``perm`` preserves:
+    each orbit of ordered pairs under ``perm`` takes one weight."""
+    n = len(perm)
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            u, v = i, j
+            while rows[u][v] is None:
+                rows[u][v] = weights[i * n + j]
+                u, v = perm[u], perm[v]
+    if directed:
+        return rows
+    return [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
+
+
+def orbit_colors(perm):
+    """Each vertex colored by its cycle of ``perm``: the orbit partition of
+    an automorphism, which is always perfect."""
+    colors = [0] * len(perm)
+    k = 0
+    for start in range(len(perm)):
+        if not colors[start]:
+            k += 1
+            v = start
+            while not colors[v]:
+                colors[v] = k
+                v = perm[v]
+    return colors
+
+
+class TestVerifyColoringOracle:
+    """verify_coloring's verdict and S, bit-identical, against a per-vertex
+    brute-force count."""
+
+    @staticmethod
+    def check(rows, colors):
+        expected = brute_force_parameters(rows, colors)
+        got = verify_coloring(Graph(Matrix.exact(rows)), Coloring.from_colors(colors))
+        if expected is None:
+            assert got is None
+        else:
+            assert got == expected
+            assert got._ints.dtype == expected._ints.dtype
+            assert got._den == expected._den
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 7), directed=st.booleans())
+    def test_random_colorings(self, data, n, directed):
+        rows = [[data.draw(WEIGHTS) for _ in range(n)] for _ in range(n)]
+        if not directed:
+            rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        raw = data.draw(st.lists(st.integers(1, n), min_size=n, max_size=n))
+        canonical = canonical_colors(raw)
+        labels = data.draw(st.permutations(range(1, max(canonical) + 1)))
+        self.check(rows, [labels[c - 1] for c in canonical])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8), directed=st.booleans())
+    def test_orbit_colorings(self, data, n, directed):
+        perm = data.draw(st.permutations(range(n)))
+        weights = data.draw(st.lists(WEIGHTS, min_size=n * n, max_size=n * n))
+        rows = invariant_rows(perm, weights, directed)
+        colors = orbit_colors(perm)
+        assert brute_force_parameters(rows, colors) is not None
+        self.check(rows, colors)
 
 
 class TestCovering:
@@ -376,10 +487,36 @@ class TestCrossChecks:
     under ``python -O``; a wrong kernel makes it fire."""
 
     def test_verify_coloring(self, monkeypatch):
-        monkeypatch.setattr(colorings, "_neighbor_counts",
-                            lambda g, colors, k, v: [Fraction(0)] * k)
+        # all-zero counts read as a perfect coloring with S = 0, which the
+        # independent A·P = P·S check refutes
+        monkeypatch.setattr(colorings, "_class_counts",
+                            lambda a, colors, sizes: np.zeros((len(colors), len(sizes)),
+                                                              dtype=np.int64))
         with pytest.raises(ArithmeticError):
             verify_coloring(make_family("cycle", 4), Coloring.from_colors([1, 2, 1, 2]))
+
+    def test_verify_coloring_under_optimize(self):
+        """The same wrong counts raise under ``python -O``, where an assert
+        would not run."""
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from perfstruct import Coloring, colorings, make_family\n"
+            "colorings._class_counts = lambda a, colors, sizes: np.zeros(\n"
+            "    (len(colors), len(sizes)), dtype=np.int64)\n"
+            "print(sys.flags.optimize)\n"
+            "try:\n"
+            "    colorings.verify_coloring(make_family('cycle', 4),\n"
+            "                              Coloring.from_colors([1, 2, 1, 2]))\n"
+            "except ArithmeticError:\n"
+            "    print('ArithmeticError')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(colorings.__file__).parents[1]))
+        env.pop("PYTHONOPTIMIZE", None)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "ArithmeticError"]
 
     def test_product_coloring(self, monkeypatch):
         monkeypatch.setattr(colorings, "_kron_sum",

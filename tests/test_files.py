@@ -138,6 +138,17 @@ class TestColoringFormat:
         with pytest.raises(ParseError):
             parse_coloring_text("1\n3\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("1\nx\n1\n", "line 2: expected an integer, got 'x'"),
+        ("\n1\n\n2\n1.5\n", "line 5: expected an integer, got '1.5'"),
+        # blank lines count: the bad token is on physical line 5
+        ("\n\n1/2 1/2\n\n1 x\n", "line 5: "),
+    ])
+    def test_errors_carry_physical_line_numbers(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_coloring_text(text)
+        assert str(exc.value).startswith(message)
+
 
 class TestVectorFormat:
     def test_parse(self):

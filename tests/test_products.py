@@ -1,7 +1,11 @@
 """Tests for coefficient products: structures, spectra, and eigenvectors."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfstruct import (
     Matrix,
@@ -31,9 +35,11 @@ from perfstruct import (
 )
 from perfstruct.errors import (
     DimensionError,
+    DomainMismatchError,
     HypothesisNotMetError,
     UnverifiedStructureError,
 )
+from perfstruct.products import NAMED_SPECS
 
 from helpers import random_structure_collection
 
@@ -383,3 +389,113 @@ class TestBuildProductOracle:
         expected = nx.to_numpy_array(product, nodelist=order, dtype=int, weight=None)
         got = build_product(NAMED_SPECS[kind](g.adjacency, h.adjacency))
         assert got == Matrix.exact(expected.tolist())
+
+
+# -- the Kronecker sum against a Fraction reference -------------------
+
+BIG = 2 ** 62
+#: small integers, rationals with assorted denominators, and entries near
+#: ±2**62, whose products and sums leave int64
+ENTRIES = st.one_of(st.just(0), st.integers(-3, 3),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+                    st.sampled_from([BIG, -BIG, BIG - 1, 1 - BIG]))
+COEFFICIENTS = st.one_of(st.integers(-2, 2),
+                         st.fractions(min_value=-2, max_value=2, max_denominator=5))
+
+
+@st.composite
+def square_rows(draw, n):
+    return [[draw(ENTRIES) for _ in range(n)] for _ in range(n)]
+
+
+def fraction_kron_sum(coefficients, lefts, rights):
+    """sum a_ij (X_i kron Y_j) over Fraction entries, through np.kron on
+    object arrays."""
+    total = 0
+    for i, x in enumerate(lefts):
+        for j, y in enumerate(rights):
+            term = np.kron(np.array(x, dtype=object), np.array(y, dtype=object))
+            total = total + term * Fraction(coefficients[i][j])
+    return Matrix.exact(total.tolist())
+
+
+def assert_bit_identical(got, expected):
+    """Equal values in the one canonical form: numerators, their dtype
+    (int64 exactly when every numerator fits) and the denominator."""
+    assert got == expected
+    assert got._ints.dtype == expected._ints.dtype
+    assert got._den == expected._den
+
+
+def named_reference(kind, m, l):
+    """The named product of the rows ``m`` and ``l`` by the Fraction
+    reference, with its I and J built here rather than by the library."""
+    def layout(tag, rows):
+        n = len(rows)
+        if tag == "I":
+            return [[int(i == j) for j in range(n)] for i in range(n)]
+        if tag == "J":
+            return [[1] * n for _ in range(n)]
+        return rows
+
+    named = NAMED_SPECS[kind]
+    return fraction_kron_sum(named.coefficients, [layout(t, m) for t in named.left],
+                             [layout(t, l) for t in named.right])
+
+
+class TestKronSumOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(sorted(NAMED_SPECS)),
+           n1=st.integers(1, 3), n2=st.integers(1, 3))
+    def test_named_kinds(self, data, kind, n1, n2):
+        m, l = data.draw(square_rows(n1)), data.draw(square_rows(n2))
+        got = build_product(NAMED_SPECS[kind](Matrix.exact(m), Matrix.exact(l)))
+        assert_bit_identical(got, named_reference(kind, m, l))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n1=st.integers(1, 3), n2=st.integers(1, 3),
+           grid=st.lists(COEFFICIENTS, min_size=4, max_size=4).filter(any))
+    def test_general_grid(self, data, n1, n2, grid):
+        lefts = [data.draw(square_rows(n1)) for _ in range(2)]
+        rights = [data.draw(square_rows(n2)) for _ in range(2)]
+        coefficients = (tuple(grid[:2]), tuple(grid[2:]))
+        spec = ProductSpec(tuple(map(Matrix.exact, lefts)), tuple(map(Matrix.exact, rights)),
+                           coefficients)
+        assert_bit_identical(build_product(spec),
+                             fraction_kron_sum(coefficients, lefts, rights))
+        assert_bit_identical(kron(spec.left_factors[0], spec.right_factors[1]),
+                             fraction_kron_sum(((1,),), lefts[:1], rights[1:]))
+
+    @pytest.mark.parametrize("kind, m, l, dtype", [
+        # each term fits int64, their sum does not
+        ("cartesian", [[BIG]], [[BIG]], object),
+        ("normal", [[BIG, 0], [0, 1]], [[2, 1], [1, 0]], object),
+        # products leave int64 and cancel back into it
+        ("tensor", [[BIG]], [[4]], object),
+        ("cartesian", [[BIG]], [[-BIG]], np.int64),
+        # numerators over different denominators
+        ("lexicographic", [[Fraction(1, 3), 1], [1, 0]], [[0, Fraction(1, 4)], [2, 0]],
+         np.int64),
+    ])
+    def test_overflow_falls_back_to_python_ints(self, kind, m, l, dtype):
+        got = build_product(NAMED_SPECS[kind](Matrix.exact(m), Matrix.exact(l)))
+        assert_bit_identical(got, named_reference(kind, m, l))
+        assert got._ints.dtype == dtype
+
+    def test_complex_terms_sum_as_numpy_does(self):
+        rng = np.random.default_rng(11)
+        lefts = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2)]
+        rights = [rng.normal(size=(2, 2)) for _ in range(2)]
+        coefficients = ((0.5, -1.25j), (0, 3))
+        spec = ProductSpec(tuple(Matrix(x, "complex") for x in lefts),
+                           tuple(Matrix(y.astype(complex), "complex") for y in rights),
+                           coefficients)
+        expected = np.kron(lefts[0], rights[0]) * 0.5
+        expected = expected + np.kron(lefts[0], rights[1]) * -1.25j
+        expected = expected + np.kron(lefts[1], rights[1]) * 3
+        assert np.array_equal(build_product(spec).data, expected)
+
+    def test_mixed_domains_are_refused(self):
+        a = Matrix.exact([[0, 1], [1, 0]])
+        with pytest.raises(DomainMismatchError):
+            build_product(cartesian_spec(a, a.to_complex()))

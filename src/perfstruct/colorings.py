@@ -20,6 +20,7 @@ from .matrix import (
     EXACT,
     Matrix,
     _guarded,
+    _integers,
     _magnitude,
     _narrow,
     _same_value,
@@ -41,7 +42,7 @@ class Coloring:
 
     @staticmethod
     def from_colors(colors) -> "Coloring":
-        colors = tuple(int(c) for c in colors)
+        colors = _integers(colors, DimensionError, "colors")
         if not colors:
             raise DimensionError("a coloring needs at least one vertex")
         n, k = len(colors), max(colors)
@@ -110,9 +111,9 @@ def verify_coloring(g: Graph, c: Coloring) -> Matrix | None:
     numerators of A, S is read at each class's first vertex, and the
     coloring is perfect when every vertex agrees with its class
     (``_parameters_at_first``).  S is then cross-checked as A·P = P·S
-    bit-exact through ``Matrix`` products, which compute A·P independently
-    of the counts; a disagreement raises ArithmeticError.  Needs an exact
-    adjacency.
+    bit-exact: one guarded integer expression over the numerators, with
+    A·P from ``np.dot``, independent of the counts; a disagreement raises
+    ArithmeticError.  Needs an exact adjacency.
     """
     a = g.adjacency
     if a.domain != EXACT:
@@ -125,16 +126,20 @@ def verify_coloring(g: Graph, c: Coloring) -> Matrix | None:
     s = _parameters_at_first(counts[None], colors[None], c.k)
     if s is None:
         return None
-    s = Matrix._wrap(_narrow(s[0]), a._den)
-    if not (a @ c.indicator - c.indicator @ s).is_zero():
+    s = s[0]
+    # every partial sum of A·P is at most max|A|·n, and each row of P·S is a
+    # row of S, since P has one 1 per row
+    bound = _magnitude(a._ints) * g.n + _magnitude(s)
+    if _guarded(bound, lambda x, p, s: np.dot(x, p) - np.dot(p, s),
+                a._ints, c.indicator._ints, s).any():
         raise ArithmeticError("combinatorial and algebraic verifiers disagree")
-    return s
+    return Matrix._wrap(_narrow(s), a._den)
 
 
 def complete_graph_parameters(class_sizes) -> Matrix:
     """Parameters of any coloring of K_n with the given class sizes:
     J·diag(n_1..n_k) - I."""
-    sizes = [int(s) for s in class_sizes]
+    sizes = _integers(class_sizes, DimensionError, "class sizes")
     if any(s < 1 for s in sizes):
         raise DimensionError("class sizes must be positive")
     k = len(sizes)
@@ -145,10 +150,9 @@ def complete_graph_parameters(class_sizes) -> Matrix:
 def check_covering(g: Graph, h: Graph, phi) -> bool:
     """Does phi: V(G) -> V(H) exhibit G as a cover of H?  True iff the induced
     coloring is perfect with parameter matrix exactly the adjacency of H."""
-    phi = [int(x) for x in phi]
-    if sorted(set(phi)) != list(range(1, h.n + 1)):
-        raise DimensionError("phi must be surjective onto the vertices of H")
     c = Coloring.from_colors(phi)
+    if c.k != h.n:
+        raise DimensionError("phi must be surjective onto the vertices of H")
     s = verify_coloring(g, c)
     return s is not None and s == h.adjacency
 
@@ -445,6 +449,7 @@ def census(g: Graph, k: int, budget: int = 10 ** 8) -> CensusResult:
     """
     if g.adjacency.domain != EXACT:
         raise DomainMismatchError("the census needs an exact adjacency matrix")
+    k, budget = _integers((k, budget), ValueError, "the census's k and budget")
     if budget < 0:
         raise ValueError(f"the census budget must be >= 0, got {budget}")
     if k < 1 or k > g.n:

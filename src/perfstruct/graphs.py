@@ -7,10 +7,12 @@ perfect structures the paper classifies), complete graphs, paths and cycles.
 A ``ProductFamily`` names a product kind of ``products.NAMED_SPECS`` and maps
 its parameters to its (left, right) factors, each a family tag or a Graph:
 matching = I ⊗ K_2, K_{n,n} = K_2 ⊗ J_n, double(G) = G ⊗ J_2, the torus
-C_m □ C_n, and so on.  Its graph is that product of the factor graphs, and
-its closed-form spectrum is derived from the factors' eigenvalues by the
-product's eigenvalue rule, ``NamedProduct.eigenvalue`` (mu + lam for
-Cartesian, mu * lam for tensor), recursing on tags without building a graph.
+C_m □ C_n, and so on.  Its graph is that product of the factor graphs,
+summed on numerator arrays (``NamedProduct.numerators``) level by level
+and wrapped into one Matrix at the top.  Its closed-form spectrum is derived
+from the factors' eigenvalues by the product's eigenvalue rule,
+``NamedProduct.eigenvalue`` (mu + lam for Cartesian, mu * lam for tensor).
+Both recurse on tags without building a graph.
 Family-tagged graphs regenerate their adjacency bit-exact from the tag.
 """
 
@@ -24,15 +26,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, HypothesisNotMetError
+from .errors import DimensionError, DomainMismatchError, HypothesisNotMetError
 from .matrix import (
     DEFAULT_TOL,
     EXACT,
     Matrix,
     Spectrum,
+    _integers,
     eigenvalues,
 )
-from .products import NAMED_SPECS, build_product
+from .products import NAMED_SPECS, _exact_factor
 
 
 @dataclass(frozen=True)
@@ -68,39 +71,39 @@ def from_edges(n: int, edges, directed: bool = False) -> Graph:
 
 # -- the family table -------------------------------------------------
 
-def _complete_adjacency(n: int) -> Matrix:
-    return Matrix._wrap(1 - np.eye(n, dtype=np.int64))
+def _complete_adjacency(n: int) -> np.ndarray:
+    return 1 - np.eye(n, dtype=np.int64)
 
 
-def _path_adjacency(n: int) -> Matrix:
+def _path_adjacency(n: int) -> np.ndarray:
     m = np.zeros((n, n), dtype=np.int64)
     i = np.arange(n - 1)
     m[i, i + 1] = m[i + 1, i] = 1
-    return Matrix._wrap(m)
+    return m
 
 
-def _cycle_adjacency(n: int) -> Matrix:
+def _cycle_adjacency(n: int) -> np.ndarray:
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
     m = np.zeros((n, n), dtype=np.int64)
     i = np.arange(n)
-    np.add.at(m, (i, (i + 1) % n), 1)
-    np.add.at(m, ((i + 1) % n, i), 1)
-    return Matrix._wrap(m)
+    m[i, (i + 1) % n] = m[(i + 1) % n, i] = 1
+    return m
 
 
 @dataclass(frozen=True)
 class Leaf:
     """A family built from its integer parameters: ``adjacency`` maps them to
-    the adjacency matrix, ``eigenvalues`` to every eigenvalue, listed with
-    its multiplicity."""
+    the int64 adjacency array, ``eigenvalues`` to every eigenvalue, listed
+    with its multiplicity."""
 
     arity: int
     adjacency: Callable
     eigenvalues: Callable
 
-    def build(self, name: str, params: tuple) -> Graph:
-        return Graph(self.adjacency(*params), family=(name, *params))
+    def numerators(self, params: tuple) -> tuple[np.ndarray, int, int]:
+        """(adjacency, denominator 1, bound 1): every leaf is a 0/1 matrix."""
+        return self.adjacency(*params), 1, 1
 
     def values(self, params) -> np.ndarray:
         return np.array(self.eigenvalues(*params), dtype=np.complex128)
@@ -116,14 +119,12 @@ class ProductFamily:
     arity: int | None
     factors: Callable
 
-    def build(self, name: str, params: tuple) -> Graph:
-        """The product of the factor graphs; untagged when a graph parameter
-        carries no tag."""
-        left, right = (f if isinstance(f, Graph) else make_family(*f)
-                       for f in self.factors(*params))
-        adj = build_product(NAMED_SPECS[self.kind](left.adjacency, right.adjacency))
-        tag = tuple(p.family if isinstance(p, Graph) else p for p in params)
-        return Graph(adj, family=None if None in tag else (name, *tag))
+    def numerators(self, params: tuple) -> tuple[np.ndarray, int, int]:
+        """The product's adjacency as (numerators, denominator, bound on the
+        numerators), from the factors' own: a tag factor recurses without a
+        Graph or Matrix."""
+        left, right = (_factor_numerators(f) for f in self.factors(*params))
+        return NAMED_SPECS[self.kind].numerators(left, right)
 
     def values(self, params) -> np.ndarray:
         """The eigenvalue rule on every pair of factor eigenvalues, evaluated
@@ -134,8 +135,9 @@ class ProductFamily:
 
 #: every named family.  H(1, q) = K_q is written K_q □ K_1.
 FAMILIES = {
-    "identity": Leaf(1, Matrix.identity, lambda n: [1] * n),
-    "ones": Leaf(1, Matrix.ones, lambda n: [0] * (n - 1) + [n]),
+    "identity": Leaf(1, lambda n: np.eye(n, dtype=np.int64), lambda n: [1] * n),
+    "ones": Leaf(1, lambda n: np.ones((n, n), dtype=np.int64),
+                 lambda n: [0] * (n - 1) + [n]),
     "complete": Leaf(1, _complete_adjacency, lambda n: [-1] * (n - 1) + [n - 1]),
     "path": Leaf(1, _path_adjacency, lambda n: [
         2 * math.cos(math.pi * i / (n + 1)) for i in range(1, n + 1)]),
@@ -159,8 +161,10 @@ FAMILIES = {
 FAMILY_ARITY = {name: family.arity for name, family in FAMILIES.items()}
 
 
-def make_family(name: str, *params) -> Graph:
-    """Construct a named family member; the tag regenerates it bit-exact."""
+def _checked(name: str, params: tuple) -> tuple:
+    """The family row of ``name`` and its parameters, validated: integers
+    (``operator.index``) of the row's arity, each at least 1, or one graph or
+    tag for a family over one graph."""
     family = FAMILIES.get(name)
     if family is None:
         raise ValueError(f"unknown graph family {name!r}")
@@ -168,10 +172,32 @@ def make_family(name: str, *params) -> Graph:
         if len(params) != 1 or not isinstance(params[0], (Graph, tuple)):
             raise ValueError(f"family {name!r} takes one graph or tag")
     else:
-        params = tuple(int(p) for p in params)
+        params = _integers(params, ValueError, f"parameters of family {name!r}")
         if len(params) != family.arity or any(p < 1 for p in params):
             raise ValueError(f"invalid parameters {params} for family {name!r}")
-    return family.build(name, params)
+    return family, params
+
+
+def _factor_numerators(factor) -> tuple[np.ndarray, int, int]:
+    """A product factor's adjacency as (numerators, denominator, bound on
+    the numerators): a Graph's own, which must be exact, or a family tag's."""
+    if isinstance(factor, Graph):
+        a = factor.adjacency
+        if a.domain != EXACT:
+            raise DomainMismatchError("a family over a graph needs an exact adjacency")
+        return _exact_factor(a)
+    name, *params = factor
+    family, params = _checked(name, tuple(params))
+    return family.numerators(params)
+
+
+def make_family(name: str, *params) -> Graph:
+    """Construct a named family member; the tag regenerates it bit-exact."""
+    family, params = _checked(name, params)
+    tag = tuple(p.family if isinstance(p, Graph) else p for p in params)
+    ints, den, _ = family.numerators(params)
+    return Graph(Matrix._wrap(ints, den),
+                 family=None if None in tag else (name, *tag))
 
 
 def double_graph(g: Graph) -> Graph:

@@ -18,6 +18,7 @@ explicit ``to_complex()`` call.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -56,6 +57,16 @@ def _as_exact(x):
             raise TypeError(f"cannot interpret {x!r} as an exact rational scalar")
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
+
+
+def _integers(values, error: type, what: str) -> tuple:
+    """``values`` as Python ints by one rule, ``operator.index``: Python and
+    numpy integers pass, while floats, strings and fractions raise
+    ``error``, never truncated."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise error(f"{what} must be integers: {exc}") from None
 
 
 def _numerators(entries: list, shape) -> tuple[np.ndarray, int]:
@@ -461,6 +472,37 @@ def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     entry (i·p + k, j·q + l) is x[i, j]·y[k, l], for y of shape (p, q)."""
     (m, n), (p, q) = x.shape, y.shape
     return (x[:, None, :, None] * y[None, :, None, :]).reshape(m * p, n * q)
+
+
+#: fewest entries of a Kronecker term that ``_kron_add`` writes by index:
+#: below it, indexing costs more than the broadcast it saves
+_INDEXED_KRON_MIN = 2048
+
+
+def _kron_add(out: np.ndarray, c, x: np.ndarray, y: np.ndarray):
+    """Add c·(x ⊗ y) to ``out`` in place; ``out`` is a contiguous array of
+    shape (m·p, n·q), for x of shape (m, n) and y of shape (p, q).
+
+    Viewed as (m, p, n, q), the term is x[i, j]·y in block (i, j) and
+    y[k, l]·x in slice (k, l).  A factor at most half nonzero is sparse; the
+    sparse factor with fewer nonzeros names the blocks or slices written,
+    one index per nonzero: an identity factor writes n blocks, not n².  With
+    no sparse factor, or fewer than ``_INDEXED_KRON_MIN`` entries, the term
+    is one broadcast product, as in ``_kron``."""
+    (m, n), (p, q) = x.shape, y.shape
+    blocks = out.reshape(m, p, n, q)
+    sparse_x = sparse_y = False
+    if out.size >= _INDEXED_KRON_MIN:
+        nx, ny = np.count_nonzero(x), np.count_nonzero(y)
+        sparse_x, sparse_y = 2 * nx <= x.size, 2 * ny <= y.size
+    if sparse_x and (nx <= ny or not sparse_y):
+        i, j = np.nonzero(x)
+        blocks[i, :, j, :] += (x[i, j] * c)[:, None, None] * y
+    elif sparse_y:
+        k, l = np.nonzero(y)
+        blocks[:, k, :, l] += (y[k, l] * c)[:, None, None] * x
+    else:
+        blocks += (x * c)[:, None, :, None] * y[None, :, None, :]
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

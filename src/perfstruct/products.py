@@ -27,6 +27,7 @@ from .matrix import (
     _as_exact,
     _guarded,
     _kron,
+    _kron_add,
     _magnitude,
     _same_value,
     eig,
@@ -84,6 +85,14 @@ class NamedProduct:
                            tuple(_layout_factor(t, l) for t in self.right),
                            self.coefficients)
 
+    def numerators(self, m: tuple, l: tuple) -> tuple[np.ndarray, int, int]:
+        """The product as (numerators, denominator, bound on the numerators)
+        from such triples for M and L, with I and J built here as int64
+        arrays of bound 1; no ``Matrix`` or ``ProductSpec`` is made."""
+        return _kron_sum_numerators(_terms(
+            self.coefficients, [_layout_numerators(t, m) for t in self.left],
+            [_layout_numerators(t, l) for t in self.right]))
+
     def eigenvalue(self, mu, lam, unity=None):
         """The product's eigenvalue on f kron g, where M f = mu f, L g = lam g
         and J g = unity g (n on the all-ones vector, 0 orthogonal to it); I
@@ -99,6 +108,15 @@ def _layout_factor(tag: str, a: Matrix) -> Matrix:
     if tag == "J":
         return Matrix.ones(a.rows, a.rows, a.domain)
     return a
+
+
+def _layout_numerators(tag: str, factor: tuple) -> tuple:
+    n = len(factor[0])
+    if tag == "I":
+        return np.eye(n, dtype=np.int64), 1, 1
+    if tag == "J":
+        return np.ones((n, n), dtype=np.int64), 1, 1
+    return factor
 
 
 NAMED_SPECS = {
@@ -117,36 +135,61 @@ def grid_value(coefficients, xs, ys):
                for j, c in enumerate(row) if c != 0)
 
 
+def _terms(coefficients, lefts, rights) -> list:
+    """(a_ij, lefts[i], rights[j]) for every nonzero coefficient."""
+    return [(c, lefts[i], rights[j]) for i, row in enumerate(coefficients)
+            for j, c in enumerate(row) if c != 0]
+
+
+def _kron_sum_numerators(terms) -> tuple[np.ndarray, int, int]:
+    """sum c·X ⊗ Y over ``terms`` of (c, X, Y), each factor a triple
+    (numerators N, positive denominator d, bound on max|N|), as numerators
+    over one denominator, not yet in lowest terms, and a bound on them.
+
+    Over the lcm D of the terms' denominators, term t is m_t·N_X ⊗ N_Y / D
+    for an integer m_t.  Every term is added into one preallocated array by
+    ``_kron_add``, which writes over the nonzeros of a sparse factor.  One
+    bound, sum |m_t|·max(1, bound_X)·max(1, bound_Y), caps every entry and
+    partial sum, m_t itself included, so the whole sum runs in int64 or over
+    Python ints (``_guarded``)."""
+    scalars = [_as_exact(c) for c, _, _ in terms]
+    dens = [c.denominator * x[1] * y[1] for c, (_, x, y) in zip(scalars, terms)]
+    den = math.lcm(*dens)
+    multipliers = [c.numerator * (den // d) for c, d in zip(scalars, dens)]
+    bound = sum(abs(m) * max(x[2], 1) * max(y[2], 1)
+                for m, (_, x, y) in zip(multipliers, terms))
+    arrays = [f[0] for _, x, y in terms for f in (x, y)]
+    (m, n), (p, q) = arrays[0].shape, arrays[1].shape
+
+    def kron_sum(*ints):
+        out = np.zeros((m * p, n * q), dtype=ints[0].dtype)
+        for c, x, y in zip(multipliers, ints[::2], ints[1::2]):
+            _kron_add(out, c, x, y)
+        return out
+
+    return _guarded(bound, kron_sum, *arrays), den, bound
+
+
+def _exact_factor(a: Matrix) -> tuple:
+    """An exact matrix as a factor of ``_kron_sum_numerators``."""
+    return a._ints, a._den, _magnitude(a._ints)
+
+
 def _kron_sum(coefficients, lefts, rights) -> Matrix:
     """sum a_ij * (lefts[i] kron rights[j]) over the nonzero coefficients.
 
-    Exact terms are summed in one pass over the numerators.  Term t is
-    a_ij·X ⊗ Y with X = N_X/d_X and Y = N_Y/d_Y; over the lcm D of the terms'
-    denominators it is m_t·N_X ⊗ N_Y / D for an integer m_t.  One bound,
-    sum |m_t|·max(1, max|N_X|)·max(1, max|N_Y|), caps every entry and
-    partial sum, m_t itself included, so the whole sum runs in int64 or over
-    Python ints (``_guarded``).  Complex terms are one numpy sum."""
-    terms = [(c, lefts[i], rights[j]) for i, row in enumerate(coefficients)
-             for j, c in enumerate(row) if c != 0]
+    Exact terms are summed in one pass over the numerators
+    (``_kron_sum_numerators``).  Complex terms are one numpy sum in term
+    order."""
+    terms = _terms(coefficients, lefts, rights)
     if len({f.domain for _, x, y in terms for f in (x, y)}) != 1:
         raise DomainMismatchError("a product needs all its factors in one domain")
     if terms[0][1].domain == COMPLEX:
         return Matrix(reduce(np.add, (_kron(x._data, y._data) * complex(c)
                                       for c, x, y in terms)), COMPLEX)
-    scalars = [_as_exact(c) for c, _, _ in terms]
-    dens = [c.denominator * x._den * y._den for c, (_, x, y) in zip(scalars, terms)]
-    den = math.lcm(*dens)
-    multipliers = [c.numerator * (den // d) for c, d in zip(scalars, dens)]
-    size = {id(f): max(_magnitude(f._ints), 1) for _, x, y in terms for f in (x, y)}
-    bound = sum(abs(m) * size[id(x)] * size[id(y)]
-                for m, (_, x, y) in zip(multipliers, terms))
-
-    def kron_sum(*ints):
-        return reduce(np.add, (_kron(x * m, y) for m, x, y
-                               in zip(multipliers, ints[::2], ints[1::2])))
-
-    return Matrix._wrap(_guarded(bound, kron_sum,
-                                 *(f._ints for _, x, y in terms for f in (x, y))), den)
+    ints, den, _ = _kron_sum_numerators([(c, _exact_factor(x), _exact_factor(y))
+                                         for c, x, y in terms])
+    return Matrix._wrap(ints, den)
 
 
 def build_product(spec: ProductSpec) -> Matrix:

@@ -29,7 +29,7 @@ from perfstruct import (
     verify_coloring,
     verify_fractional,
 )
-from perfstruct import colorings, products
+from perfstruct import colorings, matrix, products
 from perfstruct.errors import DimensionError, DomainMismatchError, HypothesisNotMetError
 
 from helpers import enumerate_perfect_colorings
@@ -48,10 +48,16 @@ class TestColoring:
         with pytest.raises(DimensionError):
             Coloring.from_colors([1, 3, 1])
 
-    @pytest.mark.parametrize("colors", [[], [0, 1], [-1, 1], [2, 2], [1, 2, 10 ** 30]])
+    @pytest.mark.parametrize("colors", [[], [0, 1], [-1, 1], [2, 2], [1, 2, 10 ** 30],
+                                        [1.5, 2.9], [1, 2.0], ["1", "2"], [1, Fraction(2)]])
     def test_invalid_colors_are_a_dimension_error(self, colors):
+        # non-integer colors are refused, never truncated
         with pytest.raises(DimensionError):
             Coloring.from_colors(colors)
+
+    def test_numpy_integers_are_colors(self):
+        c = Coloring.from_colors(np.array([1, 2, 2], dtype=np.int32))
+        assert c.colors == (1, 2, 2) and all(type(x) is int for x in c.colors)
 
 
 class TestVerifyColoring:
@@ -76,6 +82,11 @@ class TestVerifyColoring:
             c = Coloring.from_colors(colors)
             s = verify_coloring(g, c)
             assert s == complete_graph_parameters(c.class_sizes)
+
+    @pytest.mark.parametrize("sizes", [[1.5, 2], [2, "3"]])
+    def test_non_integer_class_sizes_are_refused(self, sizes):
+        with pytest.raises(DimensionError):
+            complete_graph_parameters(sizes)
 
     def test_decimal_adjacency_rejected(self):
         g = Graph(Matrix.complex([[0, 1.5], [1.5, 0]]))
@@ -197,6 +208,16 @@ class TestCovering:
     def test_identity_covering(self):
         g = make_family("cycle", 5)
         assert check_covering(g, g, [1, 2, 3, 4, 5])
+
+    @pytest.mark.parametrize("phi", [[1, 2, 3, 1, 2, 3.5], [1.0, 2, 3, 1, 2, 3]])
+    def test_non_integer_phi_is_refused(self, phi):
+        with pytest.raises(DimensionError):
+            check_covering(make_family("cycle", 6), make_family("cycle", 3), phi)
+
+    def test_phi_must_reach_every_vertex_of_h(self):
+        with pytest.raises(DimensionError):
+            check_covering(make_family("cycle", 6), make_family("cycle", 3),
+                           [1, 2, 1, 2, 1, 2])
 
 
 class TestFractional:
@@ -473,6 +494,17 @@ class TestCensusBudget:
         res = census(make_family("hamming", 3, 3), k, budget)
         assert not res.complete and res.evaluated == budget
 
+    @pytest.mark.parametrize("k,budget", [(2, 10.5), (2.5, 100), (2, "10"), (2.0, 100)])
+    def test_non_integer_k_or_budget_is_refused(self, k, budget):
+        # a fractional budget never equals the node count, so the search
+        # would run to the end and report itself complete
+        with pytest.raises(ValueError):
+            census(make_family("cycle", 6), k, budget)
+
+    def test_numpy_integer_k_and_budget(self):
+        g = make_family("cycle", 6)
+        assert census(g, np.int64(2), np.int32(10)) == census(g, 2, 10)
+
     @pytest.mark.parametrize("fam,k", [(("complete", 6), 3), (("hamming", 3, 2), 2)])
     def test_a_budget_of_exactly_the_search_completes(self, fam, k):
         g = make_family(*fam)
@@ -517,6 +549,29 @@ class TestCrossChecks:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["1", "ArithmeticError"]
+
+    @pytest.mark.parametrize("colors", [[1, 1], [1, 2]])
+    @pytest.mark.parametrize("w", [2 ** 62 - 1, -(2 ** 62) + 1])
+    def test_verify_coloring_leaves_int64_by_its_own_bound(self, monkeypatch, w, colors):
+        # the counts of K_2 weighted w fit int64 (bound 2|w|), while the
+        # cross-check's bound, |w|·n + max|S| = 3|w|, does not: the check
+        # takes Python ints, and S is still the brute-force one
+        routes = []
+
+        def recording(bound, op, *operands):
+            def op_recorded(*arrays):
+                routes.append([a.dtype for a in arrays])
+                return op(*arrays)
+            return matrix._guarded(bound, op_recorded, *operands)
+
+        monkeypatch.setattr(colorings, "_guarded", recording)
+        rows = [[0, w], [w, 0]]
+        got = verify_coloring(Graph(Matrix.exact(rows)), Coloring.from_colors(colors))
+        counts, check = routes
+        assert all(d == np.int64 for d in counts)
+        assert all(d == object for d in check)
+        expected = brute_force_parameters(rows, colors)
+        assert got == expected and got._ints.dtype == expected._ints.dtype == np.int64
 
     def test_product_coloring(self, monkeypatch):
         monkeypatch.setattr(colorings, "_kron_sum",

@@ -23,7 +23,8 @@ from perfstruct import (
 )
 from perfstruct.graphs import FAMILIES, ProductFamily, Spectrum
 from perfstruct.products import NAMED_SPECS
-from perfstruct.errors import HypothesisNotMetError
+from perfstruct import products
+from perfstruct.errors import DomainMismatchError, HypothesisNotMetError
 
 TOL = 1e-8
 
@@ -78,6 +79,24 @@ class TestConstruction:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             make_family("petersen", 10)
+
+    @pytest.mark.parametrize("name, params", [
+        ("cycle", (5.7,)), ("cycle", (5.0,)), ("torus", (3, "4")),
+        ("hamming", (2, Fraction(3))), ("double", (("cycle", 5.5),))])
+    def test_non_integer_parameters_are_refused(self, name, params):
+        # never truncated: cycle 5.7 is not C_5
+        with pytest.raises(ValueError):
+            make_family(name, *params)
+
+    def test_numpy_integer_parameters(self):
+        g = make_family("torus", np.int64(3), np.int32(4))
+        assert g.family == ("torus", 3, 4) and all(type(p) is int for p in g.family[1:])
+        assert g.adjacency == make_family("torus", 3, 4).adjacency
+
+    def test_a_family_over_a_complex_graph_is_refused(self):
+        g = Graph(Matrix.complex([[0, 1], [1, 0]]))
+        with pytest.raises(DomainMismatchError):
+            double_graph(g)
 
     @pytest.mark.parametrize("params", [(), (("cycle", 5), ("cycle", 5)), (3,)])
     def test_a_family_over_one_graph_takes_one(self, params):
@@ -234,3 +253,97 @@ class TestComplementSpectrum:
         comp = np.ones((n, n)) - np.eye(n) - g.adjacency.to_complex().data.real
         assert multiset_discrepancy(complement_spectrum(g).values(),
                                     np.linalg.eigvalsh(comp)) <= TOL
+
+
+# -- family adjacency against a plain np.kron reference ---------------
+
+def _product(kind, a, b):
+    """The named product of two object arrays by np.kron, I and J written out."""
+    i_a, i_b = (np.eye(len(x), dtype=int).astype(object) for x in (a, b))
+    j_b = np.ones(b.shape, dtype=int).astype(object)
+    return {"tensor": lambda: np.kron(a, b),
+            "cartesian": lambda: np.kron(a, i_b) + np.kron(i_a, b),
+            "normal": lambda: np.kron(a, i_b) + np.kron(i_a, b) + np.kron(a, b),
+            "lexicographic": lambda: np.kron(a, j_b) + np.kron(i_a, b)}[kind]()
+
+
+def reference_adjacency(name, *params):
+    """The family's adjacency as an object array, from its definition."""
+    def path(n):
+        m = np.zeros((n, n), dtype=int).astype(object)
+        for i in range(n - 1):
+            m[i, i + 1] = m[i + 1, i] = 1
+        return m
+
+    def cycle(n):
+        m = path(n)
+        m[0, n - 1] = m[n - 1, 0] = 1
+        return m
+
+    eye = lambda n: np.eye(n, dtype=int).astype(object)
+    ones = lambda n: np.ones((n, n), dtype=int).astype(object)
+    complete = lambda n: ones(n) - eye(n)
+    graph = lambda g: (np.array(g.adjacency.data, dtype=object) if isinstance(g, Graph)
+                       else reference_adjacency(*g))
+    build = {
+        "identity": lambda n: eye(n), "ones": lambda n: ones(n),
+        "complete": complete, "path": path, "cycle": cycle,
+        "matching": lambda n: _product("tensor", eye(n), complete(2)),
+        "complete_bipartite": lambda n: _product("tensor", complete(2), ones(n)),
+        "complete_multipartite": lambda k, n: _product("tensor", complete(k), ones(n)),
+        "double": lambda g: _product("tensor", graph(g), ones(2)),
+        "bipartite_double": lambda g: _product("tensor", graph(g), complete(2)),
+        "grid": lambda m, n: _product("cartesian", path(m), path(n)),
+        "torus": lambda m, n: _product("cartesian", cycle(m), cycle(n)),
+        "prism": lambda n: _product("cartesian", cycle(n), complete(2)),
+        "ladder": lambda n: _product("cartesian", path(n), complete(2)),
+        "hamming": lambda n, q: complete(q) if n == 1 else _product(
+            "cartesian", complete(q), reference_adjacency("hamming", n - 1, q)),
+    }
+    return build[name](*params)
+
+
+#: the families the benchmark builds, beside FAMILY_CASES
+BENCHMARK_FAMILIES = [
+    ("torus", (14, 14)), ("torus", (12, 12)), ("torus", (10, 10)), ("torus", (6, 12)),
+    ("torus", (9, 16)), ("grid", (6, 6)), ("grid", (16, 9)), ("ladder", (32,)),
+    ("prism", (40,)), ("prism", (6,)), ("hamming", (3, 5)), ("hamming", (4, 3)),
+    ("hamming", (6, 2)), ("hamming", (5, 2)), ("hamming", (3, 3)), ("hamming", (2, 12)),
+    ("complete_multipartite", (6, 24)), ("complete_bipartite", (4,)), ("cycle", (40,)),
+    ("complete", (12,)), ("path", (12,)),
+]
+
+#: a weighted rational graph with negative entries, and one past int64
+WEIGHTED = [Graph(Matrix.exact([[0, "-1/2", 3], ["2/3", "-5", 0], [1, "7/4", "-1/6"]])),
+            Graph(Matrix.exact([[2 ** 62, -3], ["-1/3", 2 ** 63 + 5]]))]
+
+
+def assert_bit_identical(got: Matrix, expected: Matrix):
+    """Equal numerators, numerator dtype and denominator."""
+    assert got == expected
+    assert got._ints.dtype == expected._ints.dtype
+    assert got._den == expected._den
+
+
+class TestFamilyAdjacencyReference:
+    @pytest.mark.parametrize("name,params", FAMILY_CASES + BENCHMARK_FAMILIES)
+    def test_against_np_kron(self, name, params):
+        expected = Matrix.exact(reference_adjacency(name, *params).tolist())
+        assert_bit_identical(make_family(name, *params).adjacency, expected)
+
+    @pytest.mark.parametrize("build", [double_graph, bipartite_double])
+    @pytest.mark.parametrize("g", WEIGHTED)
+    def test_over_a_weighted_rational_graph(self, build, g):
+        name = build(make_family("cycle", 3)).family[0]
+        expected = Matrix.exact(reference_adjacency(name, g).tolist())
+        assert_bit_identical(build(g).adjacency, expected)
+
+    def test_builds_no_product_spec(self, monkeypatch):
+        # a family recurses on its factors' numerators: no validated
+        # ProductSpec, Graph or identity Matrix per level
+        built = []
+        original = products.ProductSpec.__post_init__
+        monkeypatch.setattr(products.ProductSpec, "__post_init__",
+                            lambda self: built.append(self) or original(self))
+        make_family("hamming", 4, 3)
+        assert built == []

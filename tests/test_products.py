@@ -1,6 +1,7 @@
 """Tests for coefficient products: structures, spectra, and eigenvectors."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from perfstruct.errors import (
     HypothesisNotMetError,
     UnverifiedStructureError,
 )
+from perfstruct import matrix
 from perfstruct.products import NAMED_SPECS
 
 from helpers import random_structure_collection
@@ -404,8 +406,25 @@ COEFFICIENTS = st.one_of(st.integers(-2, 2),
 
 
 @st.composite
-def square_rows(draw, n):
-    return [[draw(ENTRIES) for _ in range(n)] for _ in range(n)]
+def square_rows(draw, n, entries=ENTRIES):
+    """An n x n factor: random entries, or one of the patterns the Kronecker
+    kernel treats apart: identity, all-ones, a single entry, or zero."""
+    shape = draw(st.sampled_from(["random", "random", "identity", "ones", "single", "zero"]))
+    if shape == "random":
+        return [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if shape == "identity":
+        return [[int(i == j) for j in range(n)] for i in range(n)]
+    if shape == "ones":
+        return [[1] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    if shape == "single":
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(entries)
+    return rows
+
+
+#: the fewest entries for the indexed Kronecker writes: the default, and 0,
+#: which sends every term with a sparse factor down the indexed path
+INDEXED_MINIMUMS = [matrix._INDEXED_KRON_MIN, 0]
 
 
 def fraction_kron_sum(coefficients, lefts, rights):
@@ -444,27 +463,60 @@ def named_reference(kind, m, l):
 
 
 class TestKronSumOracle:
+    @pytest.mark.parametrize("indexed_min", INDEXED_MINIMUMS)
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), kind=st.sampled_from(sorted(NAMED_SPECS)),
-           n1=st.integers(1, 3), n2=st.integers(1, 3))
-    def test_named_kinds(self, data, kind, n1, n2):
+           n1=st.integers(1, 6), n2=st.integers(1, 6))
+    def test_named_kinds(self, indexed_min, data, kind, n1, n2):
         m, l = data.draw(square_rows(n1)), data.draw(square_rows(n2))
-        got = build_product(NAMED_SPECS[kind](Matrix.exact(m), Matrix.exact(l)))
+        with mock.patch.object(matrix, "_INDEXED_KRON_MIN", indexed_min):
+            got = build_product(NAMED_SPECS[kind](Matrix.exact(m), Matrix.exact(l)))
         assert_bit_identical(got, named_reference(kind, m, l))
 
+    @pytest.mark.parametrize("indexed_min", INDEXED_MINIMUMS)
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), n1=st.integers(1, 3), n2=st.integers(1, 3),
+    @given(data=st.data(), n1=st.integers(1, 6), n2=st.integers(1, 6),
            grid=st.lists(COEFFICIENTS, min_size=4, max_size=4).filter(any))
-    def test_general_grid(self, data, n1, n2, grid):
+    def test_general_grid(self, indexed_min, data, n1, n2, grid):
         lefts = [data.draw(square_rows(n1)) for _ in range(2)]
         rights = [data.draw(square_rows(n2)) for _ in range(2)]
         coefficients = (tuple(grid[:2]), tuple(grid[2:]))
         spec = ProductSpec(tuple(map(Matrix.exact, lefts)), tuple(map(Matrix.exact, rights)),
                            coefficients)
-        assert_bit_identical(build_product(spec),
-                             fraction_kron_sum(coefficients, lefts, rights))
-        assert_bit_identical(kron(spec.left_factors[0], spec.right_factors[1]),
-                             fraction_kron_sum(((1,),), lefts[:1], rights[1:]))
+        with mock.patch.object(matrix, "_INDEXED_KRON_MIN", indexed_min):
+            product = build_product(spec)
+            single = kron(spec.left_factors[0], spec.right_factors[1])
+        assert_bit_identical(product, fraction_kron_sum(coefficients, lefts, rights))
+        assert_bit_identical(single, fraction_kron_sum(((1,),), lefts[:1], rights[1:]))
+
+    @pytest.mark.parametrize("x, y", [
+        # an identity writes its n blocks or slices, on either side
+        ("cycle 14", "identity 14"), ("identity 14", "cycle 14"),
+        # the sparse factor with fewer nonzeros names the writes
+        ("path 32", "complete 2"), ("complete 2", "path 32"),
+        # neither factor sparse: one broadcast product
+        ("complete 12", "ones 12"),
+        # zero and single-entry factors
+        ("zero 12", "complete 12"), ("single 12", "complete 12"), ("complete 12", "single 12"),
+    ])
+    def test_large_terms_against_np_kron(self, x, y):
+        def rows(name):
+            fam, n = name.split()
+            if fam == "zero":
+                return [[0] * int(n) for _ in range(int(n))]
+            if fam == "single":
+                return [[-7 if (i, j) == (3, 5) else 0 for j in range(int(n))]
+                        for i in range(int(n))]
+            return make_family(fam, int(n)).adjacency._ints.tolist()
+
+        a, b = rows(x), rows(y)
+        assert np.kron(np.array(a), np.array(b)).size >= matrix._INDEXED_KRON_MIN
+        spec = ProductSpec((Matrix.exact(a),), (Matrix.exact(b),), ((Fraction(-3, 2),),))
+        expected = Matrix.exact((np.kron(np.array(a), np.array(b)).astype(object)
+                                 * Fraction(-3, 2)).tolist())
+        assert_bit_identical(build_product(spec), expected)
+        assert_bit_identical(kron(Matrix.exact(a), Matrix.exact(b)),
+                             Matrix.exact(np.kron(np.array(a), np.array(b)).tolist()))
 
     @pytest.mark.parametrize("kind, m, l, dtype", [
         # each term fits int64, their sum does not
@@ -481,6 +533,27 @@ class TestKronSumOracle:
         got = build_product(NAMED_SPECS[kind](Matrix.exact(m), Matrix.exact(l)))
         assert_bit_identical(got, named_reference(kind, m, l))
         assert got._ints.dtype == dtype
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n1=st.integers(1, 6), n2=st.integers(1, 6),
+           grid=st.lists(st.sampled_from([0, 1, -1, 0.5, -1.25j, 3 + 2j, -0.0]),
+                         min_size=4, max_size=4).filter(any))
+    def test_complex_sums_in_term_order(self, data, n1, n2, grid):
+        """Bit for bit, signed zeros included, the sum of (x kron y)·c over
+        the nonzero coefficients in term order."""
+        parts = st.floats(-4, 4, width=32) | st.sampled_from([0.0, -0.0])
+        entries = st.builds(complex, parts, parts)
+        lefts = [np.array(data.draw(square_rows(n1, entries)), dtype=complex) for _ in range(2)]
+        rights = [np.array(data.draw(square_rows(n2, entries)), dtype=complex) for _ in range(2)]
+        coefficients = (tuple(grid[:2]), tuple(grid[2:]))
+        terms = [np.kron(lefts[i], rights[j]) * complex(c)
+                 for i, row in enumerate(coefficients) for j, c in enumerate(row) if c != 0]
+        expected = terms[0]
+        for term in terms[1:]:
+            expected = expected + term
+        spec = ProductSpec(tuple(Matrix(x, "complex") for x in lefts),
+                           tuple(Matrix(y, "complex") for y in rights), coefficients)
+        assert build_product(spec).data.tobytes() == expected.tobytes()
 
     def test_complex_terms_sum_as_numpy_does(self):
         rng = np.random.default_rng(11)

@@ -63,6 +63,8 @@ def resolve_graph_tokens(tokens: list[str]) -> tuple[Graph, int]:
     """Resolve tokens to a graph.  Accepts inline families with integer
     parameters ('hamming 3 2', 'cycle 6'), shorthand ('k4', 'c6', 'p5', 'm3'),
     or a file path.  Returns the graph and the number of tokens consumed."""
+    if not tokens:
+        raise files.ParseError("a graph is missing")
     head = tokens[0]
     arity = FAMILY_ARITY.get(head)
     if arity is not None:
@@ -71,14 +73,14 @@ def resolve_graph_tokens(tokens: list[str]) -> tuple[Graph, int]:
             raise files.ParseError(f"family {head!r} needs {arity} parameter(s)")
         return make_family(head, *params), 1 + arity
     if len(head) >= 2 and head[0] in _SHORTHAND and head[1:].isdigit():
-        return make_family(_SHORTHAND[head[0]], int(head[1:])), 1
+        return make_family(_SHORTHAND[head[0]], files.parse_int(head[1:])), 1
     if os.path.exists(head):
         return files.load_graph(head), 1
     raise files.ParseError(f"not a family name or readable file: {head!r}")
 
 
-def _spectrum_pairs(spec):
-    return [(complex(v), int(mult)) for v, mult in spec.entries]
+def _spectrum_rows(spec) -> list[list]:
+    return [[_format_value(v), int(mult)] for v, mult in spec.entries]
 
 
 def _format_value(z: complex) -> str:
@@ -89,9 +91,14 @@ def _format_value(z: complex) -> str:
     return f"{z.real:.9g}{z.imag:+.9g}i"
 
 
-def _print_spectrum(pairs):
-    for v, mult in pairs:
-        print(f"  {_format_value(v)}  multiplicity {mult}")
+def _print_block(title: str, lines):
+    print(title)
+    for line in lines:
+        print("  " + line)
+
+
+def _print_spectrum(title: str, rows):
+    _print_block(title, (f"{v}  multiplicity {mult}" for v, mult in rows))
 
 
 # -- subcommands ------------------------------------------------------
@@ -101,17 +108,11 @@ def cmd_verify(args) -> int:
     graph, _ = resolve_graph_tokens([args.graph])
     obj = files.load_coloring(args.coloring)
     if isinstance(obj, Coloring):
-        if obj.n != graph.n:
-            raise files.ParseError("coloring length does not match the graph order")
         s = verify_coloring(graph, obj)
     else:
         s = verify_fractional(graph, obj, tol)
     if s is None:
-        report = {"verified": False}
-        if args.json:
-            print(json.dumps(report, sort_keys=True))
-        else:
-            print("not a perfect coloring")
+        print(json.dumps({"verified": False}) if args.json else "not a perfect coloring")
         return EXIT_NEGATIVE
     canon = sorted(eigenvalues(s, tol), key=lambda z: (z.real, z.imag))
     # a verified structure is nonsingular: a coloring's indicator has full
@@ -127,9 +128,7 @@ def cmd_verify(args) -> int:
     else:
         print("verified: perfect coloring")
         print("nonsingular: yes")
-        print("parameter matrix:")
-        for row in report["parameters"]:
-            print("  " + " ".join(row))
+        _print_block("parameter matrix:", map(" ".join, report["parameters"]))
         print("canonical eigenvalues: " + ", ".join(report["canonical_eigenvalues"]))
     return EXIT_OK
 
@@ -139,30 +138,20 @@ def cmd_spectrum(args) -> int:
     graph, used = resolve_graph_tokens(args.graph)
     if used != len(args.graph):
         raise files.ParseError(f"unused trailing arguments: {args.graph[used:]}")
-    mode = args.mode
-    closed = numeric = None
-    if mode in ("closed-form", "both"):
-        if graph.family is None:
-            raise files.ParseError("no closed form known for this input")
-        closed = closed_form_spectrum(graph)
-    if mode in ("numeric", "both"):
-        numeric = numeric_spectrum(graph, tol)
-    report = {}
-    if closed is not None:
-        report["closed_form"] = [[_format_value(v), m] for v, m in _spectrum_pairs(closed)]
-    if numeric is not None:
-        report["numeric"] = [[_format_value(v), m] for v, m in _spectrum_pairs(numeric)]
-    if closed is not None and numeric is not None:
-        report["discrepancy"] = multiset_discrepancy(closed.values(), numeric.values())
+    spectra = {}
+    if args.mode in ("closed-form", "both"):
+        spectra["closed_form"] = closed_form_spectrum(graph)
+    if args.mode in ("numeric", "both"):
+        spectra["numeric"] = numeric_spectrum(graph, tol)
+    report = {key: _spectrum_rows(s) for key, s in spectra.items()}
+    if len(spectra) == 2:
+        report["discrepancy"] = multiset_discrepancy(spectra["closed_form"].values(),
+                                                     spectra["numeric"].values())
     if args.json:
         print(json.dumps(report, sort_keys=True, default=str))
     else:
-        if closed is not None:
-            print("closed-form spectrum:")
-            _print_spectrum(_spectrum_pairs(closed))
-        if numeric is not None:
-            print("numeric spectrum:")
-            _print_spectrum(_spectrum_pairs(numeric))
+        for key in spectra:
+            _print_spectrum(f"{key.replace('_', '-')} spectrum:", report[key])
         if "discrepancy" in report:
             print(f"max multiset discrepancy: {report['discrepancy']:.3e}")
     return EXIT_OK
@@ -179,8 +168,7 @@ def cmd_product(args) -> int:
     if kind == "general":
         if not args.coeffs:
             raise files.ParseError("the general product needs --coeffs FILE")
-        with open(args.coeffs, encoding="utf-8") as fh:
-            grid = files.parse_coefficients_text(fh.read())
+        grid = files.load_coefficients(args.coeffs)
         if len(grid) != 1 or len(grid[0]) != 1:
             raise files.ParseError(
                 "general products over two plain graphs take a 1x1 grid; build "
@@ -205,20 +193,16 @@ def cmd_product(args) -> int:
             raise files.ParseError("colorings are supported for named products only")
         _, pc, params = product_coloring(kind, (left, cl), (right, cr))
         cpath = out_path + ".coloring"
-        with open(cpath, "w", encoding="utf-8") as fh:
-            fh.write(files.dump_coloring(pc))
+        files.save_coloring(pc, cpath)
         print(f"wrote product coloring to {cpath}")
-        print("parameter matrix:")
-        for row in files.format_rows(params):
-            print("  " + " ".join(row))
+        _print_block("parameter matrix:", map(" ".join, files.format_rows(params)))
     try:
         spectrum = product_spectrum(spec, joint_eigensystems(spec.left_factors, tol),
                                     joint_eigensystems(spec.right_factors, tol), tol)
     except (DefectiveMatrixError, HypothesisNotMetError) as exc:
         print(f"note: no product spectrum: {exc}", file=sys.stderr)
         return EXIT_OK
-    print("product spectrum:")
-    _print_spectrum(_spectrum_pairs(spectrum))
+    _print_spectrum("product spectrum:", _spectrum_rows(spectrum))
     return EXIT_OK
 
 
@@ -285,9 +269,7 @@ def cmd_census(args) -> int:
         print(f"{len(groups)} parameter matrix(es), "
               f"{len(result.results)} perfect {k}-coloring class(es)")
         for entry in groups.values():
-            print("parameters:")
-            for row in entry["parameters"]:
-                print("  " + " ".join(row))
+            _print_block("parameters:", map(" ".join, entry["parameters"]))
             print("  representative coloring: "
                   + " ".join(str(x) for x in entry["representative"])
                   + f"  ({entry['count']} class(es))")
@@ -371,7 +353,8 @@ def main(argv=None) -> int:
     except ExcludedEigenvalueError as exc:
         print(f"error: excluded eigenvalue: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (PerfstructError, OSError, ValueError) as exc:
+    # a LAPACK failure is numpy's LinAlgError; any other ValueError is a bug
+    except (PerfstructError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainMismatchError, HypothesisNotMetError
+from .errors import DimensionError, DomainMismatchError, HypothesisNotMetError, InputError
 from .graphs import Graph, is_connected, is_regular
 from .matrix import (
     DEFAULT_TOL,
@@ -176,23 +176,24 @@ def product_coloring(product: str, left, right):
     """Perfect coloring of a named product from perfect factor colorings.
 
     ``left`` and ``right`` are (Graph, Coloring) pairs.  Each coloring is
-    perfect on every factor of its side (I gives I_k, J gives J·diag(sizes)),
-    so the product coloring with indicator P kron R has parameter matrix
+    perfect on every factor of its side: on its graph when verified, and on
+    I and J by the layout alone (``_layout_parameters``).  So the product
+    coloring with indicator P kron R has parameter matrix
     sum a_ij S_i kron T_j.  Returns the product graph, that k1*k2-coloring
     and its parameter matrix, re-verified combinatorially before returning.
     """
     if product not in NAMED_SPECS:
-        raise ValueError(f"unknown product kind {product!r}")
+        raise InputError(f"unknown product kind {product!r}")
+    named = NAMED_SPECS[product]
     g1, c1 = left
     g2, c2 = right
-    spec = NAMED_SPECS[product](g1.adjacency, g2.adjacency)
-    s = [verify_coloring(Graph(f), c1) for f in spec.left_factors]
-    t = [verify_coloring(Graph(f), c2) for f in spec.right_factors]
+    s = [_layout_parameters(tag, g1, c1) for tag in named.left]
+    t = [_layout_parameters(tag, g2, c2) for tag in named.right]
     if any(x is None for x in s + t):
         raise HypothesisNotMetError("both factor colorings must be perfect")
-    params = _kron_sum(spec.coefficients, s, t)
+    params = _kron_sum(named.coefficients, s, t)
 
-    prod_graph = Graph(build_product(spec))
+    prod_graph = Graph(build_product(named(g1.adjacency, g2.adjacency)))
     colors = [(c1.colors[v] - 1) * c2.k + c2.colors[u]
               for v in range(g1.n) for u in range(g2.n)]
     prod_coloring = Coloring.from_colors(colors)
@@ -200,6 +201,17 @@ def product_coloring(product: str, left, right):
     if check is None or check != params:
         raise ArithmeticError("product coloring failed re-verification")
     return prod_graph, prod_coloring, params
+
+
+def _layout_parameters(tag: str, g: Graph, c: Coloring) -> Matrix | None:
+    """S of ``c`` on one factor of a named product's layout: verified on the
+    graph ``g``, and read off the layout for I and J, on which every coloring
+    is perfect with S = I_k and S = J·diag(class sizes)."""
+    if tag == "I":
+        return Matrix.identity(c.k)
+    if tag == "J":
+        return Matrix._wrap(np.tile(np.array(c.class_sizes, dtype=np.int64), (c.k, 1)))
+    return verify_coloring(g, c)
 
 
 def orthogonality_check(g: Graph, p: Coloring, r: Coloring,
@@ -443,15 +455,16 @@ def census(g: Graph, k: int, budget: int = 10 ** 8) -> CensusResult:
     forward check against the class's reference counts, and once a vertex's
     counts are final by comparing them with that reference.  ``budget`` caps
     the nodes expanded, one per tried color; a capped result is partial and
-    reports ``evaluated == budget``, and a negative budget is a ValueError.  Every result is re-canonicalized in
-    vertex order (colors in order of first appearance), and all of them are
-    verified together by one exact block identity (``_verified_results``).
+    reports ``evaluated == budget``, and a negative budget is an InputError.
+    Every result is re-canonicalized in vertex order (colors in order of first
+    appearance), and all of them are verified together by one exact block
+    identity (``_verified_results``).
     """
     if g.adjacency.domain != EXACT:
         raise DomainMismatchError("the census needs an exact adjacency matrix")
-    k, budget = _integers((k, budget), ValueError, "the census's k and budget")
+    k, budget = _integers((k, budget), InputError, "the census's k and budget")
     if budget < 0:
-        raise ValueError(f"the census budget must be >= 0, got {budget}")
+        raise InputError(f"the census budget must be >= 0, got {budget}")
     if k < 1 or k > g.n:
         return CensusResult((), True, 0)
     found, complete, evaluated = _search(g, k, budget)

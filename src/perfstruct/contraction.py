@@ -21,6 +21,7 @@ from .errors import (
     DimensionError,
     ExcludedEigenvalueError,
     HypothesisNotMetError,
+    InputError,
     ZeroContractionError,
 )
 from .graphs import Graph
@@ -100,7 +101,7 @@ def contract_named(product: str, product_eigfn, right_eigfn, right_graph: Graph,
     M·f = mu·f is checked at the given tolerance.
     """
     if product not in NAMED_SPECS:
-        raise ValueError(f"unknown product kind {product!r}")
+        raise InputError(f"unknown product kind {product!r}")
     named = NAMED_SPECS[product]
     h, nu = product_eigfn
     g, lam = right_eigfn

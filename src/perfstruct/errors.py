@@ -5,6 +5,10 @@ class PerfstructError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InputError(PerfstructError, ValueError):
+    """An input or argument fails validation; a ValueError too, for old callers."""
+
+
 class DomainMismatchError(PerfstructError):
     """Operands live in different scalar domains (exact vs. complex)."""
 

@@ -1,15 +1,15 @@
-"""Plain-text file formats for graphs, colorings, and vectors.
+"""Plain-text file formats for graphs, colorings, vectors and coefficients.
 
 Graph files come in two forms:
 
     matrix n          edges n m
     <n rows>          <m lines "u v">, 1-based, u != v, no duplicates
 
-Matrix entries are integers, rationals "p/q", decimals, or complex literals
-"a+bi" (optional real part, optional imaginary part with a mandatory "i"
-suffix, no spaces: "3", "-1/2", "2+3i", "-i").  Coloring files hold one
-integer color per line; fractional coloring files hold k nonnegative
-decimals per line.
+Coloring files hold one integer color per line, fractional ones k scalars
+per line; vector files one scalar per line.  A scalar is an integer, a
+rational "p/q", a decimal, or a Python complex literal with "i" for "j"
+("2+3i", "-i", "1e3i").  One tokenizer (``_lines``) reads every format, and
+its line numbers count blank lines.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ import re
 from fractions import Fraction
 
 from .colorings import Coloring, FractionalColoring
-from .errors import DimensionError, PerfstructError
+from .errors import DimensionError, InputError
 from .graphs import Graph, from_edges
 from .matrix import EXACT, Matrix
 
 
-class ParseError(PerfstructError):
+class ParseError(InputError):
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
@@ -32,10 +32,10 @@ class ParseError(PerfstructError):
         self.line = line
 
 
-_COMPLEX_RE = re.compile(
-    r"^(?P<re>[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)?"
-    r"(?P<im>[+-](?:\d+(?:\.\d*)?|\.\d+)?(?:[eE][+-]?\d+)?)?i$"
-)
+#: the gate on complex literals: an optional real part, then an optional
+#: signed imaginary coefficient, then "i"; an exponent needs a mantissa
+_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_COMPLEX_RE = re.compile(rf"(?:[+-]?{_NUMBER})?(?:[+-](?:{_NUMBER})?)?i")
 
 
 def parse_int(token: str, line: int | None = None) -> int:
@@ -61,23 +61,9 @@ def _parse_token(token: str):
     if not token:
         raise ValueError("empty scalar token")
     if token.endswith("i"):
-        m = _COMPLEX_RE.match(token)
-        if not m:
+        if not _COMPLEX_RE.fullmatch(token):
             raise ValueError(f"bad complex literal {token!r}")
-        re_part = float(m.group("re")) if m.group("re") else 0.0
-        im_tok = m.group("im")
-        if im_tok is None:
-            # pure imaginary: the matched "re" group is the coefficient of i
-            im_part, re_part = re_part, 0.0
-            if m.group("re") is None:
-                im_part = 1.0
-            if token.startswith("-") and m.group("re") is None:
-                im_part = -1.0
-        elif im_tok in ("+", "-"):
-            im_part = 1.0 if im_tok == "+" else -1.0
-        else:
-            im_part = float(im_tok)
-        return complex(re_part, im_part)
+        return complex(token[:-1] + "j")
     if "/" in token:
         try:
             return Fraction(token)
@@ -88,65 +74,76 @@ def _parse_token(token: str):
     return Fraction(int(token))
 
 
+def _lines(text: str) -> list[tuple[int, list[str]]]:
+    """(physical line number, tokens) for every nonblank line of ``text``."""
+    return [(lineno, tokens) for lineno, line in enumerate(text.splitlines(), start=1)
+            if (tokens := line.split())]
+
+
+def _row(parse, lineno: int, tokens, width: int | None = None) -> list:
+    """``parse`` over one line's tokens; a ParseError naming the line for a
+    bad token or, when ``width`` is given, for a count other than ``width``."""
+    try:
+        row = [parse(tok) for tok in tokens]
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno) from exc
+    if width is not None and len(row) != width:
+        raise ParseError(f"expected {width} entries, found {len(row)}", lineno)
+    return row
+
+
+def _scalar_rows(text: str, what: str, width: int | None = None) -> list[list]:
+    rows = [_row(parse_scalar, lineno, tokens, width) for lineno, tokens in _lines(text)]
+    if not rows:
+        raise ParseError(f"empty {what} file")
+    return rows
+
+
+def _complex(x) -> complex:
+    """An entry of a complex matrix or vector; an exact one may not fit a float."""
+    try:
+        return complex(x)
+    except OverflowError:
+        raise ParseError("an exact entry is beyond the float range") from None
+
+
 def _entries_to_matrix(rows: list[list]) -> Matrix:
-    exact = all(isinstance(x, Fraction) for row in rows for x in row)
-    if exact:
+    if all(isinstance(x, Fraction) for row in rows for x in row):
         return Matrix.exact(rows)
-    return Matrix.complex([[complex(x) for x in row] for row in rows])
+    return Matrix.complex([[_complex(x) for x in row] for row in rows])
 
 
 def parse_graph_text(text: str) -> Graph:
-    lines = text.splitlines()
-    idx = next((i for i, ln in enumerate(lines) if ln.strip()), None)
-    if idx is None:
+    lines = _lines(text)
+    if not lines:
         raise ParseError("empty graph file")
-    header = lines[idx].split()
-    body = [(i + 1, ln) for i, ln in enumerate(lines[idx + 1:], start=idx + 1)
-            if ln.strip()]
+    (head, header), body = lines[0], lines[1:]
     if header[0] == "matrix":
         if len(header) != 2:
-            raise ParseError("matrix header must be 'matrix n'", idx + 1)
-        n = parse_int(header[1], idx + 1)
+            raise ParseError("matrix header must be 'matrix n'", head)
+        n = parse_int(header[1], head)
         if len(body) != n:
             raise ParseError(f"expected {n} matrix rows, found {len(body)}")
-        rows = []
-        for lineno, ln in body:
-            try:
-                row = [parse_scalar(tok) for tok in ln.split()]
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from exc
-            if len(row) != n:
-                raise ParseError(f"expected {n} entries, found {len(row)}", lineno)
-            rows.append(row)
-        m = _entries_to_matrix(rows)
-        return Graph(m)
+        return Graph(_entries_to_matrix([_row(parse_scalar, lineno, tokens, n)
+                                         for lineno, tokens in body]))
     if header[0] == "edges":
         if len(header) != 3:
-            raise ParseError("edge-list header must be 'edges n m'", idx + 1)
-        n, m_edges = (parse_int(tok, idx + 1) for tok in header[1:])
+            raise ParseError("edge-list header must be 'edges n m'", head)
+        n, m_edges = _row(parse_int, head, header[1:])
         if len(body) != m_edges:
             raise ParseError(f"expected {m_edges} edge lines, found {len(body)}")
-        edges = []
-        seen = set()
-        for lineno, ln in body:
-            parts = ln.split()
-            if len(parts) != 2:
+        edges = {}  # {u, v} -> (u, v), in file order
+        for lineno, tokens in body:
+            if len(tokens) != 2:
                 raise ParseError("edge lines must be 'u v'", lineno)
-            u, v = (parse_int(tok, lineno) for tok in parts)
+            u, v = _row(parse_int, lineno, tokens)
             if not (1 <= u <= n and 1 <= v <= n) or u == v:
                 raise ParseError(f"bad edge ({u}, {v})", lineno)
-            key = (min(u, v), max(u, v))
-            if key in seen:
+            if frozenset((u, v)) in edges:
                 raise ParseError(f"duplicate edge ({u}, {v})", lineno)
-            seen.add(key)
-            edges.append((u, v))
-        return from_edges(n, edges)
-    raise ParseError(f"unknown header {header[0]!r}", idx + 1)
-
-
-def load_graph(path: str) -> Graph:
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph_text(fh.read())
+            edges[frozenset((u, v))] = u, v
+        return from_edges(n, edges.values())
+    raise ParseError(f"unknown header {header[0]!r}", head)
 
 
 def format_scalar(x) -> str:
@@ -179,41 +176,21 @@ def dump_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_graph(g: Graph, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_graph(g))
-
-
 def parse_coloring_text(text: str):
-    """A Coloring (one integer per line) or FractionalColoring (k decimals)."""
-    rows = [(lineno, ln.split()) for lineno, ln in enumerate(text.splitlines(), start=1)
-            if ln.strip()]
-    if not rows:
+    """A Coloring (one integer per line) or FractionalColoring (k scalars)."""
+    lines = _lines(text)
+    if not lines:
         raise ParseError("empty coloring file")
-    if all(len(r) == 1 for _, r in rows):
-        colors = [parse_int(r[0], lineno) for lineno, r in rows]
-        try:
-            return Coloring.from_colors(colors)
-        except DimensionError as exc:
-            raise ParseError(str(exc)) from exc
-    width = len(rows[0][1])
-    if any(len(r) != width for _, r in rows):
-        raise ParseError("fractional coloring rows must all have k entries")
-    entries = []
-    for lineno, r in rows:
-        try:
-            entries.append([parse_scalar(tok) for tok in r])
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from exc
     try:
-        return FractionalColoring(_entries_to_matrix(entries))
+        if all(len(tokens) == 1 for _, tokens in lines):
+            return Coloring.from_colors([_row(parse_int, lineno, tokens)[0]
+                                         for lineno, tokens in lines])
+        if any(len(tokens) != len(lines[0][1]) for _, tokens in lines):
+            raise ParseError("fractional coloring rows must all have k entries")
+        return FractionalColoring(_entries_to_matrix(
+            [_row(parse_scalar, lineno, tokens) for lineno, tokens in lines]))
     except DimensionError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def load_coloring(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return parse_coloring_text(fh.read())
 
 
 def dump_coloring(c: Coloring) -> str:
@@ -221,17 +198,35 @@ def dump_coloring(c: Coloring) -> str:
 
 
 def parse_vector_text(text: str):
-    vals = []
-    for lineno, ln in enumerate(text.splitlines(), start=1):
-        if not ln.strip():
-            continue
-        try:
-            vals.append(complex(parse_scalar(ln.strip())))
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from exc
-    if not vals:
-        raise ParseError("empty vector file")
-    return vals
+    """One scalar per line, as complex numbers."""
+    return [_complex(x) for x, in _scalar_rows(text, "vector", 1)]
+
+
+def parse_coefficients_text(text: str):
+    """A coefficient grid for the general product: whitespace rows of scalars."""
+    return tuple(map(tuple, _scalar_rows(text, "coefficient")))
+
+
+# -- the package's only file reads and writes -------------------------
+
+def load_graph(path: str) -> Graph:
+    with open(path, encoding="utf-8") as fh:
+        return parse_graph_text(fh.read())
+
+
+def save_graph(g: Graph, path: str):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dump_graph(g))
+
+
+def load_coloring(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return parse_coloring_text(fh.read())
+
+
+def save_coloring(c: Coloring, path: str):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dump_coloring(c))
 
 
 def load_vector(path: str):
@@ -239,16 +234,6 @@ def load_vector(path: str):
         return parse_vector_text(fh.read())
 
 
-def parse_coefficients_text(text: str):
-    """A coefficient grid for the general product: whitespace rows of scalars."""
-    rows = []
-    for lineno, ln in enumerate(text.splitlines(), start=1):
-        if not ln.strip():
-            continue
-        try:
-            rows.append(tuple(parse_scalar(tok) for tok in ln.split()))
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from exc
-    if not rows:
-        raise ParseError("empty coefficient file")
-    return tuple(rows)
+def load_coefficients(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return parse_coefficients_text(fh.read())

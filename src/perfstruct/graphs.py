@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, DomainMismatchError, HypothesisNotMetError
+from .errors import DimensionError, DomainMismatchError, HypothesisNotMetError, InputError
 from .matrix import (
     DEFAULT_TOL,
     EXACT,
@@ -59,6 +59,8 @@ class Graph:
 
 
 def from_edges(n: int, edges, directed: bool = False) -> Graph:
+    if n < 0:
+        raise DimensionError(f"a graph cannot have {n} vertices")
     m = np.zeros((n, n), dtype=np.int64)
     for u, v in edges:
         if not (1 <= u <= n and 1 <= v <= n) or u == v:
@@ -84,7 +86,7 @@ def _path_adjacency(n: int) -> np.ndarray:
 
 def _cycle_adjacency(n: int) -> np.ndarray:
     if n < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
+        raise InputError("a cycle needs at least 3 vertices")
     m = np.zeros((n, n), dtype=np.int64)
     i = np.arange(n)
     m[i, (i + 1) % n] = m[(i + 1) % n, i] = 1
@@ -167,14 +169,14 @@ def _checked(name: str, params: tuple) -> tuple:
     tag for a family over one graph."""
     family = FAMILIES.get(name)
     if family is None:
-        raise ValueError(f"unknown graph family {name!r}")
+        raise InputError(f"unknown graph family {name!r}")
     if family.arity is None:
         if len(params) != 1 or not isinstance(params[0], (Graph, tuple)):
-            raise ValueError(f"family {name!r} takes one graph or tag")
+            raise InputError(f"family {name!r} takes one graph or tag")
     else:
-        params = _integers(params, ValueError, f"parameters of family {name!r}")
+        params = _integers(params, InputError, f"parameters of family {name!r}")
         if len(params) != family.arity or any(p < 1 for p in params):
-            raise ValueError(f"invalid parameters {params} for family {name!r}")
+            raise InputError(f"invalid parameters {params} for family {name!r}")
     return family, params
 
 
@@ -215,7 +217,7 @@ def bipartite_double(g: Graph) -> Graph:
 def closed_form_spectrum(g: Graph) -> Spectrum:
     """Closed-form spectrum for family-tagged graphs; exact where rational."""
     if g.family is None:
-        raise ValueError("graph carries no family tag; use a numeric spectrum")
+        raise InputError("graph carries no family tag; use a numeric spectrum")
     return Spectrum.from_values(_tag_values(g.family))
 
 
@@ -223,7 +225,7 @@ def _tag_values(tag) -> np.ndarray:
     """Every eigenvalue of the family member ``tag``, with multiplicity."""
     name, *params = tag
     if name not in FAMILIES:
-        raise ValueError(f"no closed-form spectrum known for family {name!r}")
+        raise InputError(f"no closed-form spectrum known for family {name!r}")
     return FAMILIES[name].values(params)
 
 

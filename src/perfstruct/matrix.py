@@ -635,11 +635,14 @@ def eigensystem_on(a: Matrix, vectors, tol: float = DEFAULT_TOL, values=None,
     its Rayleigh quotient, or ``values[j]`` when given.  Raises
     HypothesisNotMetError(message) unless each column v, scaled to unit length,
     has max |A v - value·v| <= 10·sqrt(n)·max(tol, 1e-9)·max(1, ||A||_F), n the
-    order of A: the one residual bound.  A zero column, or a nan, never passes."""
+    order of A: the one residual bound.  A zero column, or a nan, never passes;
+    a column of the wrong length is a DimensionError."""
     if not isinstance(vectors, Matrix):
         vectors = Matrix(np.asarray(vectors, dtype=np.complex128)[:, None], COMPLEX)
     m = a.to_complex().data
     v = vectors.data
+    if len(v) != m.shape[1]:
+        raise DimensionError(f"a vector of length {len(v)} for a matrix of order {m.shape[1]}")
     av = m @ v
     sq = (v.conj() * v).real.sum(axis=0)  # exact for integer columns
     if not (sq > 0).all():  # a zero or nan column is no eigenvector

@@ -21,6 +21,7 @@ from .errors import DimensionError, DomainMismatchError, UnverifiedStructureErro
 from .matrix import (
     COMPLEX,
     DEFAULT_TOL,
+    EXACT,
     EigenSystem,
     Matrix,
     Spectrum,
@@ -46,7 +47,7 @@ from .structures import (
 class ProductSpec:
     left_factors: tuple       # square matrices of one common order n'
     right_factors: tuple      # square matrices of one common order n''
-    coefficients: tuple       # m x l grid of scalars, at least one nonzero
+    coefficients: tuple       # m x l scalars, one nonzero at least, rational over exact factors
 
     def __post_init__(self):
         if not self.left_factors or not self.right_factors:
@@ -65,6 +66,13 @@ class ProductSpec:
             raise DimensionError("coefficient grid must be m x l")
         if all(c == 0 for row in grid for c in row):
             raise DimensionError("at least one coefficient must be nonzero")
+        if all(f.domain == EXACT for f in (*self.left_factors, *self.right_factors)):
+            for c in (c for row in grid for c in row if c != 0):
+                try:
+                    _as_exact(c)
+                except TypeError:
+                    raise DomainMismatchError(
+                        f"exact factors need rational coefficients, got {c!r}") from None
 
 
 @dataclass(frozen=True)

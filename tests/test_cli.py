@@ -5,9 +5,10 @@ import io
 import json
 import sys
 
+import numpy as np
 import pytest
 
-from perfstruct import make_family
+from perfstruct import cli, make_family
 from perfstruct.cli import main, resolve_graph_tokens
 from perfstruct.files import dump_graph
 from perfstruct.graphs import FAMILY_ARITY
@@ -221,6 +222,23 @@ class TestProduct:
         assert main(["product", "general", "k2", "k2", "--coeffs", coeffs,
                      "-o", str(tmp_path / "p.graph")]) == 2
 
+    @pytest.mark.parametrize("coefficient", ["0.5", "1+i"])
+    def test_non_rational_coefficient_over_exact_factors(self, tmp_path, capsys, coefficient):
+        coeffs = write(tmp_path, "grid.txt", coefficient + "\n")
+        out_path = tmp_path / "p.graph"
+        assert main(["product", "general", "c4", "k2", "--coeffs", coeffs,
+                     "-o", str(out_path)]) == 2
+        value = complex(coefficient.replace("i", "j"))
+        assert capsys.readouterr().err == \
+            f"error: exact factors need rational coefficients, got {value!r}\n"
+        assert not out_path.exists()
+
+    def test_complex_coefficient_over_complex_factors(self, tmp_path, capsys):
+        coeffs = write(tmp_path, "grid.txt", "1+i\n")
+        g = write(tmp_path, "g.graph", "matrix 2\n0 2+i\n2-i 0\n")
+        assert main(["product", "general", g, g, "--coeffs", coeffs,
+                     "-o", str(tmp_path / "p.graph")]) == 0
+
     def test_one_sided_coloring_is_an_input_error(self, tmp_path):
         lc = write(tmp_path, "l.col", "1\n2\n1\n2\n")
         assert main(["product", "cartesian", "c4", "k3",
@@ -385,3 +403,78 @@ class TestClosedPipe:
         monkeypatch.setattr(sys, "stdout", stdout)
         assert main(["census", "hamming", "3", "2", "2"]) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestInputErrors:
+    """Every malformed input exits 2 as a PerfstructError; nothing else does."""
+
+    FILES = {
+        "bad.graph": "matrix 2\n0 x\n1 0\n",
+        "blank.graph": "\nmatrix 2\n\n0 1\n1 +e7i\n",
+        "neg.edges": "edges -1 0\n",
+        "c4.graph": dump_graph(make_family("cycle", 4)),
+        "short.col": "1\n2\n",
+        "bad.col": "1\n\nx\n1\n",
+        "h5.vec": "1\n1\n0\n-1\n-1\n",
+        "g.vec": "1\n-1\n0\n",
+        "two.vec": "1\n1 2\n",
+        "grid.txt": "\n\n1 x\n",
+    }
+
+    @pytest.mark.parametrize("argv, err", [
+        (["spectrum", "bad.graph"], "error: line 2: invalid literal for int() with base 10: 'x'\n"),
+        (["spectrum", "blank.graph"], "error: line 5: bad complex literal '+e7i'\n"),
+        (["spectrum", "neg.edges", "--numeric"], "error: a graph cannot have -1 vertices\n"),
+        (["spectrum", "c4.graph", "--closed-form"],
+         "error: graph carries no family tag; use a numeric spectrum\n"),
+        (["verify", "c4", "short.col"],
+         "error: coloring length must equal the number of vertices\n"),
+        (["verify", "c4", "bad.col"], "error: line 3: expected an integer, got 'x'\n"),
+        (["contract", "c6", "h5.vec", "g.vec", "cartesian", "--right", "k3"],
+         "error: a vector of length 5 for a matrix of order 6\n"),
+        (["contract", "c4", "two.vec", "g.vec", "cartesian", "--right", "k2"],
+         "error: line 2: expected 1 entries, found 2\n"),
+        (["product", "general", "c4", "k2", "--coeffs", "grid.txt"],
+         "error: line 3: invalid literal for int() with base 10: 'x'\n"),
+        (["product", "cartesian", "k2"], "error: a graph is missing\n"),
+        (["spectrum", "c2"], "error: a cycle needs at least 3 vertices\n"),
+        (["spectrum", "k0"], "error: invalid parameters (0,) for family 'complete'\n"),
+        (["spectrum", "hamming", "0", "2"],
+         "error: invalid parameters (0, 2) for family 'hamming'\n"),
+        (["spectrum", "k\u00b2"], "error: expected an integer, got '\u00b2'\n"),
+        (["census", "k4", "2", "--budget", "-5"], "error: the census budget must be >= 0, got -5\n"),
+    ])
+    def test_malformed_input_exits_2(self, tmp_path, monkeypatch, capsys, argv, err):
+        for name, text in self.FILES.items():
+            write(tmp_path, name, text)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == err
+
+    def test_a_bare_value_error_is_not_an_input_error(self, monkeypatch):
+        def broken(*args):
+            raise ValueError("a programming error")
+
+        monkeypatch.setattr(cli, "numeric_spectrum", broken)
+        with pytest.raises(ValueError, match="a programming error"):
+            main(["spectrum", "c6", "--numeric"])
+
+    @pytest.mark.parametrize("solver, argv", [
+        ("eigvalsh", ["spectrum", "c6", "--numeric"]),          # eigenvalues
+        ("eigvals", ["spectrum", "arc.graph", "--numeric"]),
+        ("svd", ["verify", "c4", "w.col"]),                     # rank
+        ("lstsq", ["verify", "c4", "w.col"]),                   # parameters_from_structure
+        ("lstsq", ["product", "cartesian", "k2", "k2", "-o", "p.graph"]),  # joint_eigensystems
+    ])
+    def test_lapack_failure_is_an_input_error(self, tmp_path, monkeypatch, capsys,
+                                              solver, argv):
+        write(tmp_path, "w.col", "0.75 0.25\n0.25 0.75\n0.75 0.25\n0.25 0.75\n")
+        write(tmp_path, "arc.graph", "matrix 2\n0 1\n0 0\n")
+        monkeypatch.chdir(tmp_path)
+
+        def failed(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, solver, failed)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: did not converge\n"

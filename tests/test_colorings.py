@@ -30,7 +30,12 @@ from perfstruct import (
     verify_fractional,
 )
 from perfstruct import colorings, matrix, products
-from perfstruct.errors import DimensionError, DomainMismatchError, HypothesisNotMetError
+from perfstruct.errors import (
+    DimensionError,
+    DomainMismatchError,
+    HypothesisNotMetError,
+    InputError,
+)
 
 from helpers import enumerate_perfect_colorings
 
@@ -284,6 +289,34 @@ class TestProductColorings:
         assert coloring.k == c1.k * c2.k
         assert verify_coloring(graph, coloring) == params
 
+    @pytest.mark.parametrize("colors", [[1, 2, 1, 2], [1, 1, 2, 2], [1, 2, 3, 1],
+                                        [1, 1, 1, 1], [4, 3, 2, 1]])
+    def test_layout_parameters_are_what_verify_gives(self, colors):
+        """Every coloring is perfect on I, with S = I_k, and on J, with
+        S = J·diag(class sizes): equal to verify_coloring's, dtype included."""
+        c = Coloring.from_colors(colors)
+        for tag, m in (("I", Matrix.identity(4)), ("J", Matrix.ones(4))):
+            got = colorings._layout_parameters(tag, Graph(m), c)
+            expected = verify_coloring(Graph(m), c)
+            assert got == expected
+            assert got._ints.dtype == expected._ints.dtype == np.int64
+
+    @pytest.mark.parametrize("kind", ["tensor", "cartesian", "normal", "lexicographic"])
+    def test_verifies_the_graph_factors_and_the_product_only(self, monkeypatch, kind):
+        orders = []
+        verify = colorings.verify_coloring
+        monkeypatch.setattr(colorings, "verify_coloring",
+                            lambda g, c: orders.append(g.n) or verify(g, c))
+        product_coloring(kind, (make_family("cycle", 4), Coloring.from_colors([1, 2, 1, 2])),
+                         (make_family("complete", 3), Coloring.from_colors([1, 2, 3])))
+        assert orders == [4, 3, 12]
+
+    def test_unknown_kind_is_an_input_error(self):
+        g = make_family("cycle", 4)
+        c = Coloring.from_colors([1, 2, 1, 2])
+        with pytest.raises(InputError):
+            product_coloring("strong", (g, c), (g, c))
+
     def test_imperfect_factor_rejected(self):
         g = make_family("path", 4)
         bad = Coloring.from_colors([1, 1, 2, 2])
@@ -500,6 +533,12 @@ class TestCensusBudget:
         # would run to the end and report itself complete
         with pytest.raises(ValueError):
             census(make_family("cycle", 6), k, budget)
+        with pytest.raises(InputError):
+            census(make_family("cycle", 6), k, budget)
+
+    def test_negative_budget_is_an_input_error(self):
+        with pytest.raises(InputError, match="budget must be >= 0"):
+            census(make_family("cycle", 6), 2, -1)
 
     def test_numpy_integer_k_and_budget(self):
         g = make_family("cycle", 6)

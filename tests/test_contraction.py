@@ -21,6 +21,7 @@ from perfstruct.errors import (
     DimensionError,
     ExcludedEigenvalueError,
     HypothesisNotMetError,
+    InputError,
     ZeroContractionError,
 )
 
@@ -189,6 +190,8 @@ class TestNamedContractions:
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
+            contract_named("strong", ([1], 1), ([1], 1), small("complete 2"))
+        with pytest.raises(InputError):
             contract_named("strong", ([1], 1), ([1], 1), small("complete 2"))
 
     def test_zero_contraction_returned_not_raised(self):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from perfstruct import Coloring, FractionalColoring, make_family
-from perfstruct.errors import PerfstructError
+from perfstruct.errors import InputError, PerfstructError
 from perfstruct.files import (
     ParseError,
     dump_coloring,
@@ -34,6 +34,12 @@ class TestScalarGrammar:
         ("-i", complex(0, -1)),
         ("3i", complex(0, 3)),
         ("-0.5i", complex(0, -0.5)),
+        ("2+i", complex(2, 1)),
+        ("+i", complex(0, 1)),
+        ("2-i", complex(2, -1)),
+        ("1e3i", complex(0, 1000)),
+        (".5i", complex(0, 0.5)),
+        ("2+1e3i", complex(2, 1000)),
     ])
     def test_parse(self, token, expect):
         got = parse_scalar(token)
@@ -44,6 +50,17 @@ class TestScalarGrammar:
     def test_rejects(self, token):
         with pytest.raises(ValueError):
             parse_scalar(token)
+
+    @pytest.mark.parametrize("token", ["+e7i", "2+e3i", "-e7i", "2+3ei", "2+3e-i", "infi"])
+    def test_rejects_a_bad_complex_literal(self, token):
+        # an exponent needs a mantissa; Python's own complex grammar is gated
+        with pytest.raises(ValueError, match="bad complex literal"):
+            parse_scalar(token)
+
+    @pytest.mark.parametrize("token", ["-3i", "-0i", "0-0i", "-0+0i", "-i"])
+    def test_signed_zeros_follow_complex(self, token):
+        got, expect = parse_scalar(token), complex(token[:-1] + "j")
+        assert repr(got) == repr(expect)  # repr shows the sign of a zero part
 
     @pytest.mark.parametrize("token", ["1e999", "-1e999", "1e999i", "1+1e999i", "-1e999+2i"])
     def test_rejects_overflow_to_infinity(self, token):
@@ -138,15 +155,23 @@ class TestColoringFormat:
         with pytest.raises(ParseError):
             parse_coloring_text("1\n3\n")
 
-    @pytest.mark.parametrize("text, message", [
-        ("1\nx\n1\n", "line 2: expected an integer, got 'x'"),
-        ("\n1\n\n2\n1.5\n", "line 5: expected an integer, got '1.5'"),
+
+class TestPhysicalLines:
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_coloring_text, "1\nx\n1\n", "line 2: expected an integer, got 'x'"),
+        (parse_coloring_text, "\n1\n\n2\n1.5\n", "line 5: expected an integer, got '1.5'"),
         # blank lines count: the bad token is on physical line 5
-        ("\n\n1/2 1/2\n\n1 x\n", "line 5: "),
+        (parse_coloring_text, "\n\n1/2 1/2\n\n1 x\n", "line 5: "),
+        (parse_graph_text, "\nmatrix 2\n\n0 1\n\n1 +e7i\n", "line 6: bad complex literal '+e7i'"),
+        (parse_graph_text, "\n\nedges 2 1\n\n1 x\n", "line 5: expected an integer, got 'x'"),
+        (parse_vector_text, "\n1\n\n\n2+e3i\n", "line 5: bad complex literal '2+e3i'"),
+        (parse_vector_text, "1\n\n1 2\n", "line 3: expected 1 entries, found 2"),
+        (parse_coefficients_text, "\n\n1 x\n", "line 3: "),
+        (parse_coefficients_text, "1 2\n\n\n3 1/0\n", "line 4: zero denominator in '1/0'"),
     ])
-    def test_errors_carry_physical_line_numbers(self, text, message):
+    def test_errors_carry_physical_line_numbers(self, parse, text, message):
         with pytest.raises(ParseError) as exc:
-            parse_coloring_text(text)
+            parse(text)
         assert str(exc.value).startswith(message)
 
 
@@ -159,9 +184,29 @@ class TestVectorFormat:
             parse_vector_text("\n\n")
 
 
+class TestFloatRange:
+    BIG = "1" + "0" * 400
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_vector_text, f"1\n{BIG}\n"),
+        (parse_graph_text, f"matrix 2\n0 1.5\n{BIG} 0\n"),
+        (parse_coloring_text, f"0.5 0.5\n{BIG} 0\n"),
+    ])
+    def test_an_exact_entry_beyond_floats_in_a_complex_matrix(self, parse, text):
+        with pytest.raises(ParseError, match="beyond the float range"):
+            parse(text)
+
+    def test_an_exact_matrix_keeps_it(self):
+        g = parse_graph_text(f"matrix 2\n0 {self.BIG}\n{self.BIG} 0\n")
+        assert g.adjacency.data[0][1] == 10 ** 400
+
+
 class TestParseErrors:
     def test_parse_error_is_a_package_error(self):
         assert issubclass(ParseError, PerfstructError)
+
+    def test_parse_error_is_an_input_error_and_a_value_error(self):
+        assert issubclass(ParseError, InputError) and issubclass(ParseError, ValueError)
 
     @pytest.mark.parametrize("parse,text", [
         (parse_vector_text, "1\n1/0\n"),

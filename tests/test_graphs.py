@@ -24,7 +24,7 @@ from perfstruct import (
 from perfstruct.graphs import FAMILIES, ProductFamily, Spectrum
 from perfstruct.products import NAMED_SPECS
 from perfstruct import products
-from perfstruct.errors import DomainMismatchError, HypothesisNotMetError
+from perfstruct.errors import DimensionError, DomainMismatchError, HypothesisNotMetError, InputError
 
 TOL = 1e-8
 
@@ -87,6 +87,17 @@ class TestConstruction:
         # never truncated: cycle 5.7 is not C_5
         with pytest.raises(ValueError):
             make_family(name, *params)
+
+    @pytest.mark.parametrize("name, params", [
+        ("petersen", (10,)), ("cycle", (2,)), ("complete", (0,)), ("hamming", (0, 2)),
+        ("cycle", (5.7,)), ("double", (3,))])
+    def test_bad_parameters_are_input_errors(self, name, params):
+        with pytest.raises(InputError):
+            make_family(name, *params)
+
+    def test_a_negative_vertex_count_is_refused(self):
+        with pytest.raises(DimensionError, match="-1 vertices"):
+            from_edges(-1, [])
 
     def test_numpy_integer_parameters(self):
         g = make_family("torus", np.int64(3), np.int32(4))
@@ -176,6 +187,12 @@ class TestClosedFormSpectra:
     def test_unknown_tag_has_no_closed_form(self):
         g = Graph(Matrix.identity(2), family=("petersen", 2))
         with pytest.raises(ValueError):
+            closed_form_spectrum(g)
+
+    @pytest.mark.parametrize("g", [from_edges(3, [(1, 2)]),
+                                   Graph(Matrix.identity(2), family=("petersen", 2))])
+    def test_no_closed_form_is_an_input_error(self, g):
+        with pytest.raises(InputError):
             closed_form_spectrum(g)
 
 

@@ -1,6 +1,6 @@
-"""The package's import structure, read from the source with ``ast``: no
-function imports a package module, and the import graph between the
-package's modules has no cycle."""
+"""The package's structure, read from the source with ``ast``: no function
+imports a package module, the import graph between the package's modules
+has no cycle, and only ``files`` opens files."""
 
 import ast
 from pathlib import Path
@@ -77,3 +77,12 @@ def test_no_function_imports_a_package_module(module):
 def test_the_import_graph_has_no_cycle():
     assert find_cycle(import_graph()) is None
 
+
+
+@pytest.mark.parametrize("module", sorted(set(TREES) - {"files"}))
+def test_only_files_opens_files(module):
+    # the builtin only: os.open is an attribute call
+    calls = [node.lineno for node in ast.walk(TREES[module])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "open"]
+    assert calls == []

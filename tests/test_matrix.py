@@ -199,6 +199,12 @@ class TestOneResidualBound:
         g[-1] -= (n % 2) * t * np.sqrt(n)  # the deviations sum to 0
         assert abs(eigensystem_on(j, g, tol).values[0] - n) < 1e-3 * n
 
+    @pytest.mark.parametrize("v", [[1, 1], [1, 1, 1, 1], np.ones((2, 1))])
+    def test_a_vector_of_the_wrong_length_is_a_dimension_error(self, v):
+        vectors = Matrix.complex(v) if np.ndim(v) == 2 else v
+        with pytest.raises(DimensionError, match="for a matrix of order 3"):
+            eigensystem_on(Matrix.diag([1, 2, 3]), vectors)
+
     def test_non_eigenvectors_rejected(self):
         a = Matrix.diag([1, 2, 3])
         for v, values in (([1, 1, 0], None), ([1, 0, 0], [2]), ([0, 0, 0], None),

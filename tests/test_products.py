@@ -82,6 +82,25 @@ class TestSpecs:
         m = build_product(lexicographic_spec(a, a))
         assert m == make_family("complete", 4).adjacency
 
+    @pytest.mark.parametrize("c", [0.5, 0.5 + 0j, 1 + 1j, 1.0])
+    def test_exact_factors_refuse_a_non_rational_coefficient(self, c):
+        a = Matrix.identity(2)
+        with pytest.raises(DomainMismatchError, match="rational coefficients"):
+            ProductSpec((a,), (a,), ((c,),))
+
+    def test_exact_factors_take_rational_coefficients(self):
+        a = Matrix.identity(2)
+        for c in (2, np.int64(2), Fraction(1, 2)):
+            assert build_product(ProductSpec((a,), (a,), ((c,),))) == kron(a, a).scale(c)
+        # a zero term is never formed, whatever its type
+        spec = ProductSpec((a, a), (a,), ((1,), (0.0,)))
+        assert build_product(spec) == kron(a, a)
+
+    def test_complex_factors_take_complex_coefficients(self):
+        a = Matrix.identity(2, "complex")
+        got = build_product(ProductSpec((a,), (a,), ((1 + 1j,),)))
+        assert np.array_equal(got.data, (1 + 1j) * np.eye(4))
+
     def test_grid_validation(self):
         a = Matrix.identity(2)
         with pytest.raises(DimensionError):

@@ -114,7 +114,7 @@ def cmd_verify(args) -> int:
     if s is None:
         print(json.dumps({"verified": False}) if args.json else "not a perfect coloring")
         return EXIT_NEGATIVE
-    canon = sorted(eigenvalues(s, tol), key=lambda z: (z.real, z.imag))
+    canon = eigenvalues(s, tol)
     # a verified structure is nonsingular: a coloring's indicator has full
     # column rank, and verify_fractional refuses rank-deficient weights
     report = {
@@ -168,41 +168,38 @@ def cmd_product(args) -> int:
     if kind == "general":
         if not args.coeffs:
             raise files.ParseError("the general product needs --coeffs FILE")
-        grid = files.load_coefficients(args.coeffs)
-        if len(grid) != 1 or len(grid[0]) != 1:
-            raise files.ParseError(
-                "general products over two plain graphs take a 1x1 grid; build "
-                "multi-factor specs through the library API")
-        spec = ProductSpec((left.adjacency,), (right.adjacency,), grid)
+        spec = ProductSpec((left.adjacency,), (right.adjacency,),
+                           files.load_coefficients(args.coeffs))
+    elif args.coeffs:
+        raise files.ParseError(f"--coeffs is for the general product, not {kind}")
     else:
         spec = NAMED_SPECS[kind](left.adjacency, right.adjacency)
-    product = Graph(build_product(spec))
-
-    out_path = args.output or "product.graph"
-    files.save_graph(product, out_path)
-    print(f"wrote product graph ({product.n} vertices) to {out_path}")
-
+    # every check and computation comes first, so a failing run writes nothing
     if args.left_coloring or args.right_coloring:
         if not (args.left_coloring and args.right_coloring):
             raise files.ParseError("both factor colorings are required")
-        cl = files.load_coloring(args.left_coloring)
-        cr = files.load_coloring(args.right_coloring)
-        if not isinstance(cl, Coloring) or not isinstance(cr, Coloring):
-            raise files.ParseError("product colorings must be integer colorings")
-        if kind == "general":
-            raise files.ParseError("colorings are supported for named products only")
-        _, pc, params = product_coloring(kind, (left, cl), (right, cr))
-        cpath = out_path + ".coloring"
-        files.save_coloring(pc, cpath)
-        print(f"wrote product coloring to {cpath}")
-        _print_block("parameter matrix:", map(" ".join, files.format_rows(params)))
+        product, coloring, params = product_coloring(
+            kind, (left, files.load_coloring(args.left_coloring)),
+            (right, files.load_coloring(args.right_coloring)))
+    else:
+        product, coloring = Graph(build_product(spec)), None
     try:
         spectrum = product_spectrum(spec, joint_eigensystems(spec.left_factors, tol),
                                     joint_eigensystems(spec.right_factors, tol), tol)
     except (DefectiveMatrixError, HypothesisNotMetError) as exc:
-        print(f"note: no product spectrum: {exc}", file=sys.stderr)
-        return EXIT_OK
-    _print_spectrum("product spectrum:", _spectrum_rows(spectrum))
+        spectrum, note = None, f"note: no product spectrum: {exc}"
+
+    out_path = args.output or "product.graph"
+    files.save_graph(product, out_path)
+    print(f"wrote product graph ({product.n} vertices) to {out_path}")
+    if coloring is not None:
+        files.save_coloring(coloring, out_path + ".coloring")
+        print(f"wrote product coloring to {out_path}.coloring")
+        _print_block("parameter matrix:", map(" ".join, files.format_rows(params)))
+    if spectrum is None:
+        print(note, file=sys.stderr)
+    else:
+        _print_spectrum("product spectrum:", _spectrum_rows(spectrum))
     return EXIT_OK
 
 
@@ -219,24 +216,20 @@ def cmd_contract(args) -> int:
     if np.any(g):  # L^T g = lam g
         lam = eigensystem_on(right.adjacency.T, g, tol,
                              message="g is not an eigenvector of the right factor").values[0]
+    left = resolve_graph_tokens([args.left])[0] if args.left else None
 
-    left_matrix = None
-    if args.left:
-        left_graph, _ = resolve_graph_tokens([args.left])
-        left_matrix = left_graph.adjacency
-
-    f, mu = contract_named(args.kind, (h, nu), (g, lam), right, tol,
-                           left_matrix=left_matrix)
+    f, mu = contract_named(args.kind, (h, nu), (g, lam), right, tol)
     if float(np.linalg.norm(f)) <= tol:
         print("status: zero contraction")
         return EXIT_OK
+    resid = "unavailable (no --left factor given)"
+    if left is not None:  # M f = mu f, with f scaled to unit length
+        resid = format(eigensystem_on(
+            left.adjacency, f, tol, [mu],
+            "contracted vector is not an eigenvector of the left factor").residual, ".3e")
     print("f = " + " ".join(_format_value(x) for x in f))
     print(f"mu = {_format_value(mu)}")
-    if left_matrix is not None:
-        resid = eigensystem_on(left_matrix, f, tol, [mu]).residual  # f scaled to unit length
-        print(f"eigen-residual of f: {resid:.3e}")
-    else:
-        print("eigen-residual of f: unavailable (no --left factor given)")
+    print(f"eigen-residual of f: {resid}")
     return EXIT_OK
 
 

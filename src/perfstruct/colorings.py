@@ -26,7 +26,7 @@ from .matrix import (
     _same_value,
     eigenvalues,
 )
-from .products import NAMED_SPECS, _kron_sum, build_product
+from .products import _kron_sum, _named, build_product
 from .structures import parameters_from_structure
 from .errors import NoParameterMatrixError, SingularMatrixError
 
@@ -79,15 +79,15 @@ class FractionalColoring:
             raise DimensionError(f"row {i + 1} of the weights does not sum to 1")
 
 
-def _class_counts(a: Matrix, colors: np.ndarray, sizes) -> np.ndarray:
+def _class_counts(a: Matrix, colors: np.ndarray, sizes, top: int) -> np.ndarray:
     """The numerators of A·P over A's denominator, for the coloring with
     colors ``colors`` (0..k-1) and class sizes ``sizes``: entry (v, j) sums
     row v of A's numerators over the columns colored j.  One ``reduceat``
-    over the columns sorted by color, in int64 when max|A|·n bounds every
-    sum, else over Python ints (``_guarded``)."""
+    over the columns sorted by color, in int64 when top·n bounds every sum,
+    ``top`` being max|A|, else over Python ints (``_guarded``)."""
     order = np.argsort(colors, kind="stable")
     starts = np.cumsum((0, *sizes[:-1]))
-    return _guarded(_magnitude(a._ints) * len(colors),
+    return _guarded(top * len(colors),
                     lambda x: np.add.reduceat(x[:, order], starts, axis=1), a._ints)
 
 
@@ -121,17 +121,18 @@ def verify_coloring(g: Graph, c: Coloring) -> Matrix | None:
             "integer colorings are verified over an exact adjacency matrix")
     if c.n != g.n:
         raise DimensionError("coloring length must equal the number of vertices")
-    colors = np.array(c.colors) - 1
-    counts = _class_counts(a, colors, c.class_sizes)
+    p = c.indicator._ints
+    colors = p.argmax(axis=1)  # the column of each row's one 1
+    top = _magnitude(a._ints)
+    counts = _class_counts(a, colors, c.class_sizes, top)
     s = _parameters_at_first(counts[None], colors[None], c.k)
     if s is None:
         return None
     s = s[0]
     # every partial sum of A·P is at most max|A|·n, and each row of P·S is a
     # row of S, since P has one 1 per row
-    bound = _magnitude(a._ints) * g.n + _magnitude(s)
-    if _guarded(bound, lambda x, p, s: np.dot(x, p) - np.dot(p, s),
-                a._ints, c.indicator._ints, s).any():
+    if _guarded(top * g.n + _magnitude(s), lambda x, p, s: np.dot(x, p) - np.dot(p, s),
+                a._ints, p, s).any():
         raise ArithmeticError("combinatorial and algebraic verifiers disagree")
     return Matrix._wrap(_narrow(s), a._den)
 
@@ -181,12 +182,14 @@ def product_coloring(product: str, left, right):
     coloring with indicator P kron R has parameter matrix
     sum a_ij S_i kron T_j.  Returns the product graph, that k1*k2-coloring
     and its parameter matrix, re-verified combinatorially before returning.
+    An unknown kind, or a coloring that is not a ``Coloring``, is an
+    InputError.
     """
-    if product not in NAMED_SPECS:
-        raise InputError(f"unknown product kind {product!r}")
-    named = NAMED_SPECS[product]
+    named = _named(product)
     g1, c1 = left
     g2, c2 = right
+    if not (isinstance(c1, Coloring) and isinstance(c2, Coloring)):
+        raise InputError("product colorings must be integer colorings")
     s = [_layout_parameters(tag, g1, c1) for tag in named.left]
     t = [_layout_parameters(tag, g2, c2) for tag in named.right]
     if any(x is None for x in s + t):

@@ -21,12 +21,11 @@ from .errors import (
     DimensionError,
     ExcludedEigenvalueError,
     HypothesisNotMetError,
-    InputError,
     ZeroContractionError,
 )
 from .graphs import Graph
 from .matrix import DEFAULT_TOL, Matrix, eigensystem_on
-from .products import NAMED_SPECS, _unity_values
+from .products import _named, _unity_values
 
 
 @dataclass(frozen=True)
@@ -100,9 +99,7 @@ def contract_named(product: str, product_eigfn, right_eigfn, right_graph: Graph,
     ``left_matrix`` is supplied and f is nonzero, the eigen identity
     M·f = mu·f is checked at the given tolerance.
     """
-    if product not in NAMED_SPECS:
-        raise InputError(f"unknown product kind {product!r}")
-    named = NAMED_SPECS[product]
+    named = _named(product)
     h, nu = product_eigfn
     g, lam = right_eigfn
     h = np.asarray(h, dtype=np.complex128)

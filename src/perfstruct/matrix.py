@@ -659,14 +659,14 @@ def eigensystem_on(a: Matrix, vectors, tol: float = DEFAULT_TOL, values=None,
 
 
 def eigenvalues(m: Matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues only, same deterministic ordering, no diagonalizability gate."""
+    """Eigenvalues only, sorted by (Re, Im) as ``eig`` sorts them, with no
+    diagonalizability gate."""
     a = _solver_input(m)
     h = _hermitian_input(m, a, tol)
     if h is not None:
         return np.linalg.eigvalsh(h).astype(np.complex128)  # real and ascending
     vals = np.linalg.eigvals(a)
-    order = np.lexsort((vals.imag.round(12), vals.real.round(12)))
-    return vals[order]
+    return vals[np.lexsort((vals.imag, vals.real))]
 
 
 def _complex_array(values) -> np.ndarray:

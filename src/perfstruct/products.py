@@ -17,7 +17,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DimensionError, DomainMismatchError, UnverifiedStructureError
+from .errors import DimensionError, DomainMismatchError, InputError, UnverifiedStructureError
 from .matrix import (
     COMPLEX,
     DEFAULT_TOL,
@@ -52,18 +52,14 @@ class ProductSpec:
     def __post_init__(self):
         if not self.left_factors or not self.right_factors:
             raise DimensionError("a product needs at least one factor on each side")
-        n1 = self.left_factors[0].rows
-        n2 = self.right_factors[0].rows
-        for f in self.left_factors:
-            if not f.is_square() or f.rows != n1:
-                raise DimensionError("left factors must be square of one order")
-        for f in self.right_factors:
-            if not f.is_square() or f.rows != n2:
-                raise DimensionError("right factors must be square of one order")
+        for side, factors in (("left", self.left_factors), ("right", self.right_factors)):
+            if any(not f.is_square() or f.rows != factors[0].rows for f in factors):
+                raise DimensionError(f"{side} factors must be square of one order")
         grid = self.coefficients
-        if len(grid) != len(self.left_factors) or any(
-                len(row) != len(self.right_factors) for row in grid):
-            raise DimensionError("coefficient grid must be m x l")
+        m, l = len(self.left_factors), len(self.right_factors)
+        if len(grid) != m or any(len(row) != l for row in grid):
+            raise DimensionError(f"coefficient grid must be m x l = {m} x {l}, "
+                                 f"got row lengths {[len(row) for row in grid]}")
         if all(c == 0 for row in grid for c in row):
             raise DimensionError("at least one coefficient must be nonzero")
         if all(f.domain == EXACT for f in (*self.left_factors, *self.right_factors)):
@@ -134,6 +130,14 @@ NAMED_SPECS = {
     "lexicographic": NamedProduct(("M", "I"), ("J", "L"), ((1, 0), (0, 1))),
 }
 tensor_spec, cartesian_spec, normal_spec, lexicographic_spec = NAMED_SPECS.values()
+
+
+def _named(kind: str) -> NamedProduct:
+    """The named product ``kind``; any other name is an InputError."""
+    if kind not in NAMED_SPECS:
+        raise InputError(f"unknown product kind {kind!r}; the named kinds are "
+                         + ", ".join(NAMED_SPECS))
+    return NAMED_SPECS[kind]
 
 
 def grid_value(coefficients, xs, ys):

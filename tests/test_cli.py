@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from perfstruct import cli, make_family
+from perfstruct import cli, colorings, contraction, make_family, matrix, products
 from perfstruct.cli import main, resolve_graph_tokens
 from perfstruct.files import dump_graph
 from perfstruct.graphs import FAMILY_ARITY
@@ -239,11 +239,71 @@ class TestProduct:
         assert main(["product", "general", g, g, "--coeffs", coeffs,
                      "-o", str(tmp_path / "p.graph")]) == 0
 
-    def test_one_sided_coloring_is_an_input_error(self, tmp_path):
-        lc = write(tmp_path, "l.col", "1\n2\n1\n2\n")
-        assert main(["product", "cartesian", "c4", "k3",
-                     "--left-coloring", lc,
-                     "-o", str(tmp_path / "p.graph")]) == 2
+    FILES = {
+        "l.col": "1\n2\n1\n2\n",
+        "r.col": "1\n2\n",
+        "short.col": "1\n2\n",
+        "imperfect.col": "1\n2\n2\n2\n",
+        "fractional.col": "0.5 0.5\n" * 4,
+        "one.txt": "1\n",
+        "two-by-two.txt": "1 0\n0 1\n",
+    }
+    NAMED = ["tensor", "cartesian", "normal", "lex"]
+
+    @pytest.mark.parametrize("argv, err", [
+        *[pytest.param([kind, "c4", "k2", "--left-coloring", f"{bad}.col",
+                        "--right-coloring", "r.col"], err, id=f"{kind}-{bad}")
+          for kind in NAMED for bad, err in [
+              ("short", "coloring length must equal the number of vertices"),
+              ("imperfect", "both factor colorings must be perfect"),
+              ("fractional", "product colorings must be integer colorings")]],
+        pytest.param(["general", "c4", "k2", "--coeffs", "one.txt",
+                      "--left-coloring", "l.col", "--right-coloring", "r.col"],
+                     "unknown product kind 'general'; the named kinds are tensor, "
+                     "cartesian, normal, lexicographic", id="general-colorings"),
+        pytest.param(["cartesian", "c4", "k2", "--left-coloring", "l.col"],
+                     "both factor colorings are required", id="one-sided"),
+        pytest.param(["general", "c4", "k2", "--coeffs", "two-by-two.txt"],
+                     "coefficient grid must be m x l = 1 x 1, got row lengths [2, 2]",
+                     id="two-by-two-grid"),
+    ])
+    def test_a_failing_run_writes_nothing(self, tmp_path, monkeypatch, capsys, argv, err):
+        for name, text in self.FILES.items():
+            write(tmp_path, name, text)
+        monkeypatch.chdir(tmp_path)
+        assert main(["product", *argv, "-o", "out.graph"]) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+        assert not (tmp_path / "out.graph").exists()
+        assert not (tmp_path / "out.graph.coloring").exists()
+
+    @pytest.mark.parametrize("kind", NAMED)
+    def test_coeffs_with_a_named_kind_is_an_input_error(self, tmp_path, monkeypatch,
+                                                        capsys, kind):
+        write(tmp_path, "five.txt", "5\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["product", kind, "k2", "k2", "--coeffs", "five.txt"]) == 2
+        name = "lexicographic" if kind == "lex" else kind
+        assert capsys.readouterr() == \
+            ("", f"error: --coeffs is for the general product, not {name}\n")
+        assert not (tmp_path / "product.graph").exists()
+
+    def test_colorings_build_the_product_once(self, tmp_path, monkeypatch, capsys):
+        for name, text in self.FILES.items():
+            write(tmp_path, name, text)
+        monkeypatch.chdir(tmp_path)
+        specs = []
+
+        def counting(spec):
+            specs.append(spec)
+            return products.build_product(spec)
+
+        monkeypatch.setattr(cli, "build_product", counting)
+        monkeypatch.setattr(colorings, "build_product", counting)
+        assert main(["product", "cartesian", "c4", "k2", "-o", "out.graph",
+                     "--left-coloring", "l.col", "--right-coloring", "r.col"]) == 0
+        assert len(specs) == 1
+        written = (tmp_path / "out.graph").read_text()
+        assert written == dump_graph(make_family("prism", 4))
 
 
 class TestContract:
@@ -258,6 +318,38 @@ class TestContract:
         out = capsys.readouterr().out
         assert "mu = -1" in out
         assert "eigen-residual" in out
+
+    def test_the_left_factor_is_checked_once(self, tmp_path, monkeypatch, capsys):
+        prod = str(tmp_path / "prod.graph")
+        assert main(["product", "cartesian", "k2", "c4", "-o", prod]) == 0
+        capsys.readouterr()
+        # h = (1, -1) kron 1: nu = -1 + 2, and H·g = (4, -4) with mu = -1
+        h = write(tmp_path, "h.vec", "1\n1\n1\n1\n-1\n-1\n-1\n-1\n")
+        g = write(tmp_path, "g.vec", "1\n1\n1\n1\n")
+        left = make_family("complete", 2).adjacency
+        on_left = []
+
+        def counting(a, *args, **kwargs):
+            on_left.append(a == left)
+            return matrix.eigensystem_on(a, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "eigensystem_on", counting)
+        monkeypatch.setattr(contraction, "eigensystem_on", counting)
+        assert main(["contract", prod, h, g, "cartesian", "--right", "c4", "--left", "k2"]) == 0
+        assert on_left.count(True) == 1
+        assert capsys.readouterr().out == ("f = 4 -4\nmu = -1\n"
+                                           "eigen-residual of f: 0.000e+00\n")
+
+    def test_a_left_factor_that_fails_prints_nothing(self, tmp_path, capsys):
+        prod = str(tmp_path / "prod.graph")
+        assert main(["product", "cartesian", "k2", "c4", "-o", prod]) == 0
+        capsys.readouterr()
+        h = write(tmp_path, "h.vec", "1\n1\n1\n1\n-1\n-1\n-1\n-1\n")
+        g = write(tmp_path, "g.vec", "1\n1\n1\n1\n")
+        ones = write(tmp_path, "ones.graph", "matrix 2\n1 1\n1 1\n")  # J·(1, -1) = 0
+        assert main(["contract", prod, h, g, "cartesian", "--right", "c4", "--left", ones]) == 2
+        assert capsys.readouterr() == \
+            ("", "error: contracted vector is not an eigenvector of the left factor\n")
 
     def test_zero_contraction(self, tmp_path, capsys):
         prod = str(tmp_path / "prod.graph")
@@ -478,3 +570,4 @@ class TestInputErrors:
         monkeypatch.setattr(np.linalg, solver, failed)
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: did not converge\n"
+        assert not (tmp_path / "p.graph").exists()

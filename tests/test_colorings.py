@@ -314,8 +314,19 @@ class TestProductColorings:
     def test_unknown_kind_is_an_input_error(self):
         g = make_family("cycle", 4)
         c = Coloring.from_colors([1, 2, 1, 2])
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="the named kinds are tensor, cartesian, "
+                                             "normal, lexicographic"):
             product_coloring("strong", (g, c), (g, c))
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_a_fractional_coloring_is_an_input_error(self, side):
+        g = make_family("cycle", 4)
+        c = Coloring.from_colors([1, 2, 1, 2])
+        w = FractionalColoring(Matrix.ones(4, 2).scale(Fraction(1, 2)))
+        pairs = [(g, c), (g, c)]
+        pairs[side] = (g, w)
+        with pytest.raises(InputError, match="product colorings must be integer colorings"):
+            product_coloring("cartesian", *pairs)
 
     def test_imperfect_factor_rejected(self):
         g = make_family("path", 4)
@@ -561,8 +572,8 @@ class TestCrossChecks:
         # all-zero counts read as a perfect coloring with S = 0, which the
         # independent A·P = P·S check refutes
         monkeypatch.setattr(colorings, "_class_counts",
-                            lambda a, colors, sizes: np.zeros((len(colors), len(sizes)),
-                                                              dtype=np.int64))
+                            lambda a, colors, sizes, top: np.zeros(
+                                (len(colors), len(sizes)), dtype=np.int64))
         with pytest.raises(ArithmeticError):
             verify_coloring(make_family("cycle", 4), Coloring.from_colors([1, 2, 1, 2]))
 
@@ -573,7 +584,7 @@ class TestCrossChecks:
             "import sys\n"
             "import numpy as np\n"
             "from perfstruct import Coloring, colorings, make_family\n"
-            "colorings._class_counts = lambda a, colors, sizes: np.zeros(\n"
+            "colorings._class_counts = lambda a, colors, sizes, top: np.zeros(\n"
             "    (len(colors), len(sizes)), dtype=np.int64)\n"
             "print(sys.flags.optimize)\n"
             "try:\n"

@@ -191,7 +191,8 @@ class TestNamedContractions:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             contract_named("strong", ([1], 1), ([1], 1), small("complete 2"))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="'strong'; the named kinds are tensor, "
+                                             "cartesian, normal, lexicographic"):
             contract_named("strong", ([1], 1), ([1], 1), small("complete 2"))
 
     def test_zero_contraction_returned_not_raised(self):

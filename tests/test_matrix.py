@@ -132,6 +132,13 @@ class TestEig:
             (v1[i].real, v1[i].imag) <= (v1[i + 1].real, v1[i + 1].imag)
             for i in range(5))
 
+    def test_eigenvalues_sort_as_eig_does(self):
+        # real parts 1 and 1 + 1e-13 agree to 12 digits; both sort by the
+        # exact real part first
+        m = Matrix.complex([[1 + 1j, 0], [0, 1 + 1e-13 - 1j]])
+        assert np.array_equal(eigenvalues(m), eig(m).values)
+        assert eigenvalues(m)[0] == 1 + 1j
+
     def test_hermitian_path_orthonormal(self):
         a = RNG.normal(size=(8, 8))
         es = eig(Matrix.complex(a + a.T))

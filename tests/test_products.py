@@ -110,6 +110,14 @@ class TestSpecs:
         with pytest.raises(DimensionError):
             ProductSpec((), (a,), ((1,),))
 
+    @pytest.mark.parametrize("grid, got", [(((1, 0), (0, 1)), "[2, 2]"),
+                                           (((1,), (1, 1)), "[1, 2]"), ((), "[]")])
+    def test_a_grid_of_the_wrong_shape_names_both_shapes(self, grid, got):
+        a = Matrix.identity(2)
+        with pytest.raises(DimensionError) as exc:
+            ProductSpec((a, a), (a,), grid)
+        assert str(exc.value) == f"coefficient grid must be m x l = 2 x 1, got row lengths {got}"
+
 
 class TestProductStructures:
     def test_closure_random_collections(self):

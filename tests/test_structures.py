@@ -335,3 +335,24 @@ class TestUnityAdjacency:
         s = alternating_structure()
         with pytest.raises(UnverifiedStructureError):
             classify_unity(s)
+
+
+class TestEigenvectorStructure:
+    """An eigenvector f of M with M f = lambda f is the perfect structure
+    (M, f, [lambda]); any other vector gives a triple that verify rejects."""
+
+    def test_exact_eigenvector(self):
+        s = structures.eigenvector_structure(cycle4(), [1, -1, "1", Fraction(-1)], -2)
+        assert s.domain == "exact" and s.k == 1
+        assert verify(s)
+
+    def test_complex_eigenvector(self):
+        # the directed 4-cycle v -> v + 1 shifts (1, i, -1, -i) to i times itself
+        shift = Matrix.complex(np.roll(np.eye(4), 1, axis=1))
+        s = structures.eigenvector_structure(shift, [1, 1j, -1, -1j], 1j)
+        assert s.domain == "complex"
+        assert verify(s)
+
+    @pytest.mark.parametrize("f, value", [([1, 0, 0, 0], 0), ([1, -1, 1, -1], 2)])
+    def test_a_vector_that_is_no_eigenvector_is_rejected(self, f, value):
+        assert not verify(structures.eigenvector_structure(cycle4(), f, value))

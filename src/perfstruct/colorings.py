@@ -263,23 +263,21 @@ def canonical_colors(colors) -> tuple:
     return tuple(out)
 
 
-def _search_order(g: Graph) -> list:
+def _search_order(ints: np.ndarray) -> list:
     """The vertices in breadth-first order over edges in either direction, one
-    component at a time from its lowest index, neighbors by index."""
-    adjacent = [set() for _ in range(g.n)]
-    for v, row in enumerate(g.neighbors):
-        for w, _ in row:
-            adjacent[v].add(w)
-            adjacent[w].add(v)
-    seen = [False] * g.n
+    component at a time from its lowest index, neighbors by index; ``ints``
+    holds the adjacency's numerators."""
+    nonzero = ints != 0
+    linked = [np.flatnonzero(row).tolist() for row in nonzero | nonzero.T]
+    seen = [False] * len(linked)
     order: list[int] = []
-    for root in range(g.n):
+    for root in range(len(linked)):
         if seen[root]:
             continue
         seen[root] = True
         order.append(root)
         for v in order[len(order) - 1:]:  # the list grows while it is read
-            for w in sorted(adjacent[v]):
+            for w in linked[v]:
                 if not seen[w]:
                     seen[w] = True
                     order.append(w)
@@ -305,16 +303,21 @@ def _search(g: Graph, k: int, budget: int) -> tuple[list, bool, int]:
         counts[v][j] <= reference[j].  It is tested on every slot when v is
         colored or its class gets its reference, and on the one slot that
         each later neighbor color changes.
+    Each test compares sums of weights, so it reads the numerators of A: the
+    common denominator scales both sides alike, and the search does Python int
+    arithmetic on every graph.
     """
     n = g.n
-    order = _search_order(g)
+    ints = g.adjacency._ints
+    order = _search_order(ints)
     in_edges: list[list] = [[] for _ in range(n)]
-    for v, row in enumerate(g.neighbors):
-        for u, x in row:
-            in_edges[u].append((v, x, min(x, 0)))
-    degree = [sum(x for _, x in row) for row in g.neighbors]
-    open_edges = [len(row) for row in g.neighbors]   # to uncolored out-neighbors
-    open_neg = [sum(min(x, 0) for _, x in row) for row in g.neighbors]
+    heads, tails = np.nonzero(ints.T)   # edge v -> u as (u, v), by u then v
+    for u, v, x in zip(heads.tolist(), tails.tolist(), ints.T[heads, tails].tolist()):
+        in_edges[u].append((v, x, min(x, 0)))
+    bound = _magnitude(ints) * n
+    degree = _guarded(bound, lambda x: x.sum(axis=1), ints).tolist()
+    open_edges = np.count_nonzero(ints, axis=1).tolist()   # to uncolored out-neighbors
+    open_neg = _guarded(bound, lambda x: np.minimum(x, 0).sum(axis=1), ints).tolist()
     counts = [[0] * k for _ in range(n)]
     color = [-1] * n
     reference = [-1] * k        # the vertex whose final counts are the class's

@@ -22,7 +22,6 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +31,9 @@ from .matrix import (
     EXACT,
     Matrix,
     Spectrum,
+    _guarded,
     _integers,
+    _magnitude,
     eigenvalues,
 )
 from .products import NAMED_SPECS, _exact_factor
@@ -50,12 +51,6 @@ class Graph:
     def __post_init__(self):
         if not self.adjacency.is_square():
             raise DimensionError("adjacency matrix must be square")
-
-    @cached_property
-    def neighbors(self) -> tuple:
-        """Per vertex v, the (w, weight) pairs with A[v, w] nonzero, in order of
-        w; weights are Python ints when the adjacency is integral."""
-        return tuple(map(tuple, self.adjacency.row_entries()))
 
 
 def from_edges(n: int, edges, directed: bool = False) -> Graph:
@@ -235,35 +230,40 @@ def is_regular(g: Graph) -> int | Fraction | complex | None:
     """Degree of a regular graph (symmetric, equal row sums), else None.
 
     The degree is exact over an exact adjacency: an int when it is integral,
-    a Fraction otherwise.
+    a Fraction otherwise, from the row sums of the numerators.  Over a complex
+    adjacency a degree is the Python sum of the row's nonzero entries, left to
+    right: a float sum depends on its order, so the order is fixed.
     """
     a = g.adjacency
     if a.T != a:
         return None
-    degrees = [sum(x for _, x in row) for row in g.neighbors]
+    if a.domain == EXACT:
+        ints = a._ints
+        degrees = _guarded(_magnitude(ints) * g.n, lambda x: x.sum(axis=1), ints).tolist()
+    else:
+        degrees = [sum(row[row != 0].tolist()) for row in a.data]
     deg = degrees[0]
     if any(d != deg for d in degrees):
         return None
     if a.domain != EXACT:
         return complex(deg)
-    return deg.numerator if isinstance(deg, Fraction) and deg.denominator == 1 else deg
+    deg = Fraction(deg, a._den)
+    return deg.numerator if deg.denominator == 1 else deg
 
 
 def is_connected(g: Graph) -> bool:
-    """Weak connectivity: a search over the edges of A and of its transpose."""
-    links = [[w for w, _ in row] for row in g.neighbors]
-    for v, row in enumerate(g.neighbors):
-        for w, _ in row:
-            links[w].append(v)
-    seen = [False] * g.n
-    stack = [0]
+    """Weak connectivity: reachability from vertex 0 over the nonzero pattern
+    of A | Aᵀ, one breadth-first level at a time."""
+    a = g.adjacency
+    nonzero = (a._ints if a.domain == EXACT else a.data) != 0
+    linked = nonzero | nonzero.T
+    seen = np.zeros(g.n, dtype=bool)
     seen[0] = True
-    while stack:
-        for w in links[stack.pop()]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    return all(seen)
+    level = seen.copy()
+    while level.any():
+        level = linked[level].any(axis=0) & ~seen
+        seen |= level
+    return bool(seen.all())
 
 
 def complement_spectrum(g: Graph, tol: float = DEFAULT_TOL) -> Spectrum:

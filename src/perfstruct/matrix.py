@@ -304,21 +304,6 @@ class Matrix:
     def col(self, j: int) -> np.ndarray:
         return self.data[:, j]
 
-    def row_entries(self) -> list[list[tuple]]:
-        """Per row, the (column, entry) pairs of its nonzero entries in column
-        order: Python ints for an integer matrix, else ``Fraction`` or
-        ``complex`` entries."""
-        arr = self._ints if self._den == 1 else self.data
-        rows, cols = np.nonzero(arr)
-        values = arr[rows, cols].tolist()
-        cols = cols.tolist()
-        ends = np.searchsorted(rows, np.arange(1, self.rows + 1)).tolist()
-        out, start = [], 0
-        for end in ends:
-            out.append(list(zip(cols[start:end], values[start:end])))
-            start = end
-        return out
-
     # -- arithmetic ---------------------------------------------------
 
     def _check_domain(self, other: "Matrix"):

@@ -270,17 +270,17 @@ def _search_order(ints: np.ndarray) -> list:
     nonzero = ints != 0
     linked = [np.flatnonzero(row).tolist() for row in nonzero | nonzero.T]
     seen = [False] * len(linked)
-    order: list[int] = []
-    for root in range(len(linked)):
-        if seen[root]:
-            continue
-        seen[root] = True
-        order.append(root)
-        for v in order[len(order) - 1:]:  # the list grows while it is read
-            for w in linked[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    order.append(w)
+    order: list[int] = []   # the queue: order[i] is the vertex visited i-th
+    roots = iter(range(len(linked)))
+    for i in range(len(linked)):
+        if i == len(order):  # a component is done: the next starts at its lowest vertex
+            root = next(v for v in roots if not seen[v])
+            seen[root] = True
+            order.append(root)
+        for w in linked[order[i]]:
+            if not seen[w]:
+                seen[w] = True
+                order.append(w)
     return order
 
 

@@ -446,6 +446,12 @@ class TestCensus:
     def test_canonical_colors(self):
         assert canonical_colors([3, 1, 3, 2]) == (1, 2, 1, 3)
 
+    def test_search_order_is_breadth_first(self):
+        # edges 0-3, 3-4, 4-1 and the isolated vertex 2: 4 is two steps from
+        # 0, so it comes before 1, three steps away
+        g = from_edges(5, [(1, 4), (4, 5), (5, 2)])
+        assert colorings._search_order(g.adjacency._ints) == [0, 3, 4, 1, 2]
+
 
 class TestCensusOracleAgreementRandom:
     def test_random_small_graphs(self):

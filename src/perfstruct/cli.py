@@ -212,13 +212,9 @@ def cmd_contract(args) -> int:
 
     nu = eigensystem_on(product_graph.adjacency, h, tol,
                         message="h is not an eigenvector of the product graph").values[0]
-    lam = 0  # for a zero g, which contract_named rejects
-    if np.any(g):  # L^T g = lam g
-        lam = eigensystem_on(right.adjacency.T, g, tol,
-                             message="g is not an eigenvector of the right factor").values[0]
     left = resolve_graph_tokens([args.left])[0] if args.left else None
 
-    f, mu = contract_named(args.kind, (h, nu), (g, lam), right, tol)
+    f, mu = contract_named(args.kind, (h, nu), (g, None), right, tol)  # reads L^T g = lam g
     if float(np.linalg.norm(f)) <= tol:
         print("status: zero contraction")
         return EXIT_OK

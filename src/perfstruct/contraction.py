@@ -93,8 +93,10 @@ def contract_named(product: str, product_eigfn, right_eigfn, right_graph: Graph,
 
     ``product_eigfn`` is (h, nu), ``right_eigfn`` is (g, lambda) with
     L^T g = lambda g, and mu solves nu = a·mu + b, the product's eigenvalue
-    rule.  HypothesisNotMetError: g not collinear to all-ones under a J
-    factor, or no left eigenvector of L; ExcludedEigenvalueError: a = 0.  Returns
+    rule.  A lambda of None is read from g by the one check of
+    L^T g = lambda g, made right after g is found nonzero.
+    HypothesisNotMetError: g not collinear to all-ones under a J factor, or
+    no left eigenvector of L; ExcludedEigenvalueError: a = 0.  Returns
     (f, mu) with f possibly zero (callers may retry with another g).  When
     ``left_matrix`` is supplied and f is nonzero, the eigen identity
     M·f = mu·f is checked at the given tolerance.
@@ -105,12 +107,16 @@ def contract_named(product: str, product_eigfn, right_eigfn, right_graph: Graph,
     h = np.asarray(h, dtype=np.complex128)
     g = np.asarray(g, dtype=np.complex128)
     nu = complex(nu)
-    lam = complex(lam)
     n = right_graph.n
     if h.size % n != 0:
         raise DimensionError("h length is not a multiple of the right factor order")
     if not np.any(g):
         raise DimensionError("g must be nonzero")
+    right, not_right = right_graph.adjacency.T, "g is not an eigenvector of the right factor"
+    checked = lam is None
+    if checked:
+        lam = eigensystem_on(right, g, tol, message=not_right).values[0]
+    lam = complex(lam)
 
     unity = None
     if "J" in named.right:  # g must span the all-ones eigenspace, where J acts as n
@@ -124,8 +130,8 @@ def contract_named(product: str, product_eigfn, right_eigfn, right_graph: Graph,
     if not abs(a) > tol:
         raise ExcludedEigenvalueError(
             f"{product} contraction is undefined at lambda = {lam.real:.6g}")
-    eigensystem_on(right_graph.adjacency.T, g, tol, [lam],
-                   "g is not an eigenvector of the right factor")
+    if not checked:
+        eigensystem_on(right, g, tol, [lam], not_right)
     mu = (nu - b) / a
 
     f = h.reshape(-1, n) @ g

@@ -319,7 +319,7 @@ class TestContract:
         assert "mu = -1" in out
         assert "eigen-residual" in out
 
-    def test_the_left_factor_is_checked_once(self, tmp_path, monkeypatch, capsys):
+    def test_each_factor_is_checked_once(self, tmp_path, monkeypatch, capsys):
         prod = str(tmp_path / "prod.graph")
         assert main(["product", "cartesian", "k2", "c4", "-o", prod]) == 0
         capsys.readouterr()
@@ -327,16 +327,17 @@ class TestContract:
         h = write(tmp_path, "h.vec", "1\n1\n1\n1\n-1\n-1\n-1\n-1\n")
         g = write(tmp_path, "g.vec", "1\n1\n1\n1\n")
         left = make_family("complete", 2).adjacency
-        on_left = []
+        right = make_family("cycle", 4).adjacency.T
+        checked = []
 
         def counting(a, *args, **kwargs):
-            on_left.append(a == left)
+            checked.append(a)
             return matrix.eigensystem_on(a, *args, **kwargs)
 
         monkeypatch.setattr(cli, "eigensystem_on", counting)
         monkeypatch.setattr(contraction, "eigensystem_on", counting)
         assert main(["contract", prod, h, g, "cartesian", "--right", "c4", "--left", "k2"]) == 0
-        assert on_left.count(True) == 1
+        assert checked.count(left) == 1 and checked.count(right) == 1
         assert capsys.readouterr().out == ("f = 4 -4\nmu = -1\n"
                                            "eigen-residual of f: 0.000e+00\n")
 

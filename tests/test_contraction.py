@@ -277,6 +277,19 @@ class TestContractionByTheRule:
         with pytest.raises(HypothesisNotMetError, match="g is not an eigenvector"):
             contract_named(kind, ([1, 0, 0, 0, 0, 0], 2), ([1, 0, 0], 2), h)
 
+    @pytest.mark.parametrize("kind", ["tensor", "cartesian", "normal", "lexicographic"])
+    def test_lambda_of_none_is_read_from_g(self, kind):
+        # h = (1, -1) kron 1 on K_2 and K_3: f = H·g = (3, -3), mu = -1, lambda = 2
+        from perfstruct.products import NAMED_SPECS
+
+        k3 = small("complete 3")
+        h, g = np.kron([1, -1], [1, 1, 1]), np.ones(3)
+        nu = NAMED_SPECS[kind].eigenvalue(-1, 2, 3)
+        f, mu = contract_named(kind, (h, nu), (g, None), k3)
+        assert np.array_equal(f, [3, -3]) and mu == -1
+        with pytest.raises(HypothesisNotMetError, match="g is not an eigenvector"):
+            contract_named(kind, (h, nu), ([1, 1, 0], None), k3)
+
     def test_lexicographic_non_eigenvector_g_rejected(self):
         h = small("path 3")
         with pytest.raises(HypothesisNotMetError, match="g is not an eigenvector"):

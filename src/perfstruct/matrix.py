@@ -437,15 +437,17 @@ def _bareiss(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
 
 
 def exact_solve(a: Matrix, b: Matrix) -> Matrix | None:
-    """An exact X with A·X = B (free unknowns set to 0); None if inconsistent."""
+    """The exact X with A·X = B, from one elimination of [A | B]; None if the
+    system is inconsistent.  A column of A without a pivot makes X not unique:
+    SingularMatrixError, which is decided first."""
     k = a.cols
     rows, pivots, last = _bareiss([x + y for x, y in zip(a._ints.tolist(),
                                                          b._ints.tolist())])
-    if pivots and pivots[-1] >= k:
+    if pivots[:k] != list(range(k)):
+        raise SingularMatrixError("exact matrix has dependent columns")
+    if len(pivots) > k:
         return None  # a pivot in B's columns: inconsistent system
-    x = np.zeros((k, b.cols), dtype=object)
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][k:]
+    x = np.array([row[k:] for row in rows[:k]], dtype=object).reshape(k, b.cols)
     # A = Na/da and B = Nb/db, so X = (da/db)·Y where Na·Y = Nb and Y = rows/last
     return Matrix._wrap(_narrow(x * a._den), last * b._den)
 

@@ -186,15 +186,18 @@ def parameters_from_structure(m: Matrix, p: Matrix,
     """The unique S with MP = PS when the column span of P is M-invariant."""
     if m.cols != p.rows:
         raise DimensionError("adjacency and structure sizes are incompatible")
-    if rank(p, tol) < p.cols:
-        raise SingularMatrixError(
-            "structure matrix is rank deficient; the parameter matrix is not unique")
-    mp = m @ p
-    if p.domain == EXACT:
-        sol = exact_solve(p, mp)
+    singular = "structure matrix is rank deficient; the parameter matrix is not unique"
+    if m.domain == p.domain == EXACT:
+        try:  # one elimination of [P | M·P], whose pivots also find P's rank
+            sol = exact_solve(p, m @ p)
+        except SingularMatrixError:
+            raise SingularMatrixError(singular) from None
         if sol is None:
             raise NoParameterMatrixError("column span of P is not M-invariant")
         return sol
+    if rank(p, tol) < p.cols:
+        raise SingularMatrixError(singular)
+    mp = m @ p
     sol, _, _, _ = np.linalg.lstsq(p.data, mp.data, rcond=None)
     s = Matrix(sol, COMPLEX)
     if not (mp - p @ s).is_zero(tol):

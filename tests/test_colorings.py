@@ -262,6 +262,22 @@ class TestFractional:
         w = Matrix.ones(4, 2).scale(Fraction(1, 2))
         assert verify_fractional(g, FractionalColoring(w)) is None
 
+    @pytest.mark.parametrize("rows,perfect", [
+        ([[1, 0], [0, 1], [1, 0], [0, 1]], True),
+        ([["1/2", "1/2"]] * 4, False),                       # rank deficient
+        ([[1, 0], [0, 1], [0, 1], [0, 1]], False),           # span not invariant
+    ])
+    def test_one_elimination_per_exact_verification(self, monkeypatch, rows, perfect):
+        bareiss, calls = matrix._bareiss, []
+
+        def counting(rows):
+            calls.append(rows)
+            return bareiss(rows)
+
+        monkeypatch.setattr(matrix, "_bareiss", counting)
+        s = verify_fractional(make_family("cycle", 4), FractionalColoring(Matrix.exact(rows)))
+        assert (s is not None) is perfect and len(calls) == 1
+
     @pytest.mark.parametrize("domain", ["exact", "complex"])
     def test_non_invariant_span_returns_none(self, domain):
         g = make_family("path", 4)

@@ -266,6 +266,15 @@ class TestParametersFromStructure:
         with pytest.raises(SingularMatrixError):
             parameters_from_structure(cycle4(), p)
 
+    @pytest.mark.parametrize("domain", ["exact", "complex"])
+    def test_rank_deficiency_is_reported_before_a_non_invariant_span(self, domain):
+        p = Matrix.exact([[1, 1], [0, 0], [0, 0], [0, 0]])
+        m = cycle4()
+        if domain == "complex":
+            m, p = m.to_complex(), p.to_complex()
+        with pytest.raises(SingularMatrixError, match="structure matrix is rank deficient"):
+            parameters_from_structure(m, p)
+
     def test_complex_domain(self):
         s = random_structure(RNG, 4, 2)
         got = parameters_from_structure(s.adjacency.to_complex(),

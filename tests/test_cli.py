@@ -492,10 +492,10 @@ class TestClosedPipe:
             def write(self, text):
                 raise BrokenPipeError(32, "Broken pipe")
 
-        stdout = ClosedPipe(open(tmp_path / "stdout", "wb"))
-        monkeypatch.setattr(sys, "stdout", stdout)
-        assert main(["census", "hamming", "3", "2", "2"]) == 0
-        assert capsys.readouterr().err == ""
+        with ClosedPipe(open(tmp_path / "stdout", "wb")) as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["census", "hamming", "3", "2", "2"]) == 0
+            assert capsys.readouterr().err == ""
 
 
 class TestInputErrors:

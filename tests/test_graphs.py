@@ -216,6 +216,22 @@ class TestPredicates:
         degree = is_regular(g)
         assert degree == 1 and type(degree) is int
 
+    @pytest.mark.parametrize("n", [6, 10])
+    def test_float_weighted_circulant_is_regular(self, n):
+        # weights 0.1, 0.7 and 1/3 at distances 1-3: every row holds the same
+        # floats in another order, and summing them left to right gives one
+        # degree, where numpy's pairwise row sums differ in the last place
+        w = [0.0] * n
+        for d, x in ((1, 0.1), (2, 0.7), (3, 1 / 3)):
+            w[d] += x
+            w[-d] += x
+        g = Graph(Matrix.complex([[w[(j - i) % n] for j in range(n)] for i in range(n)]))
+        assert is_regular(g) == complex(2.2666666666666666) and type(is_regular(g)) is complex
+
+    def test_irregular_float_weighted_graph(self):
+        g = Graph(Matrix.complex([[0, 0.1, 0], [0.1, 0, 0.7], [0, 0.7, 0]]))
+        assert is_regular(g) is None
+
     def test_connectivity_follows_one_way_edges(self):
         assert is_connected(from_edges(3, [(1, 2), (3, 2)], directed=True))
         assert not is_connected(from_edges(3, [(1, 2)], directed=True))

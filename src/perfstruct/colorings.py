@@ -23,6 +23,7 @@ from .matrix import (
     _integers,
     _magnitude,
     _narrow,
+    _row_sums,
     _same_value,
     eigenvalues,
 )
@@ -314,10 +315,9 @@ def _search(g: Graph, k: int, budget: int) -> tuple[list, bool, int]:
     heads, tails = np.nonzero(ints.T)   # edge v -> u as (u, v), by u then v
     for u, v, x in zip(heads.tolist(), tails.tolist(), ints.T[heads, tails].tolist()):
         in_edges[u].append((v, x, min(x, 0)))
-    bound = _magnitude(ints) * n
-    degree = _guarded(bound, lambda x: x.sum(axis=1), ints).tolist()
+    degree = _row_sums(ints).tolist()
     open_edges = np.count_nonzero(ints, axis=1).tolist()   # to uncolored out-neighbors
-    open_neg = _guarded(bound, lambda x: np.minimum(x, 0).sum(axis=1), ints).tolist()
+    open_neg = _row_sums(np.minimum(ints, 0)).tolist()
     counts = [[0] * k for _ in range(n)]
     color = [-1] * n
     reference = [-1] * k        # the vertex whose final counts are the class's

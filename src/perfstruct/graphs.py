@@ -31,9 +31,8 @@ from .matrix import (
     EXACT,
     Matrix,
     Spectrum,
-    _guarded,
     _integers,
-    _magnitude,
+    _row_sums,
     eigenvalues,
 )
 from .products import NAMED_SPECS, _exact_factor
@@ -238,8 +237,7 @@ def is_regular(g: Graph) -> int | Fraction | complex | None:
     if a.T != a:
         return None
     if a.domain == EXACT:
-        ints = a._ints
-        degrees = _guarded(_magnitude(ints) * g.n, lambda x: x.sum(axis=1), ints).tolist()
+        degrees = _row_sums(a._ints).tolist()
     else:
         degrees = [sum(row[row != 0].tolist()) for row in a.data]
     deg = degrees[0]

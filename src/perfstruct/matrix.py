@@ -99,6 +99,11 @@ def _guarded(bound: int, op, *operands: np.ndarray) -> np.ndarray:
     return _narrow(op(*(a.astype(object) for a in operands)))
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """The row sums of a 2-d integer array, exactly (``_guarded``)."""
+    return _guarded(_magnitude(a) * a.shape[1], lambda x: x.sum(axis=1), a)
+
+
 def _times(a: np.ndarray, c: int) -> np.ndarray:
     """``a * c`` exactly; the bound also covers ``c`` itself, which int64
     must hold."""
@@ -290,8 +295,7 @@ class Matrix:
             # a row sums to 1 when its numerators sum to the denominator
             ints = self._ints
             negative = (ints < 0).any(axis=1)
-            sums = _guarded(_magnitude(ints) * self.cols, lambda a: a.sum(axis=1), ints)
-            bad = (negative | (sums != self._den)).tolist()
+            bad = (negative | (_row_sums(ints) != self._den)).tolist()
         else:
             negative = [any(x.real < -1e-12 for x in row) for row in self._data]
             bad = [neg or not abs(sum(row) - 1) <= 1e-9

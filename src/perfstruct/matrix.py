@@ -451,7 +451,9 @@ def exact_solve(a: Matrix, b: Matrix) -> Matrix | None:
         raise SingularMatrixError("exact matrix has dependent columns")
     if len(pivots) > k:
         return None  # a pivot in B's columns: inconsistent system
-    x = np.array([row[k:] for row in rows[:k]], dtype=object).reshape(k, b.cols)
+    x = np.zeros((k, b.cols), dtype=object)
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][k:]
     # A = Na/da and B = Nb/db, so X = (da/db)·Y where Na·Y = Nb and Y = rows/last
     return Matrix._wrap(_narrow(x * a._den), last * b._den)
 

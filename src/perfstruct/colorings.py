@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -269,16 +270,15 @@ def _search_order(ints: np.ndarray) -> list:
     component at a time from its lowest index, neighbors by index; ``ints``
     holds the adjacency's numerators."""
     nonzero = ints != 0
-    linked = [np.flatnonzero(row).tolist() for row in nonzero | nonzero.T]
+    linked = (nonzero | nonzero.T).tolist()
     seen = [False] * len(linked)
     order: list[int] = []   # the queue: order[i] is the vertex visited i-th
-    roots = iter(range(len(linked)))
     for i in range(len(linked)):
-        if i == len(order):  # a component is done: the next starts at its lowest vertex
-            root = next(v for v in roots if not seen[v])
+        if i == len(order):  # a component is done: the next starts at the lowest unseen vertex
+            root = seen.index(False)
             seen[root] = True
             order.append(root)
-        for w in linked[order[i]]:
+        for w in compress(range(len(linked)), linked[order[i]]):
             if not seen[w]:
                 seen[w] = True
                 order.append(w)

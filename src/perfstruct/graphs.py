@@ -31,6 +31,7 @@ from .matrix import (
     EXACT,
     Matrix,
     Spectrum,
+    _as_exact,
     _integers,
     _row_sums,
     eigenvalues,
@@ -245,8 +246,7 @@ def is_regular(g: Graph) -> int | Fraction | complex | None:
         return None
     if a.domain != EXACT:
         return complex(deg)
-    deg = Fraction(deg, a._den)
-    return deg.numerator if deg.denominator == 1 else deg
+    return _as_exact(Fraction(deg, a._den))
 
 
 def is_connected(g: Graph) -> bool:

@@ -9,8 +9,8 @@ k-colorings of a graph up to color renaming by a pruned backtracking search.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ from .structures import parameters_from_structure
 from .errors import NoParameterMatrixError, SingularMatrixError
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """Surjective map vertex -> color, colors 1..k, with indicator matrix P."""
 
     colors: tuple               # length n, values 1..k
@@ -66,19 +65,23 @@ class Coloring:
         return len(self.colors)
 
 
-@dataclass(frozen=True)
-class FractionalColoring:
-    """Nonnegative structure matrix with unit row sums."""
-
+class _FractionalColoringFields(NamedTuple):
     weights: Matrix             # n x k
 
-    def __post_init__(self):
-        bad = self.weights.first_non_stochastic_row()
+
+class FractionalColoring(_FractionalColoringFields):
+    """Nonnegative structure matrix with unit row sums."""
+
+    __slots__ = ()
+
+    def __new__(cls, weights: Matrix):
+        bad = weights.first_non_stochastic_row()
         if bad is not None:
             i, negative = bad
             if negative:
                 raise DimensionError("fractional weights must be nonnegative")
             raise DimensionError(f"row {i + 1} of the weights does not sum to 1")
+        return tuple.__new__(cls, (weights,))
 
 
 def _class_counts(a: Matrix, colors: np.ndarray, sizes, top: int) -> np.ndarray:
@@ -246,8 +249,7 @@ def orthogonality_check(g: Graph, p: Coloring, r: Coloring,
 
 # -- exhaustive census ------------------------------------------------
 
-@dataclass(frozen=True)
-class CensusResult:
+class CensusResult(NamedTuple):
     results: tuple           # ((Coloring, Matrix), ...) in deterministic order
     complete: bool           # False when the budget was exhausted
     evaluated: int           # search nodes, one per tried color, at most the budget

@@ -13,7 +13,7 @@ reshapes to sum M_i H L_j^T, so g must satisfy L^T g = lambda g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from .matrix import DEFAULT_TOL, Matrix, eigensystem_on
 from .products import _named, _unity_values
 
 
-@dataclass(frozen=True)
-class ContractionInput:
+class _ContractionInputFields(NamedTuple):
     product_matrix: Matrix      # N = M1 kron L1 + M2 kron L2, order m*n
     h: np.ndarray               # eigenvector of N, length m*n
     nu: complex                 # its eigenvalue
@@ -38,18 +37,23 @@ class ContractionInput:
     lambda_dblprime: complex    # L2 g = lambda'' g
     factor_orders: tuple        # (m, n)
 
-    def __post_init__(self):
-        m, n = self.factor_orders
-        h = np.asarray(self.h, dtype=np.complex128)
-        g = np.asarray(self.g, dtype=np.complex128)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "g", g)
+
+class ContractionInput(_ContractionInputFields):
+    __slots__ = ()
+
+    def __new__(cls, product_matrix: Matrix, h, nu: complex, g, lambda_prime: complex,
+                lambda_dblprime: complex, factor_orders: tuple):
+        m, n = factor_orders
+        h = np.asarray(h, dtype=np.complex128)
+        g = np.asarray(g, dtype=np.complex128)
         if h.shape != (m * n,):
             raise DimensionError(f"h must have length m*n = {m * n}, got {h.shape}")
         if g.shape != (n,):
             raise DimensionError(f"g must have length n = {n}, got {g.shape}")
-        if self.product_matrix.shape != (m * n, m * n):
+        if product_matrix.shape != (m * n, m * n):
             raise DimensionError("product matrix order must be m*n")
+        return tuple.__new__(cls, (product_matrix, h, nu, g, lambda_prime,
+                                   lambda_dblprime, factor_orders))
 
     def reshaped(self) -> np.ndarray:
         m, n = self.factor_orders

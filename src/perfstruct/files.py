@@ -35,7 +35,7 @@ class ParseError(InputError):
 #: the gate on complex literals: an optional real part, then an optional
 #: signed imaginary coefficient, then "i"; an exponent needs a mantissa
 _NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_COMPLEX_RE = re.compile(rf"(?:[+-]?{_NUMBER})?(?:[+-](?:{_NUMBER})?)?i")
+_COMPLEX = rf"(?:[+-]?{_NUMBER})?(?:[+-](?:{_NUMBER})?)?i"
 
 
 def parse_int(token: str, line: int | None = None) -> int:
@@ -61,7 +61,7 @@ def _parse_token(token: str):
     if not token:
         raise ValueError("empty scalar token")
     if token.endswith("i"):
-        if not _COMPLEX_RE.fullmatch(token):
+        if not re.fullmatch(_COMPLEX, token):
             raise ValueError(f"bad complex literal {token!r}")
         return complex(token[:-1] + "j")
     if "/" in token:

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,18 +39,25 @@ from .matrix import (
 from .products import NAMED_SPECS, _exact_factor
 
 
-@dataclass(frozen=True)
-class Graph:
+class _GraphFields(NamedTuple):
     adjacency: Matrix
     family: tuple | None = None   # e.g. ("cycle", 5) or ("double", ("cycle", 5))
+
+
+class Graph(_GraphFields):
+    __slots__ = ()
+
+    def __new__(cls, adjacency: Matrix, family: tuple | None = None):
+        rows, cols = adjacency.shape
+        if rows != cols:
+            raise DimensionError("adjacency matrix must be square")
+        if rows < 1:
+            raise DimensionError("a graph needs at least one vertex")
+        return tuple.__new__(cls, (adjacency, family))
 
     @property
     def n(self) -> int:
         return self.adjacency.rows
-
-    def __post_init__(self):
-        if not self.adjacency.is_square():
-            raise DimensionError("adjacency matrix must be square")
 
 
 def from_edges(n: int, edges, directed: bool = False) -> Graph:
@@ -88,8 +95,7 @@ def _cycle_adjacency(n: int) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     """A family built from its integer parameters: ``adjacency`` maps them to
     the int64 adjacency array, ``eigenvalues`` to every eigenvalue, listed
     with its multiplicity."""
@@ -106,8 +112,7 @@ class Leaf:
         return np.array(self.eigenvalues(*params), dtype=np.complex128)
 
 
-@dataclass(frozen=True)
-class ProductFamily:
+class ProductFamily(NamedTuple):
     """A family that is the named product ``kind`` of two factors: ``factors``
     maps the family's parameters to its (left, right) pair, each a family tag
     or a Graph.  ``arity`` is None for a family over one graph."""

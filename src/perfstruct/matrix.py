@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+from typing import NamedTuple
 
 import numpy as np
 
@@ -520,8 +520,7 @@ def rank(a: Matrix, tol: float = DEFAULT_TOL) -> int:
     return int(np.sum(s > max(tol, s[0] * max(a.shape) * np.finfo(float).eps)))
 
 
-@dataclass(frozen=True)
-class EigenSystem:
+class EigenSystem(NamedTuple):
     """Eigenvalues with matching eigenvector columns; ``eig`` sorts them by
     (Re, Im) and scales each column to unit length."""
 
@@ -689,8 +688,7 @@ def cluster_values(values) -> list[tuple[complex, int]]:
     return clusters
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Multiset of eigenvalues as (value, multiplicity) pairs, distinct under
     ``cluster_values``."""
 

@@ -12,8 +12,8 @@ share an eigenbasis: ``joint_eigensystems`` builds one per side, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,36 +43,39 @@ from .structures import (
 )
 
 
-@dataclass(frozen=True)
-class ProductSpec:
+class _ProductSpecFields(NamedTuple):
     left_factors: tuple       # square matrices of one common order n'
     right_factors: tuple      # square matrices of one common order n''
     coefficients: tuple       # m x l scalars, one nonzero at least, rational over exact factors
 
-    def __post_init__(self):
-        if not self.left_factors or not self.right_factors:
+
+class ProductSpec(_ProductSpecFields):
+    __slots__ = ()
+
+    def __new__(cls, left_factors: tuple, right_factors: tuple, coefficients: tuple):
+        if not left_factors or not right_factors:
             raise DimensionError("a product needs at least one factor on each side")
-        for side, factors in (("left", self.left_factors), ("right", self.right_factors)):
+        for side, factors in (("left", left_factors), ("right", right_factors)):
             if any(not f.is_square() or f.rows != factors[0].rows for f in factors):
                 raise DimensionError(f"{side} factors must be square of one order")
-        grid = self.coefficients
-        m, l = len(self.left_factors), len(self.right_factors)
+        grid = coefficients
+        m, l = len(left_factors), len(right_factors)
         if len(grid) != m or any(len(row) != l for row in grid):
             raise DimensionError(f"coefficient grid must be m x l = {m} x {l}, "
                                  f"got row lengths {[len(row) for row in grid]}")
         if all(c == 0 for row in grid for c in row):
             raise DimensionError("at least one coefficient must be nonzero")
-        if all(f.domain == EXACT for f in (*self.left_factors, *self.right_factors)):
+        if all(f.domain == EXACT for f in (*left_factors, *right_factors)):
             for c in (c for row in grid for c in row if c != 0):
                 try:
                     _as_exact(c)
                 except TypeError:
                     raise DomainMismatchError(
                         f"exact factors need rational coefficients, got {c!r}") from None
+        return tuple.__new__(cls, (left_factors, right_factors, coefficients))
 
 
-@dataclass(frozen=True)
-class NamedProduct:
+class NamedProduct(NamedTuple):
     """A named product as its coefficient grid over a fixed factor layout.
 
     Each left factor is "M" (the left graph) or "I"; each right factor is

@@ -8,7 +8,7 @@ the complex domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,14 +36,17 @@ from .matrix import (
 )
 
 
-@dataclass(frozen=True)
-class PerfectStructure:
+class _PerfectStructureFields(NamedTuple):
     adjacency: Matrix   # n x n
     structure: Matrix   # n x k
     parameters: Matrix  # k x k
 
-    def __post_init__(self):
-        m, p, s = self.adjacency, self.structure, self.parameters
+
+class PerfectStructure(_PerfectStructureFields):
+    __slots__ = ()
+
+    def __new__(cls, adjacency: Matrix, structure: Matrix, parameters: Matrix):
+        m, p, s = adjacency, structure, parameters
         if not m.is_square() or not s.is_square():
             raise DimensionError("adjacency and parameter matrices must be square")
         if p.cols < 1:
@@ -55,6 +58,7 @@ class PerfectStructure:
             raise DimensionError("structure matrix must have k <= n")
         if not (m.domain == p.domain == s.domain):
             raise DimensionError("all three matrices must share one scalar domain")
+        return tuple.__new__(cls, (m, p, s))
 
     @property
     def n(self) -> int:
@@ -69,8 +73,7 @@ class PerfectStructure:
         return self.adjacency.domain
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Similar structure (M, R, T) with diagonal T = diag(mu_1..mu_k), P = R·B."""
 
     diagonal_parameters: Matrix  # k x k diagonal, spectrum of S sorted by (Re, Im)
@@ -78,8 +81,7 @@ class CanonicalForm:
     basis_change: Matrix         # k x k with P = R · B
 
 
-@dataclass(frozen=True)
-class UnityClassification:
+class UnityClassification(NamedTuple):
     """Which case of the J-adjacency classification a structure falls into."""
 
     case: str                    # "zero_parameters" | "rank_one_parameters"

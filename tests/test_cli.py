@@ -505,6 +505,7 @@ class TestInputErrors:
         "bad.graph": "matrix 2\n0 x\n1 0\n",
         "blank.graph": "\nmatrix 2\n\n0 1\n1 +e7i\n",
         "neg.edges": "edges -1 0\n",
+        "empty.edges": "edges 0 0\n",
         "c4.graph": dump_graph(make_family("cycle", 4)),
         "short.col": "1\n2\n",
         "bad.col": "1\n\nx\n1\n",
@@ -518,6 +519,9 @@ class TestInputErrors:
         (["spectrum", "bad.graph"], "error: line 2: invalid literal for int() with base 10: 'x'\n"),
         (["spectrum", "blank.graph"], "error: line 5: bad complex literal '+e7i'\n"),
         (["spectrum", "neg.edges", "--numeric"], "error: a graph cannot have -1 vertices\n"),
+        (["spectrum", "empty.edges"], "error: a graph needs at least one vertex\n"),
+        (["verify", "empty.edges", "short.col"], "error: a graph needs at least one vertex\n"),
+        (["census", "empty.edges", "1", "--json"], "error: a graph needs at least one vertex\n"),
         (["spectrum", "c4.graph", "--closed-form"],
          "error: graph carries no family tag; use a numeric spectrum\n"),
         (["verify", "c4", "short.col"],

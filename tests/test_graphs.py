@@ -99,6 +99,12 @@ class TestConstruction:
         with pytest.raises(DimensionError, match="-1 vertices"):
             from_edges(-1, [])
 
+    def test_a_graph_without_vertices_is_refused(self):
+        with pytest.raises(DimensionError, match="at least one vertex"):
+            from_edges(0, [])
+        with pytest.raises(DimensionError, match="at least one vertex"):
+            Graph(Matrix(np.zeros((0, 0), dtype=np.int64), "exact"))
+
     def test_numpy_integer_parameters(self):
         g = make_family("torus", np.int64(3), np.int32(4))
         assert g.family == ("torus", 3, 4) and all(type(p) is int for p in g.family[1:])
@@ -375,8 +381,8 @@ class TestFamilyAdjacencyReference:
         # a family recurses on its factors' numerators: no validated
         # ProductSpec, Graph or identity Matrix per level
         built = []
-        original = products.ProductSpec.__post_init__
-        monkeypatch.setattr(products.ProductSpec, "__post_init__",
-                            lambda self: built.append(self) or original(self))
+        original = products.ProductSpec.__new__
+        monkeypatch.setattr(products.ProductSpec, "__new__",
+                            lambda cls, *args: built.append(args) or original(cls, *args))
         make_family("hamming", 4, 3)
         assert built == []

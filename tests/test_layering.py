@@ -1,6 +1,7 @@
 """The package's structure, read from the source with ``ast``: no function
 imports a package module, the import graph between the package's modules
-has no cycle, and only ``files`` opens files."""
+has no cycle, only ``files`` opens files, and importing the package
+generates and compiles no code beyond its own modules."""
 
 import ast
 from pathlib import Path
@@ -78,7 +79,6 @@ def test_the_import_graph_has_no_cycle():
     assert find_cycle(import_graph()) is None
 
 
-
 @pytest.mark.parametrize("module", sorted(set(TREES) - {"files"}))
 def test_only_files_opens_files(module):
     # the builtin only: os.open is an attribute call
@@ -86,3 +86,29 @@ def test_only_files_opens_files(module):
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "open"]
     assert calls == []
+
+
+def import_time_nodes(node):
+    """``node`` and the nodes under it that run when the module is imported:
+    functions and lambdas are skipped, as their bodies run only when called."""
+    yield node
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from import_time_nodes(child)
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_code_is_generated_or_compiled_at_import(module):
+    """Each interpreter that imports perfstruct pays for dataclass methods
+    generated by ``exec`` and for regular expressions compiled at module
+    level at start-up, so the package has neither."""
+    imports = [alias.name for node in ast.walk(TREES[module])
+               if isinstance(node, ast.Import) for alias in node.names]
+    imports += [node.module for node in ast.walk(TREES[module])
+                if isinstance(node, ast.ImportFrom) and not node.level]
+    assert "dataclasses" not in imports
+    compiles = [node.lineno for node in import_time_nodes(TREES[module])
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "compile" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "re"]
+    assert compiles == []

@@ -73,6 +73,7 @@ class FractionalColoring(_FractionalColoringFields):
     """Nonnegative structure matrix with unit row sums."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))   # so _replace checks too
 
     def __new__(cls, weights: Matrix):
         bad = weights.first_non_stochastic_row()

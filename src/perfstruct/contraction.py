@@ -40,6 +40,7 @@ class _ContractionInputFields(NamedTuple):
 
 class ContractionInput(_ContractionInputFields):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))   # so _replace checks too
 
     def __new__(cls, product_matrix: Matrix, h, nu: complex, g, lambda_prime: complex,
                 lambda_dblprime: complex, factor_orders: tuple):

@@ -46,6 +46,7 @@ class _GraphFields(NamedTuple):
 
 class Graph(_GraphFields):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))   # so _replace checks too
 
     def __new__(cls, adjacency: Matrix, family: tuple | None = None):
         rows, cols = adjacency.shape

@@ -51,6 +51,7 @@ class _ProductSpecFields(NamedTuple):
 
 class ProductSpec(_ProductSpecFields):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))   # so _replace checks too
 
     def __new__(cls, left_factors: tuple, right_factors: tuple, coefficients: tuple):
         if not left_factors or not right_factors:

@@ -44,6 +44,7 @@ class _PerfectStructureFields(NamedTuple):
 
 class PerfectStructure(_PerfectStructureFields):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))   # so _replace checks too
 
     def __new__(cls, adjacency: Matrix, structure: Matrix, parameters: Matrix):
         m, p, s = adjacency, structure, parameters

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from perfstruct import colorings, contraction, graphs, matrix, products, structures
 from perfstruct.colorings import CensusResult, Coloring, FractionalColoring
 from perfstruct.contraction import ContractionInput
 from perfstruct.errors import DimensionError
@@ -77,7 +78,12 @@ BAD_FIELDS = {
 
 
 def test_every_record_is_listed():
-    assert len(RECORDS) == 14
+    records = {cls for module in (colorings, contraction, graphs, matrix, products, structures)
+               for cls in vars(module).values()
+               if isinstance(cls, type) and cls.__module__ == module.__name__
+               and not cls.__name__.startswith("_")
+               and (hasattr(cls, "_fields") or hasattr(cls, "__dataclass_fields__"))}
+    assert records == set(RECORDS)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -106,6 +112,14 @@ class TestRecord:
 def test_a_validating_record_refuses_bad_fields(cls):
     with pytest.raises(DimensionError):
         cls(**BAD_FIELDS[cls])
+
+
+@pytest.mark.parametrize("cls", BAD_FIELDS, ids=lambda cls: cls.__name__)
+def test_replace_checks_the_new_fields(cls):
+    record = cls(**RECORDS[cls]())
+    assert type(record._replace()) is cls and record._replace() == record
+    with pytest.raises(DimensionError):
+        record._replace(**BAD_FIELDS[cls])
 
 
 def test_a_differing_field_is_unequal():

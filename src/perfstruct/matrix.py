@@ -121,7 +121,7 @@ class Matrix:
         if data.ndim != 2:
             raise DimensionError(f"matrix data must be 2-dimensional, got shape {data.shape}")
         if domain == COMPLEX:
-            self._store(None, None, data.copy(), COMPLEX)
+            self._store(None, None, data.astype(np.complex128), COMPLEX)
         elif data.dtype.kind in "iu":
             self._store(_narrow(data), 1, None, EXACT)
         else:
@@ -165,6 +165,14 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    # pickle and copy restore the state through _store, not __setattr__; an
+    # exact matrix leaves out its Fraction view, which .data rebuilds
+    def __getstate__(self):
+        return self._ints, self._den, self._data if self.domain == COMPLEX else None, self.domain
+
+    def __setstate__(self, state):
+        self._store(*state)
+
     @property
     def data(self) -> np.ndarray:
         """The entries: ``Fraction`` objects in the exact domain, ``complex128``
@@ -199,30 +207,31 @@ class Matrix:
         return Matrix(arr, COMPLEX)
 
     @staticmethod
-    def identity(n: int, domain: str = EXACT) -> "Matrix":
+    def _filled(fill, domain: str) -> "Matrix":
+        """``fill(dtype)`` as a matrix: int64 numerators taken without a copy
+        when exact, else complex128 through ``Matrix()``, which checks ``domain``."""
         if domain == EXACT:
-            return Matrix._wrap(np.eye(n, dtype=np.int64))
-        return Matrix(np.eye(n, dtype=np.complex128), COMPLEX)
+            return Matrix._wrap(fill(np.int64))
+        return Matrix(fill(np.complex128), domain)
+
+    @staticmethod
+    def identity(n: int, domain: str = EXACT) -> "Matrix":
+        return Matrix._filled(lambda dtype: np.eye(n, dtype=dtype), domain)
 
     @staticmethod
     def zeros(rows: int, cols: int, domain: str = EXACT) -> "Matrix":
-        if domain == EXACT:
-            return Matrix._wrap(np.zeros((rows, cols), dtype=np.int64))
-        return Matrix(np.zeros((rows, cols), dtype=np.complex128), COMPLEX)
+        return Matrix._filled(lambda dtype: np.zeros((rows, cols), dtype), domain)
 
     @staticmethod
     def ones(rows: int, cols: int | None = None, domain: str = EXACT) -> "Matrix":
         """The all-ones matrix J (square when ``cols`` is omitted)."""
-        if cols is None:
-            cols = rows
-        if domain == EXACT:
-            return Matrix._wrap(np.ones((rows, cols), dtype=np.int64))
-        return Matrix(np.ones((rows, cols), dtype=np.complex128), COMPLEX)
+        shape = (rows, rows if cols is None else cols)
+        return Matrix._filled(lambda dtype: np.ones(shape, dtype), domain)
 
     @staticmethod
     def diag(values, domain: str = EXACT) -> "Matrix":
-        if domain != EXACT:  # Matrix() rejects an unknown domain
-            return Matrix(np.diag(np.array(values, dtype=np.complex128)), domain)
+        if domain != EXACT:
+            return Matrix._filled(lambda dtype: np.diag(np.array(values, dtype)), domain)
         values = [_as_exact(v) for v in values]
         n = len(values)
         flat = [0] * (n * n)
@@ -231,8 +240,9 @@ class Matrix:
 
     @staticmethod
     def column(values, domain: str = EXACT) -> "Matrix":
-        return Matrix.exact([[v] for v in values]) if domain == EXACT \
-            else Matrix.complex([[v] for v in values])
+        if domain != EXACT:
+            return Matrix._filled(lambda dtype: np.array([[v] for v in values], dtype), domain)
+        return Matrix.exact([[v] for v in values])
 
     # -- basic queries ------------------------------------------------
 
@@ -548,23 +558,26 @@ def _sort_and_normalize(values: np.ndarray, vectors: np.ndarray):
     return values, vectors * phases
 
 
-def _solver_input(m: Matrix) -> np.ndarray:
-    """The complex cast of ``m`` that the eigensolvers read.  Raises
-    NonConvergenceError for an infinite or nan entry, which no solver takes."""
+def _solver_input(m: Matrix, tol: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """The one prologue of the eigensolvers: ``a``, the complex cast of ``m``,
+    and the array the symmetric solver reads, or None for the general solver.
+    A non-square ``m`` is a DimensionError, an infinite or nan entry a
+    NonConvergenceError.  An exact ``m`` takes the symmetric solver when it is
+    exactly symmetric; a complex one when ``a`` is within ``tol`` of Aᴴ, entry
+    by entry with no relative slack, and then the solver reads (A + Aᴴ)/2, so
+    no answer depends on which triangle LAPACK reads.  A real ``a`` gives
+    float64, for the real solver, which takes less than half the time."""
+    if not m.is_square():
+        raise DimensionError(f"eigenvalues need a square matrix, got shape {m.shape}")
     a = m.to_complex().data
     if not np.isfinite(a).all():
         raise NonConvergenceError("matrix has an infinite or nan entry")
-    return a
-
-
-def _is_hermitian(m: Matrix, a: np.ndarray, tol: float) -> bool:
-    """Does ``m`` take the Hermitian solver?  An exact matrix must be exactly
-    symmetric; ``a``, the finite complex cast of ``m``, need only be within
-    ``tol`` of its conjugate transpose, entry by entry, with no relative
-    slack."""
     if m.domain == EXACT:
-        return bool(np.array_equal(m._ints, m._ints.T))
-    return bool((np.abs(a - a.conj().T) <= tol).all())
+        return a, a.real if np.array_equal(m._ints, m._ints.T) else None
+    if not (np.abs(a - a.conj().T) <= tol).all():
+        return a, None
+    h = a if a.imag.any() else a.real
+    return a, (h + h.conj().T) / 2
 
 
 def _eig_residual_bound(a: np.ndarray, tol: float) -> float:
@@ -574,35 +587,16 @@ def _eig_residual_bound(a: np.ndarray, tol: float) -> float:
     return max(tol, 1e3 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(a)))))
 
 
-def _hermitian_input(m: Matrix, a: np.ndarray, tol: float) -> np.ndarray | None:
-    """What the symmetric solver reads for ``m``, or None when ``m`` takes the
-    general solver.  It is the Hermitian part (A + Aᴴ)/2 of ``a``, the complex
-    cast of ``m``, so the answer does not depend on which triangle LAPACK
-    reads; an exactly Hermitian ``a`` is its own Hermitian part.  When ``a``
-    has no imaginary part the array is float64, for the real solver, which
-    takes less than half the time of the complex one."""
-    if not _is_hermitian(m, a, tol):
-        return None
-    if m.domain == EXACT:
-        return a.real  # exactly symmetric: its own symmetric part
-    if not a.imag.any():
-        a = a.real
-    return (a + a.conj().T) / 2
-
-
 def eig(m: Matrix, tol: float = DEFAULT_TOL) -> EigenSystem:
     """Full eigendecomposition with deterministic ordering and normalization.
 
     Hermitian inputs go through the symmetric solver, guaranteeing real
     eigenvalues and an orthonormal eigenbasis: the real solver when the input
-    is real, the complex one otherwise (``_hermitian_input``).  Raises on
+    is real, the complex one otherwise (``_solver_input``).  Raises on
     non-convergence or when the eigenvector matrix is numerically rank
     deficient (defective input).
     """
-    if not m.is_square():
-        raise DimensionError("eig needs a square matrix")
-    a = _solver_input(m)
-    h = _hermitian_input(m, a, tol)
+    a, h = _solver_input(m, tol)
     try:
         values, vectors = np.linalg.eig(a) if h is None else np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -618,7 +612,7 @@ def eig(m: Matrix, tol: float = DEFAULT_TOL) -> EigenSystem:
     if not resid <= _eig_residual_bound(a, tol):  # a nan residual fails too
         raise NonConvergenceError(f"eigen residual {resid:.3e} exceeds tolerance {tol:.3e}")
     return EigenSystem(values=values.astype(np.complex128),
-                       vectors=Matrix(vectors.astype(np.complex128), COMPLEX), residual=resid)
+                       vectors=Matrix(vectors, COMPLEX), residual=resid)
 
 
 def eigensystem_on(a: Matrix, vectors, tol: float = DEFAULT_TOL, values=None,
@@ -628,11 +622,13 @@ def eigensystem_on(a: Matrix, vectors, tol: float = DEFAULT_TOL, values=None,
     HypothesisNotMetError(message) unless each column v, scaled to unit length,
     has max |A v - value·v| <= 10·sqrt(n)·max(tol, 1e-9)·max(1, ||A||_F), n the
     order of A: the one residual bound.  A zero column, or a nan, never passes;
-    a column of the wrong length is a DimensionError."""
+    a non-square A, or a column of the wrong length, is a DimensionError."""
+    if not a.is_square():
+        raise DimensionError(f"eigenvectors need a square matrix, got shape {a.shape}")
     if not isinstance(vectors, Matrix):
         vectors = Matrix(np.asarray(vectors, dtype=np.complex128)[:, None], COMPLEX)
     m = a.to_complex().data
-    v = vectors.data
+    v = vectors.to_complex().data
     if len(v) != m.shape[1]:
         raise DimensionError(f"a vector of length {len(v)} for a matrix of order {m.shape[1]}")
     av = m @ v
@@ -653,8 +649,7 @@ def eigensystem_on(a: Matrix, vectors, tol: float = DEFAULT_TOL, values=None,
 def eigenvalues(m: Matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Eigenvalues only, sorted by (Re, Im) as ``eig`` sorts them, with no
     diagonalizability gate."""
-    a = _solver_input(m)
-    h = _hermitian_input(m, a, tol)
+    a, h = _solver_input(m, tol)
     if h is not None:
         return np.linalg.eigvalsh(h).astype(np.complex128)  # real and ascending
     vals = np.linalg.eigvals(a)
@@ -797,10 +792,8 @@ def is_diagonalizable(m: Matrix, tol: float = DEFAULT_TOL) -> bool:
     max|a_ij|).  The blur exceeds the cluster radius when an entry of A
     exceeds 1, so the nullity is compared with the number of eigenvalues
     within the blur of λ, which counts the neighbours it cannot tell apart."""
-    if not m.is_square():
-        raise DimensionError("is_diagonalizable needs a square matrix")
-    a = _solver_input(m)
-    if _is_hermitian(m, a, tol):
+    a, h = _solver_input(m, tol)
+    if h is not None:
         return True
     n = a.shape[0]
     if n <= 1:

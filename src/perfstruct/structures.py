@@ -144,8 +144,8 @@ def canonical_form(s: PerfectStructure, tol: float = DEFAULT_TOL) -> CanonicalFo
         es = eig(s.parameters, tol)
     except DefectiveMatrixError as exc:
         raise DefectiveMatrixError(
-            "parameter matrix is defective; a verified nonsingular structure "
-            "cannot have one") from exc
+            "parameter matrix is defective, so the structure has no diagonal "
+            "canonical form") from exc
     w = es.vectors
     t = Matrix(np.diag(es.values), COMPLEX)
     r = s.structure.to_complex() @ w
@@ -256,5 +256,4 @@ def classify_unity(s: PerfectStructure, tol: float = DEFAULT_TOL) -> UnityClassi
 def eigenvector_structure(m: Matrix, f, value) -> PerfectStructure:
     """An eigenvector as a perfect structure (M, f, [lambda])."""
     col = Matrix.column(f, m.domain)
-    lam = Matrix.exact([[value]]) if m.domain == EXACT else Matrix.complex([[value]])
-    return PerfectStructure(m, col, lam)
+    return PerfectStructure(m, col, Matrix.column([value], m.domain))

@@ -540,6 +540,9 @@ class TestInputErrors:
          "error: invalid parameters (0, 2) for family 'hamming'\n"),
         (["spectrum", "k\u00b2"], "error: expected an integer, got '\u00b2'\n"),
         (["census", "k4", "2", "--budget", "-5"], "error: the census budget must be >= 0, got -5\n"),
+        (["spectrum", "c6", "c4"], "error: unused trailing arguments: ['c4']\n"),
+        (["product", "cartesian", "c4", "k2", "k3"], "error: unused trailing arguments: ['k3']\n"),
+        (["product", "general", "c4", "k2"], "error: the general product needs --coeffs FILE\n"),
     ])
     def test_malformed_input_exits_2(self, tmp_path, monkeypatch, capsys, argv, err):
         for name, text in self.FILES.items():

@@ -93,6 +93,11 @@ class TestVerifyColoring:
         with pytest.raises(DimensionError):
             complete_graph_parameters(sizes)
 
+    @pytest.mark.parametrize("sizes", [[2, 0], [-1]])
+    def test_non_positive_class_sizes_are_refused(self, sizes):
+        with pytest.raises(DimensionError, match="class sizes must be positive"):
+            complete_graph_parameters(sizes)
+
     def test_decimal_adjacency_rejected(self):
         g = Graph(Matrix.complex([[0, 1.5], [1.5, 0]]))
         with pytest.raises(DomainMismatchError):
@@ -286,6 +291,11 @@ class TestFractional:
             w = w.to_complex()
         assert verify_fractional(g, FractionalColoring(w)) is None
 
+    def test_one_weight_row_per_vertex(self):
+        w = FractionalColoring(Matrix.ones(3, 1))
+        with pytest.raises(DimensionError, match="weight rows must equal the number of vertices"):
+            verify_fractional(make_family("cycle", 4), w)
+
 
 class TestProductColorings:
     FACTOR_CASES = [("cycle", 3), ("cycle", 4), ("complete", 2), ("complete", 3)]
@@ -388,6 +398,12 @@ class TestOrthogonality:
         c = Coloring.from_colors([1, 2, 1])
         with pytest.raises(HypothesisNotMetError):
             orthogonality_check(g, c, c)
+
+    def test_imperfect_coloring_rejected(self):
+        g = make_family("cycle", 4)
+        p = Coloring.from_colors([1, 2, 1, 2])
+        with pytest.raises(HypothesisNotMetError, match="both colorings must be perfect"):
+            orthogonality_check(g, p, Coloring.from_colors([1, 2, 2, 2]))
 
 
 class TestDensityCorollary:

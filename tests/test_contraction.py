@@ -310,3 +310,26 @@ class TestContractionByTheRule:
         # g is no lambda = -1 eigenvector of P_3, but the exclusion is reported
         with pytest.raises(ExcludedEigenvalueError, match="lambda = -1"):
             contract_named("normal", ([1] * 6, 0), ([1, 0, 0], -1), small("path 3"))
+
+
+class TestShapeRefusals:
+    """Each shape refusal of the contraction input, reached once."""
+
+    def parts(self):
+        k2 = make_family("complete", 2).adjacency.to_complex()
+        return k2, Matrix.identity(2, "complex")
+
+    def test_g_of_the_wrong_length(self):
+        k2, i2 = self.parts()
+        with pytest.raises(DimensionError, match="g must have length n = 2"):
+            two_term_input(k2, i2, i2, k2, [1, -1, -1, 1], -2, [1, -1, 0], 1, -1)
+
+    def test_product_matrix_of_the_wrong_order(self):
+        k2, _ = self.parts()
+        with pytest.raises(DimensionError, match="product matrix order must be m\\*n"):
+            ContractionInput(product_matrix=k2, h=[1, -1, -1, 1], nu=-2, g=[1, -1],
+                             lambda_prime=1, lambda_dblprime=-1, factor_orders=(2, 2))
+
+    def test_h_length_not_a_multiple_of_the_right_order(self):
+        with pytest.raises(DimensionError, match="not a multiple of the right factor order"):
+            contract_named("cartesian", ([1] * 5, 2), ([1, 1], 1), small("complete 2"))

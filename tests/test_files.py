@@ -126,6 +126,10 @@ class TestGraphFormat:
         ("matrix x\n", "line 1: expected an integer, got 'x'"),
         ("edges 2 x\n1 2\n", "line 1: expected an integer, got 'x'"),
         ("\nedges 2 1\n1 x\n", "line 3: expected an integer, got 'x'"),
+        ("matrix 2 2\n0 1\n1 0\n", "line 1: matrix header must be 'matrix n'"),
+        ("edges 2\n", "line 1: edge-list header must be 'edges n m'"),
+        ("edges 3 2\n1 2\n", "expected 2 edge lines, found 1"),
+        ("edges 2 1\n1 2 1\n", "line 2: edge lines must be 'u v'"),
     ])
     def test_errors_carry_line_numbers(self, text, fragment):
         with pytest.raises(ParseError) as exc:
@@ -154,6 +158,15 @@ class TestColoringFormat:
     def test_non_contiguous_rejected(self):
         with pytest.raises(ParseError):
             parse_coloring_text("1\n3\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty coloring file"),
+        ("\n\n", "empty coloring file"),
+        ("1/2 1/2\n1\n", "fractional coloring rows must all have k entries"),
+    ])
+    def test_shape_errors(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_coloring_text(text)
 
 
 class TestPhysicalLines:

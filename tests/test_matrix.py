@@ -1,5 +1,8 @@
 """Numerics: Kronecker products, rank, eigendecomposition, polynomials."""
 
+import copy
+import pickle
+import re
 import warnings
 from fractions import Fraction
 from itertools import permutations
@@ -212,6 +215,10 @@ class TestOneResidualBound:
         with pytest.raises(DimensionError, match="for a matrix of order 3"):
             eigensystem_on(Matrix.diag([1, 2, 3]), vectors)
 
+    def test_exact_eigenvector_columns(self):
+        es = eigensystem_on(Matrix.exact([[0, 1], [1, 0]]), Matrix.exact([[1, 1], [1, -1]]))
+        assert np.array_equal(es.values, [1, -1]) and es.residual == 0
+
     def test_non_eigenvectors_rejected(self):
         a = Matrix.diag([1, 2, 3])
         for v, values in (([1, 1, 0], None), ([1, 0, 0], [2]), ([0, 0, 0], None),
@@ -362,6 +369,31 @@ class TestSolverChoice:
         assert np.allclose(eig(m).values, [-root, root], rtol=0, atol=1e-12)
         assert np.allclose(eigenvalues(m), [-root, root], rtol=0, atol=1e-12)
         assert calls == ["eig", "eigvals"]
+
+
+class TestSolverPrologue:
+    """Every eigen routine refuses a non-square matrix with DimensionError,
+    before it casts or checks an entry."""
+
+    ROUTINES = {
+        "eig": eig,
+        "eigenvalues": eigenvalues,
+        "is_diagonalizable": is_diagonalizable,
+        "eigensystem_on": lambda m: eigensystem_on(m, [1] * m.cols),
+    }
+
+    @pytest.mark.parametrize("routine", ROUTINES.values(), ids=ROUTINES.keys())
+    @pytest.mark.parametrize("rows", [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]]])
+    @pytest.mark.parametrize("domain", ["exact", "complex"])
+    def test_a_non_square_matrix_is_a_dimension_error(self, routine, rows, domain):
+        m = Matrix.exact(rows) if domain == "exact" else Matrix.complex(rows)
+        with pytest.raises(DimensionError, match=re.escape(f"square matrix, got shape {m.shape}")):
+            routine(m)
+
+    @pytest.mark.parametrize("solver", [eig, eigenvalues, is_diagonalizable])
+    def test_the_shape_is_checked_before_the_entries(self, solver):
+        with pytest.raises(DimensionError):
+            solver(Matrix.complex([[np.nan, 1, 2], [1, 0, 3]]))
 
 
 class TestRowQueries:
@@ -516,3 +548,83 @@ class TestExactConstructors:
     def test_no_rows(self):
         with pytest.raises(DimensionError, match="at least one row"):
             Matrix.exact([])
+
+
+#: every public constructor that takes a domain
+DOMAIN_CONSTRUCTORS = {
+    "Matrix": lambda domain: Matrix(np.eye(2, dtype=np.int64), domain),
+    "identity": lambda domain: Matrix.identity(2, domain),
+    "zeros": lambda domain: Matrix.zeros(2, 3, domain),
+    "ones": lambda domain: Matrix.ones(2, domain=domain),
+    "diag": lambda domain: Matrix.diag([1, 2], domain),
+    "column": lambda domain: Matrix.column([1, 2], domain),
+}
+
+
+class TestFilledConstructors:
+    @pytest.mark.parametrize("build", DOMAIN_CONSTRUCTORS.values(), ids=DOMAIN_CONSTRUCTORS.keys())
+    @pytest.mark.parametrize("domain", ["float", "bogus", None])
+    def test_every_constructor_refuses_an_unknown_domain(self, build, domain):
+        with pytest.raises(ValueError, match=f"unknown domain {domain!r}"):
+            build(domain)
+
+    @pytest.mark.parametrize("build", DOMAIN_CONSTRUCTORS.values(), ids=DOMAIN_CONSTRUCTORS.keys())
+    def test_both_domains_hold_the_same_entries(self, build):
+        exact, complex_ = build("exact"), build("complex")
+        assert exact.domain == "exact" and complex_.domain == "complex"
+        assert exact.to_complex() == complex_
+        assert complex_.data.dtype == np.complex128
+
+    def test_filled_entries(self):
+        assert Matrix.identity(2) == Matrix.exact([[1, 0], [0, 1]])
+        assert Matrix.zeros(1, 2, "complex") == Matrix.complex([[0, 0]])
+        assert Matrix.ones(2, 1) == Matrix.exact([[1], [1]])
+        assert Matrix.ones(0).shape == (0, 0) and Matrix.ones(2, 0).shape == (2, 0)
+        assert Matrix.column([1j, 0.5], "complex") == Matrix.complex([[1j], [0.5]])
+        assert Matrix(np.array([[1.5, 2]]), "complex").data.dtype == np.complex128
+
+
+class TestImmutableCopies:
+    """A Matrix refuses every attribute write, yet pickle and copy rebuild it:
+    equal, with read-only arrays, and without the Fraction view of an exact
+    matrix."""
+
+    MATRICES = {
+        "integer": lambda: Matrix.exact([[1, -2], [3, 4]]),
+        "rational": lambda: Matrix.exact([["1/2", 0], [-3, "7/3"]]),
+        "big": lambda: Matrix.exact([[2 ** 70, 1], [0, -(2 ** 65)]]),
+        "complex": lambda: Matrix.complex([[1j, 2], [0.5, -1]]),
+    }
+    COPIES = {
+        "pickle": lambda m: pickle.loads(pickle.dumps(m)),
+        "pickle-0": lambda m: pickle.loads(pickle.dumps(m, protocol=0)),
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+    }
+
+    @pytest.mark.parametrize("name", ["domain", "_ints", "_den", "_data", "other"])
+    def test_no_attribute_can_be_set(self, name):
+        m = Matrix.exact([[1, 2]])
+        with pytest.raises(AttributeError, match="Matrix is immutable"):
+            setattr(m, name, None)
+        assert m == Matrix.exact([[1, 2]])
+
+    @pytest.mark.parametrize("copier", COPIES.values(), ids=COPIES.keys())
+    @pytest.mark.parametrize("make", MATRICES.values(), ids=MATRICES.keys())
+    def test_a_copy_is_equal_and_read_only(self, make, copier):
+        m = make()
+        m.data  # builds the Fraction view of an exact matrix
+        c = copier(m)
+        assert type(c) is Matrix and c == m and hash(c) == hash(m)
+        assert c.data.tolist() == m.data.tolist()
+        for arr in (c.data, c._ints if c.domain == "exact" else c.data):
+            assert not arr.flags.writeable
+        with pytest.raises(AttributeError, match="Matrix is immutable"):
+            c.domain = "complex"
+
+    def test_the_fraction_view_is_not_pickled(self):
+        m = Matrix.exact([["1/2", 3]])
+        assert m.data[0, 0] == Fraction(1, 2)
+        state = pickle.dumps(m)
+        assert b"Fraction" not in state
+        assert pickle.loads(state).data.tolist() == [[Fraction(1, 2), 3]]

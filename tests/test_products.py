@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from perfstruct import (
     Matrix,
+    PerfectStructure,
     ProductSpec,
     build_product,
     cartesian_spec,
@@ -40,7 +41,7 @@ from perfstruct.errors import (
     HypothesisNotMetError,
     UnverifiedStructureError,
 )
-from perfstruct import matrix
+from perfstruct import matrix, products
 from perfstruct.products import NAMED_SPECS
 
 from helpers import random_structure_collection
@@ -599,3 +600,50 @@ class TestKronSumOracle:
         a = Matrix.exact([[0, 1], [1, 0]])
         with pytest.raises(DomainMismatchError):
             build_product(cartesian_spec(a, a.to_complex()))
+
+
+class TestRefusals:
+    """Each refusal of the product layer, and the J layout of the numerator
+    path, reached by an input that needs it."""
+
+    @pytest.mark.parametrize("left, right, side", [
+        ((Matrix.identity(2), Matrix.identity(3)), (Matrix.identity(2),), "left"),
+        ((Matrix.identity(2),), (Matrix.ones(2, 3),), "right"),
+    ])
+    def test_factors_must_be_square_of_one_order(self, left, right, side):
+        grid = tuple((1,) * len(right) for _ in left)
+        with pytest.raises(DimensionError, match=f"{side} factors must be square of one order"):
+            ProductSpec(left, right, grid)
+
+    def test_lexicographic_numerators_build_j(self):
+        c4, k3 = small("cycle 4").adjacency, small("complete 3").adjacency
+        ints, den, bound = lexicographic_spec.numerators(products._exact_factor(c4),
+                                                         products._exact_factor(k3))
+        assert Matrix._wrap(ints, den) == build_product(lexicographic_spec(c4, k3))
+        assert bound >= np.abs(ints).max()
+
+    @staticmethod
+    def structures():
+        """C_4 and K_3, each with its one-class structure."""
+        return (PerfectStructure(small("cycle 4").adjacency, Matrix.ones(4, 1),
+                                 Matrix.exact([[2]])),
+                PerfectStructure(small("complete 3").adjacency, Matrix.ones(3, 1),
+                                 Matrix.exact([[2]])))
+
+    def test_one_structure_per_factor(self):
+        left, right = self.structures()
+        spec = cartesian_spec(left.adjacency, right.adjacency)
+        with pytest.raises(DimensionError, match="one structure per factor"):
+            product_structures(spec, [left], [right])
+
+    def test_structures_must_sit_on_the_factors(self):
+        left, right = self.structures()
+        spec = tensor_spec(left.adjacency, right.adjacency)
+        with pytest.raises(UnverifiedStructureError, match="left adjacency matrices must match"):
+            product_structures(spec, [right], [right])
+
+    def test_one_eigensystem_per_factor(self):
+        spec = cartesian_spec(small("cycle 4").adjacency, small("complete 2").adjacency)
+        left = joint_eigensystems(spec.left_factors)
+        with pytest.raises(DimensionError, match="one eigensystem per factor"):
+            product_spectrum(spec, left[:1], joint_eigensystems(spec.right_factors))

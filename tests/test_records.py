@@ -2,6 +2,8 @@
 be set, two records built from equal fields are equal and hash alike, they
 build from keywords, and a record that validates refuses bad fields."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +14,7 @@ from perfstruct.colorings import CensusResult, Coloring, FractionalColoring
 from perfstruct.contraction import ContractionInput
 from perfstruct.errors import DimensionError
 from perfstruct.graphs import Graph, Leaf, ProductFamily
-from perfstruct.matrix import EigenSystem, Matrix, Spectrum
+from perfstruct.matrix import EigenSystem, Matrix, Spectrum, eigensystem_on
 from perfstruct.products import NamedProduct, ProductSpec
 from perfstruct.structures import CanonicalForm, PerfectStructure, UnityClassification
 
@@ -134,3 +136,42 @@ def test_repr_names_the_record_and_its_fields():
     assert repr(Spectrum(((-1, 1), (1, 1)))) == "Spectrum(entries=((-1, 1), (1, 1)))"
     assert repr(CensusResult((), True, 3)) == (
         "CensusResult(results=(), complete=True, evaluated=3)")
+
+
+def _domains(exact: Matrix):
+    return {"exact": exact, "complex": exact.to_complex()}
+
+
+#: records that hold a Matrix, each built over an exact and a complex matrix
+MATRIX_RECORDS = {
+    f"{name}-{domain}": (lambda build, m: lambda: build(m))(build, m)
+    for name, build, exact in [
+        ("Graph", lambda m: Graph(m, family=("complete", 2)), k2()),
+        ("Coloring", lambda m: Coloring(colors=(1, 2, 1), k=2, class_sizes=(2, 1), indicator=m),
+         Matrix.exact([[1, 0], [0, 1], [1, 0]])),
+        ("PerfectStructure", lambda m: PerfectStructure(
+            m, Matrix.ones(2, 1, m.domain), Matrix.ones(1, 1, m.domain)), k2()),
+        ("EigenSystem", lambda m: eigensystem_on(k2(), m), Matrix.exact([[1, 1], [1, -1]])),
+    ]
+    for domain, m in _domains(exact).items()
+}
+COPIES = {
+    "pickle": lambda r: pickle.loads(pickle.dumps(r)),
+    "deepcopy": copy.deepcopy,
+}
+
+
+def _same(a, b) -> bool:
+    """Field by field, comparing an array field by its entries."""
+    return type(a) is type(b) and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("copier", COPIES.values(), ids=COPIES.keys())
+@pytest.mark.parametrize("make", MATRIX_RECORDS.values(), ids=MATRIX_RECORDS.keys())
+def test_a_record_holding_a_matrix_survives_pickle_and_deepcopy(make, copier):
+    record = make()
+    twin = copier(record)
+    assert _same(twin, record) and twin is not record
+    if not any(isinstance(x, np.ndarray) for x in record):
+        assert twin == record and hash(twin) == hash(record)

@@ -26,6 +26,7 @@ from perfstruct import (
     verify,
 )
 from perfstruct.errors import (
+    DefectiveMatrixError,
     DimensionError,
     NoParameterMatrixError,
     SingularMatrixError,
@@ -365,3 +366,92 @@ class TestEigenvectorStructure:
     @pytest.mark.parametrize("f, value", [([1, 0, 0, 0], 0), ([1, -1, 1, -1], 2)])
     def test_a_vector_that_is_no_eigenvector_is_rejected(self, f, value):
         assert not verify(structures.eigenvector_structure(cycle4(), f, value))
+
+
+def jordan_structure() -> PerfectStructure:
+    """(N, I, N) for the nilpotent Jordan block N: verified and nonsingular,
+    yet its parameter matrix is defective."""
+    n = Matrix.exact([[0, 1], [0, 0]])
+    return PerfectStructure(n, Matrix.identity(2), n)
+
+
+class TestRefusals:
+    """Each refusal of the structure algebra, reached by an input that needs it."""
+
+    @pytest.mark.parametrize("m, s", [
+        (Matrix.exact([[0, 1]]), Matrix.exact([[1]])),
+        (Matrix.identity(2), Matrix.exact([[1], [0]])),
+    ])
+    def test_adjacency_and_parameters_must_be_square(self, m, s):
+        with pytest.raises(DimensionError, match="must be square"):
+            PerfectStructure(m, Matrix.exact([[1], [1]]), s)
+
+    def test_structure_matrix_needs_a_column(self):
+        with pytest.raises(DimensionError, match="at least one column"):
+            PerfectStructure(cycle4(), Matrix.zeros(4, 0), Matrix.zeros(0, 0))
+
+    def test_similarity_transform_sizes(self):
+        with pytest.raises(DimensionError, match="must match n and k"):
+            similar_transform(alternating_structure(), Matrix.identity(3), Matrix.identity(2))
+
+    def test_a_verified_nonsingular_structure_can_have_a_defective_s(self):
+        s = jordan_structure()
+        assert verify(s) and is_nonsingular(s)
+        with pytest.raises(DefectiveMatrixError, match="no diagonal canonical form"):
+            canonical_form(s)
+        assert not spectrum_inclusion_check(s)
+
+    def test_canonical_columns_that_are_no_eigenvectors(self):
+        """(0, I, d·J) with d = tol verifies, since M·P - P·S = -d·J, but the
+        column of eigenvalue 2d leaves M·r - 2d·r = sqrt(2)·d > tol."""
+        s = PerfectStructure(Matrix.zeros(2, 2, "complex"), Matrix.identity(2, "complex"),
+                             Matrix.ones(2, domain="complex").scale(1e-9))
+        assert verify(s) and is_nonsingular(s)
+        with pytest.raises(DefectiveMatrixError, match="fail the eigenvector check"):
+            canonical_form(s)
+
+    def test_spectrum_inclusion_needs_a_nonsingular_structure(self):
+        p = Matrix.exact([[1, 1], [1, 1], [1, 1], [1, 1]])
+        s = PerfectStructure(cycle4(), p, Matrix.exact([[1, 1], [1, 1]]))
+        assert verify(s)
+        with pytest.raises(UnverifiedStructureError, match="needs a nonsingular structure"):
+            spectrum_inclusion_check(s)
+
+    @pytest.mark.parametrize("m, s, which", [
+        (jordan_structure().adjacency, Matrix.exact([[0]]), "adjacency"),
+        (Matrix.identity(2), jordan_structure().parameters, "parameter"),
+    ])
+    def test_structure_space_needs_diagonalizable_matrices(self, m, s, which):
+        with pytest.raises(DefectiveMatrixError, match=f"{which} matrix is defective"):
+            structure_space_basis(m, s)
+
+    def test_parameters_from_structure_sizes(self):
+        with pytest.raises(DimensionError, match="sizes are incompatible"):
+            parameters_from_structure(cycle4(), Matrix.exact([[1], [1]]))
+
+    def test_unity_classification_needs_a_nonsingular_structure(self):
+        # J_3·P = 3·(all ones) = P·S for the rank-one P
+        s = PerfectStructure(Matrix.ones(3), Matrix.ones(3, 2), Matrix.exact([[3, 3], [0, 0]]))
+        assert verify(s)
+        with pytest.raises(UnverifiedStructureError, match="needs a nonsingular structure"):
+            classify_unity(s)
+
+    def test_unity_zero_parameters_with_nonzero_column_sums(self):
+        """M is J within tol, and M·P = 0 exactly, yet P's column sum is
+        -1000·e = -5e-7: S = 0 does not make 1ᵀP vanish."""
+        e = 5e-10
+        m = Matrix.complex([[1, 1 + e], [1, 1 + e]])
+        s = PerfectStructure(m, Matrix.complex([[-(1 + e) * 1000], [1000]]),
+                             Matrix.complex([[0]]))
+        assert verify(s) and is_nonsingular(s)
+        with pytest.raises(UnverifiedStructureError, match="nonzero column sums"):
+            classify_unity(s)
+
+    def test_unity_parameters_of_rank_two(self):
+        """J + t·[[1, -1], [-1, 1]] is J within tol = 1e-9 for t = 9e-10, and
+        has rank two: its eigenvalues are 2 and 2t."""
+        t = 9e-10
+        m = Matrix.complex([[1 + t, 1 - t], [1 - t, 1 + t]])
+        s = PerfectStructure(m, Matrix.identity(2, "complex"), m)
+        with pytest.raises(UnverifiedStructureError, match="zero or of rank one"):
+            classify_unity(s)

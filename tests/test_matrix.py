@@ -617,8 +617,9 @@ class TestImmutableCopies:
         c = copier(m)
         assert type(c) is Matrix and c == m and hash(c) == hash(m)
         assert c.data.tolist() == m.data.tolist()
-        for arr in (c.data, c._ints if c.domain == "exact" else c.data):
-            assert not arr.flags.writeable
+        assert not c.data.flags.writeable
+        if c.domain == "exact":
+            assert not c._ints.flags.writeable
         with pytest.raises(AttributeError, match="Matrix is immutable"):
             c.domain = "complex"
 

@@ -138,40 +138,26 @@ def test_repr_names_the_record_and_its_fields():
         "CensusResult(results=(), complete=True, evaluated=3)")
 
 
-def _domains(exact: Matrix):
-    return {"exact": exact, "complex": exact.to_complex()}
 
-
-#: records that hold a Matrix, each built over an exact and a complex matrix
+#: record -> (a function building it over a matrix, an exact such matrix)
 MATRIX_RECORDS = {
-    f"{name}-{domain}": (lambda build, m: lambda: build(m))(build, m)
-    for name, build, exact in [
-        ("Graph", lambda m: Graph(m, family=("complete", 2)), k2()),
-        ("Coloring", lambda m: Coloring(colors=(1, 2, 1), k=2, class_sizes=(2, 1), indicator=m),
-         Matrix.exact([[1, 0], [0, 1], [1, 0]])),
-        ("PerfectStructure", lambda m: PerfectStructure(
-            m, Matrix.ones(2, 1, m.domain), Matrix.ones(1, 1, m.domain)), k2()),
-        ("EigenSystem", lambda m: eigensystem_on(k2(), m), Matrix.exact([[1, 1], [1, -1]])),
-    ]
-    for domain, m in _domains(exact).items()
-}
-COPIES = {
-    "pickle": lambda r: pickle.loads(pickle.dumps(r)),
-    "deepcopy": copy.deepcopy,
+    Graph: (lambda m: Graph(m, family=("complete", 2)), k2()),
+    Coloring: (lambda m: Coloring(colors=(1, 2, 1), k=2, class_sizes=(2, 1), indicator=m),
+               Matrix.exact([[1, 0], [0, 1], [1, 0]])),
+    PerfectStructure: (lambda m: PerfectStructure(m, Matrix.ones(2, 1, m.domain),
+                                                  Matrix.ones(1, 1, m.domain)), k2()),
+    EigenSystem: (lambda m: eigensystem_on(k2(), m), Matrix.exact([[1, 1], [1, -1]])),
 }
 
 
-def _same(a, b) -> bool:
-    """Field by field, comparing an array field by its entries."""
-    return type(a) is type(b) and all(
-        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in zip(a, b))
-
-
-@pytest.mark.parametrize("copier", COPIES.values(), ids=COPIES.keys())
-@pytest.mark.parametrize("make", MATRIX_RECORDS.values(), ids=MATRIX_RECORDS.keys())
-def test_a_record_holding_a_matrix_survives_pickle_and_deepcopy(make, copier):
-    record = make()
+@pytest.mark.parametrize("copier", [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("domain", ["exact", "complex"])
+@pytest.mark.parametrize("cls", MATRIX_RECORDS, ids=lambda cls: cls.__name__)
+def test_a_record_holding_a_matrix_survives_pickle_and_deepcopy(cls, domain, copier):
+    build, m = MATRIX_RECORDS[cls]
+    record = build(m if domain == "exact" else m.to_complex())
     twin = copier(record)
-    assert _same(twin, record) and twin is not record
-    if not any(isinstance(x, np.ndarray) for x in record):
-        assert twin == record and hash(twin) == hash(record)
+    assert type(twin) is cls and twin is not record
+    for x, y in zip(twin, record):  # an array field compares by its entries
+        assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y

@@ -28,7 +28,7 @@ from .matrix import (
     _same_value,
     eigenvalues,
 )
-from .products import _kron_sum, _named, build_product
+from .products import _exact_factor, _kron_sum, _named
 from .structures import parameters_from_structure
 from .errors import NoParameterMatrixError, SingularMatrixError
 
@@ -202,7 +202,8 @@ def product_coloring(product: str, left, right):
         raise HypothesisNotMetError("both factor colorings must be perfect")
     params = _kron_sum(named.coefficients, s, t)
 
-    prod_graph = Graph(build_product(named(g1.adjacency, g2.adjacency)))
+    ints, den, _ = named.numerators(_exact_factor(g1.adjacency), _exact_factor(g2.adjacency))
+    prod_graph = Graph(Matrix._wrap(ints, den))
     colors = [(c1.colors[v] - 1) * c2.k + c2.colors[u]
               for v in range(g1.n) for u in range(g2.n)]
     prod_coloring = Coloring.from_colors(colors)

@@ -162,6 +162,14 @@ class Matrix:
         m._store(ints, den, None, EXACT)
         return m
 
+    @staticmethod
+    def _wrap_complex(data: np.ndarray) -> "Matrix":
+        """The complex matrix of an array this module has just built, taken
+        without a copy when it is already complex128."""
+        m = object.__new__(Matrix)
+        m._store(None, None, data.astype(np.complex128, copy=False), COMPLEX)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
@@ -330,7 +338,7 @@ class Matrix:
         if self.shape != other.shape:
             raise DimensionError(f"cannot {verb} {self.shape} and {other.shape}")
         if self.domain == COMPLEX:
-            return Matrix(op(self._data, other._data), COMPLEX)
+            return Matrix._wrap_complex(op(self._data, other._data))
         a, b, den = self._ints, other._ints, self._den
         if other._den != den:  # bring both sides to the lcm of the denominators
             den = math.lcm(den, other._den)
@@ -345,12 +353,12 @@ class Matrix:
 
     def __neg__(self) -> "Matrix":
         if self.domain == COMPLEX:
-            return Matrix(-self._data, COMPLEX)
+            return Matrix._wrap_complex(-self._data)
         return Matrix._wrap(-self._ints, self._den)  # no int64 entry is -2**63
 
     def scale(self, alpha) -> "Matrix":
         if self.domain == COMPLEX:
-            return Matrix(self._data * complex(alpha), COMPLEX)
+            return Matrix._wrap_complex(self._data * complex(alpha))
         alpha = _as_exact(alpha)
         return Matrix._wrap(_times(self._ints, alpha.numerator),
                             self._den * alpha.denominator)
@@ -361,7 +369,7 @@ class Matrix:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
         # np.matmul rejects object arrays; np.dot handles every dtype
         if self.domain == COMPLEX:
-            return Matrix(np.dot(self._data, other._data), COMPLEX)
+            return Matrix._wrap_complex(np.dot(self._data, other._data))
         a, b = self._ints, other._ints
         bound = _magnitude(a) * _magnitude(b) * a.shape[1]
         return Matrix._wrap(_guarded(bound, np.dot, a, b), self._den * other._den)
@@ -369,13 +377,13 @@ class Matrix:
     @property
     def T(self) -> "Matrix":
         if self.domain == COMPLEX:
-            return Matrix(self._data.T, COMPLEX)
+            return Matrix._wrap_complex(self._data.T)
         return Matrix._wrap(self._ints.T, self._den)
 
     def conj_transpose(self) -> "Matrix":
         if self.domain == EXACT:
             return self.T
-        return Matrix(self._data.conj().T, COMPLEX)
+        return Matrix._wrap_complex(self._data.conj().T)
 
     def is_zero(self, tol: float = 0.0) -> bool:
         """Is every entry zero?  Bit-exact in the exact domain, where ``tol``
@@ -396,16 +404,14 @@ class Matrix:
             return self
         # Python's int / int is correctly rounded, as complex(Fraction(n, d)) is
         exact = self._ints if self._den == 1 else self._ints.astype(object) / self._den
-        m = object.__new__(Matrix)
-        m._store(None, None, exact.astype(np.complex128), COMPLEX)
-        return m
+        return Matrix._wrap_complex(exact)
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
             raise DimensionError("only square matrices have inverses")
         if self.domain == COMPLEX:
             try:
-                return Matrix(np.linalg.inv(self._data), COMPLEX)
+                return Matrix._wrap_complex(np.linalg.inv(self._data))
             except np.linalg.LinAlgError as exc:
                 raise SingularMatrixError(str(exc)) from exc
         # (N/d)^-1 = d·N^-1, and eliminating [N | I] leaves [D·I | D·N^-1]
@@ -513,7 +519,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     if a.domain != b.domain:
         raise DomainMismatchError("kron requires both factors in one domain")
     if a.domain == COMPLEX:
-        return Matrix(_kron(a._data, b._data), COMPLEX)
+        return Matrix._wrap_complex(_kron(a._data, b._data))
     x, y = a._ints, b._ints
     return Matrix._wrap(_guarded(_magnitude(x) * _magnitude(y), _kron, x, y),
                         a._den * b._den)
@@ -561,14 +567,16 @@ def _sort_and_normalize(values: np.ndarray, vectors: np.ndarray):
 def _solver_input(m: Matrix, tol: float) -> tuple[np.ndarray, np.ndarray | None]:
     """The one prologue of the eigensolvers: ``a``, the complex cast of ``m``,
     and the array the symmetric solver reads, or None for the general solver.
-    A non-square ``m`` is a DimensionError, an infinite or nan entry a
-    NonConvergenceError.  An exact ``m`` takes the symmetric solver when it is
+    A non-square or empty ``m`` is a DimensionError, an infinite or nan entry
+    a NonConvergenceError.  An exact ``m`` takes the symmetric solver when it is
     exactly symmetric; a complex one when ``a`` is within ``tol`` of Aᴴ, entry
     by entry with no relative slack, and then the solver reads (A + Aᴴ)/2, so
     no answer depends on which triangle LAPACK reads.  A real ``a`` gives
     float64, for the real solver, which takes less than half the time."""
     if not m.is_square():
         raise DimensionError(f"eigenvalues need a square matrix, got shape {m.shape}")
+    if not m.rows:
+        raise DimensionError("eigenvalues need a matrix with at least one row")
     a = m.to_complex().data
     if not np.isfinite(a).all():
         raise NonConvergenceError("matrix has an infinite or nan entry")
@@ -580,11 +588,11 @@ def _solver_input(m: Matrix, tol: float) -> tuple[np.ndarray, np.ndarray | None]
     return a, (h + h.conj().T) / 2
 
 
-def _eig_residual_bound(a: np.ndarray, tol: float) -> float:
-    """The largest residual max |A v - λ v| an eigendecomposition of ``a`` may
-    leave on unit columns v: ``tol``, or 1e3 unit roundoffs of max(1,
-    max|a_ij|) when that is larger."""
-    return max(tol, 1e3 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(a)))))
+def _residual_bound(a: np.ndarray, tol: float) -> float:
+    """The one residual bound: the largest max |A v - λ v| an eigenpair of
+    ``a`` may leave on a unit vector v, 10·sqrt(n)·max(tol, 1e-9)·max(1,
+    ||A||_F) for ``a`` of order n."""
+    return 10 * math.sqrt(len(a)) * max(tol, 1e-9) * max(1.0, math.sqrt(np.vdot(a, a).real))
 
 
 def eig(m: Matrix, tol: float = DEFAULT_TOL) -> EigenSystem:
@@ -592,9 +600,10 @@ def eig(m: Matrix, tol: float = DEFAULT_TOL) -> EigenSystem:
 
     Hermitian inputs go through the symmetric solver, guaranteeing real
     eigenvalues and an orthonormal eigenbasis: the real solver when the input
-    is real, the complex one otherwise (``_solver_input``).  Raises on
-    non-convergence or when the eigenvector matrix is numerically rank
-    deficient (defective input).
+    is real, the complex one otherwise (``_solver_input``).  Raises
+    DefectiveMatrixError when the eigenvector matrix is numerically rank
+    deficient, the one rule for a defective input, and NonConvergenceError
+    when a column misses ``_residual_bound``.
     """
     a, h = _solver_input(m, tol)
     try:
@@ -602,17 +611,18 @@ def eig(m: Matrix, tol: float = DEFAULT_TOL) -> EigenSystem:
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(str(exc)) from exc
     values, vectors = _sort_and_normalize(values, vectors)
-    if h is None and len(values) > 1:
+    if h is None:
         s = np.linalg.svd(vectors, compute_uv=False)
         if s[-1] < 1e-8 * s[0]:
             raise DefectiveMatrixError("eigenvector matrix is rank deficient")
     if vectors.dtype == np.float64:
         a = a.real  # a real input: the residual is real arithmetic too
-    resid = float(np.max(np.abs(a @ vectors - vectors * values))) if len(values) else 0.0
-    if not resid <= _eig_residual_bound(a, tol):  # a nan residual fails too
-        raise NonConvergenceError(f"eigen residual {resid:.3e} exceeds tolerance {tol:.3e}")
+    resid = float(np.max(np.abs(a @ vectors - vectors * values)))
+    bound = _residual_bound(a, tol)
+    if not resid <= bound:  # a nan residual fails too
+        raise NonConvergenceError(f"eigen residual {resid:.3e} exceeds its bound {bound:.3e}")
     return EigenSystem(values=values.astype(np.complex128),
-                       vectors=Matrix(vectors, COMPLEX), residual=resid)
+                       vectors=Matrix._wrap_complex(vectors), residual=resid)
 
 
 def eigensystem_on(a: Matrix, vectors, tol: float = DEFAULT_TOL, values=None,
@@ -620,9 +630,9 @@ def eigensystem_on(a: Matrix, vectors, tol: float = DEFAULT_TOL, values=None,
     """A's eigenvalue on each column of ``vectors`` (a Matrix, or one vector):
     its Rayleigh quotient, or ``values[j]`` when given.  Raises
     HypothesisNotMetError(message) unless each column v, scaled to unit length,
-    has max |A v - value·v| <= 10·sqrt(n)·max(tol, 1e-9)·max(1, ||A||_F), n the
-    order of A: the one residual bound.  A zero column, or a nan, never passes;
-    a non-square A, or a column of the wrong length, is a DimensionError."""
+    has max |A v - value·v| within ``_residual_bound``, the one residual bound.
+    A zero column, or a nan, never passes; a non-square A, or a column of the
+    wrong length, is a DimensionError."""
     if not a.is_square():
         raise DimensionError(f"eigenvectors need a square matrix, got shape {a.shape}")
     if not isinstance(vectors, Matrix):
@@ -640,8 +650,7 @@ def eigensystem_on(a: Matrix, vectors, tol: float = DEFAULT_TOL, values=None,
     if values.shape != sq.shape:
         raise DimensionError("one value per column is required")
     resid = float((np.abs(av - v * values).max(axis=0) / np.sqrt(sq)).max())
-    bound = 10 * math.sqrt(len(m)) * max(tol, 1e-9) * max(1.0, math.sqrt(np.vdot(m, m).real))
-    if not resid <= bound:
+    if not resid <= _residual_bound(m, tol):
         raise HypothesisNotMetError(message)
     return EigenSystem(values, vectors, resid)
 
@@ -784,28 +793,15 @@ def multiset_discrepancy(a, b) -> float:
 
 
 def is_diagonalizable(m: Matrix, tol: float = DEFAULT_TOL) -> bool:
-    """Geometric multiplicity equals algebraic multiplicity for every eigenvalue.
-
-    A simple eigenvalue always has a one-dimensional eigenspace, so only a
-    cluster of two or more eigenvalues is checked, by the nullity of A - λI:
-    its singular values up to the blur max(CLUSTER_RADIUS, 10·tol)·max(1,
-    max|a_ij|).  The blur exceeds the cluster radius when an entry of A
-    exceeds 1, so the nullity is compared with the number of eigenvalues
-    within the blur of λ, which counts the neighbours it cannot tell apart."""
-    a, h = _solver_input(m, tol)
-    if h is not None:
+    """``eig``'s verdict: does ``eig(m, tol)`` finish without
+    DefectiveMatrixError?  A Hermitian input (``_solver_input``) is
+    diagonalizable with no solver run."""
+    if _solver_input(m, tol)[1] is not None:
         return True
-    n = a.shape[0]
-    if n <= 1:
-        return True
-    vals = np.linalg.eigvals(a)
-    blur = max(CLUSTER_RADIUS, 10 * tol) * max(1.0, float(np.max(np.abs(a))))
-    for rep, mult in cluster_values(vals):
-        if mult == 1:
-            continue
-        s = np.linalg.svd(a - rep * np.eye(n), compute_uv=False)
-        if np.sum(s <= blur) != np.sum(np.abs(vals - rep) <= blur):
-            return False
+    try:
+        eig(m, tol)
+    except DefectiveMatrixError:
+        return False
     return True
 
 

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     DefectiveMatrixError,
     DimensionError,
+    HypothesisNotMetError,
     NoParameterMatrixError,
     SingularMatrixError,
     UnverifiedStructureError,
@@ -23,13 +24,13 @@ from .matrix import (
     COMPLEX,
     DEFAULT_TOL,
     EXACT,
+    EigenSystem,
     Matrix,
-    _eig_residual_bound,
     _same_value,
     eig,
+    eigensystem_on,
     eigenvalues,
     exact_solve,
-    is_diagonalizable,
     multiset_leq,
     poly_eval,
     rank,
@@ -135,36 +136,40 @@ def similar_transform(s: PerfectStructure, a: Matrix, b: Matrix,
                             b @ s.parameters @ b_inv)
 
 
+def _diagonalized(m: Matrix, tol: float, message: str) -> EigenSystem:
+    """``eig(m, tol)``, whose DefectiveMatrixError is raised again as ``message``."""
+    try:
+        return eig(m, tol)
+    except DefectiveMatrixError as exc:
+        raise DefectiveMatrixError(message) from exc
+
+
 def canonical_form(s: PerfectStructure, tol: float = DEFAULT_TOL) -> CanonicalForm:
     """Diagonalize the parameter matrix: T = diag(sp(S)), columns of R = P·W
-    are eigenvectors of M, and P = R·B with B = W^-1."""
+    are eigenvectors of M, checked by ``eigensystem_on``, and P = R·B with
+    B = W^-1."""
     if not is_nonsingular(s, tol):  # verifies the triple
         raise SingularMatrixError("canonical form needs a full-rank structure matrix")
+    es = _diagonalized(s.parameters, tol, "parameter matrix is defective, so the "
+                       "structure has no diagonal canonical form")
+    r = s.structure.to_complex() @ es.vectors
     try:
-        es = eig(s.parameters, tol)
-    except DefectiveMatrixError as exc:
-        raise DefectiveMatrixError(
-            "parameter matrix is defective, so the structure has no diagonal "
-            "canonical form") from exc
-    w = es.vectors
-    t = Matrix(np.diag(es.values), COMPLEX)
-    r = s.structure.to_complex() @ w
-    b = w.inverse()
-    m = s.adjacency.to_complex()
-    resid = (m @ r - r @ t).max_abs()
-    if not resid <= _eig_residual_bound(m.data, tol):
-        raise DefectiveMatrixError(
-            f"canonical columns fail the eigenvector check (residual {resid:.3e})")
-    return CanonicalForm(diagonal_parameters=t, eigen_columns=r, basis_change=b)
+        eigensystem_on(s.adjacency, r, tol, es.values)
+    except HypothesisNotMetError:
+        raise DefectiveMatrixError("canonical columns fail the eigenvector check") from None
+    return CanonicalForm(diagonal_parameters=Matrix(np.diag(es.values), COMPLEX),
+                         eigen_columns=r, basis_change=es.vectors.inverse())
 
 
 def spectrum_inclusion_check(s: PerfectStructure, tol: float = DEFAULT_TOL) -> bool:
-    """sp(S) included in sp(M) as a multiset, and S diagonalizable."""
+    """sp(S) included in sp(M) as a multiset, and S diagonalizable by ``eig``."""
     if not is_nonsingular(s, tol):  # verifies the triple
         raise UnverifiedStructureError("spectrum inclusion needs a nonsingular structure")
-    if not is_diagonalizable(s.parameters, tol):
+    try:
+        values = eig(s.parameters, tol).values
+    except DefectiveMatrixError:
         return False
-    return multiset_leq(eigenvalues(s.parameters, tol), eigenvalues(s.adjacency, tol))
+    return multiset_leq(values, eigenvalues(s.adjacency, tol))
 
 
 def structure_space_basis(m: Matrix, s: Matrix, tol: float = DEFAULT_TOL) -> list[Matrix]:
@@ -173,12 +178,8 @@ def structure_space_basis(m: Matrix, s: Matrix, tol: float = DEFAULT_TOL) -> lis
     Built from rank-one outer products x·yᵀ where M·x = λ·x and Sᵀ·y = λ·y
     share an eigenvalue; the count is Σ ν_M(λ)·ν_S(λ).
     """
-    if not is_diagonalizable(m, tol):
-        raise DefectiveMatrixError("adjacency matrix is defective")
-    if not is_diagonalizable(s, tol):
-        raise DefectiveMatrixError("parameter matrix is defective")
-    em = eig(m, tol)
-    est = eig(s.T, tol)  # left eigenvectors of S
+    em = _diagonalized(m, tol, "adjacency matrix is defective")
+    est = _diagonalized(s.T, tol, "parameter matrix is defective")  # left eigenvectors of S
     a, b = np.nonzero(_same_value(em.values, est.values))
     outers = em.vectors.data.T[a, :, None] * est.vectors.data.T[b, None, :]
     return [Matrix(x, COMPLEX) for x in outers]

@@ -292,13 +292,13 @@ class TestProduct:
             write(tmp_path, name, text)
         monkeypatch.chdir(tmp_path)
         specs = []
+        original = products.ProductSpec.__new__
 
-        def counting(spec):
-            specs.append(spec)
-            return products.build_product(spec)
+        def counting(cls, *args):
+            specs.append(args)
+            return original(cls, *args)
 
-        monkeypatch.setattr(cli, "build_product", counting)
-        monkeypatch.setattr(colorings, "build_product", counting)
+        monkeypatch.setattr(products.ProductSpec, "__new__", counting)
         assert main(["product", "cartesian", "c4", "k2", "-o", "out.graph",
                      "--left-coloring", "l.col", "--right-coloring", "r.col"]) == 0
         assert len(specs) == 1

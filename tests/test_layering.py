@@ -1,7 +1,8 @@
 """The package's structure, read from the source with ``ast``: no function
 imports a package module, the import graph between the package's modules
-has no cycle, only ``files`` opens files, and no module imports
-``dataclasses`` or compiles a regular expression at import."""
+has no cycle, only ``files`` opens files, no module imports
+``dataclasses`` or compiles a regular expression at import, and tolerance
+factors live in ``matrix``."""
 
 import ast
 from pathlib import Path
@@ -112,3 +113,22 @@ def test_no_dataclasses_or_regex_compiled_at_import(module):
                 and node.func.attr == "compile" and isinstance(node.func.value, ast.Name)
                 and node.func.value.id == "re"]
     assert compiles == []
+
+
+def small_floats(node) -> list:
+    """The lines of the float literals strictly between 0 and 1 under
+    ``node``, leaving out the body of ``cli._format_value``."""
+    if isinstance(node, ast.FunctionDef) and node.name == "_format_value":
+        return []
+    if isinstance(node, ast.Constant) and isinstance(node.value, float) \
+            and 0 < node.value < 1:
+        return [node.lineno]
+    return [line for child in ast.iter_child_nodes(node) for line in small_floats(child)]
+
+
+@pytest.mark.parametrize("module", sorted(set(TREES) - {"matrix"}))
+def test_tolerance_factors_live_in_matrix(module):
+    """A small float is a tolerance factor: ``matrix`` holds every one, so
+    that there is one tolerance policy.  ``cli._format_value`` may round for
+    display only."""
+    assert small_floats(TREES[module]) == []

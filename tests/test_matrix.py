@@ -9,7 +9,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perfstruct import (
@@ -42,6 +42,17 @@ def exact_mats(n):
     return st.lists(
         st.lists(small_fraction, min_size=n, max_size=n), min_size=n, max_size=n,
     ).map(Matrix.exact)
+
+
+def small_int_mats(n):
+    return st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                    min_size=n, max_size=n).map(Matrix.exact)
+
+
+def complex_mats(n):
+    entry = st.builds(complex, st.integers(-2, 2), st.integers(-2, 2))
+    return st.lists(st.lists(entry, min_size=n, max_size=n),
+                    min_size=n, max_size=n).map(Matrix.complex)
 
 
 class TestKron:
@@ -269,6 +280,30 @@ class TestDiagonalizable:
         assert is_diagonalizable(Matrix.exact([[1, 5, 0], [0, 2, 0], [0, 0, 2]]))
         assert calls == [(3, 3)]  # one SVD, for the double eigenvalue 2
 
+    @pytest.mark.parametrize("rows, verdict", [
+        ([[-38, 25], [-64, 42]], False),   # defective: 2 twice, one Jordan block
+        ([[0, 1], [-1, 2]], True),         # defective: 1 twice, split by 3e-8
+        ([[0, 10 ** 9], [0, "1/1000"]], False),  # diagonalizable: 0 and 1/1000
+        ([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, "1/1000", 10000], [0, 0, 0, "1/500"]], True),
+    ])
+    def test_float_verdicts_on_the_oracle_cases(self, rows, verdict):
+        """The verdict is eig's, right or wrong: the middle two are wrong in
+        exact arithmetic, which only an exact test for exact input can fix."""
+        assert is_diagonalizable(Matrix.exact(rows)) is verdict
+
+    @settings(max_examples=150, deadline=None)
+    @example(Matrix.exact([[-38, 25], [-64, 42]]))
+    @example(Matrix.complex([[1j, 1], [0, 1j]]))
+    @given(st.integers(1, 4).flatmap(lambda n: st.one_of(
+        small_int_mats(n), exact_mats(n), complex_mats(n))))
+    def test_the_verdict_is_eigs(self, m):
+        try:
+            eig(m)
+        except DefectiveMatrixError:
+            assert not is_diagonalizable(m)
+        else:
+            assert is_diagonalizable(m)
+
 
 class TestPolyEval:
     def test_square_of_single_edge(self):
@@ -324,7 +359,7 @@ class TestSolverChoice:
         eig(m)
         eigenvalues(m)
         assert is_diagonalizable(m)
-        assert calls == ["eig", "eigvals", "eigvals"]
+        assert calls == ["eig", "eigvals", "eig"]
         assert dtypes == [np.complex128] * 3
 
     def test_complex_input_keeps_the_tolerance(self, calls, dtypes):
@@ -373,7 +408,8 @@ class TestSolverChoice:
 
 class TestSolverPrologue:
     """Every eigen routine refuses a non-square matrix with DimensionError,
-    before it casts or checks an entry."""
+    before it casts or checks an entry, and every solver refuses a matrix
+    with no rows."""
 
     ROUTINES = {
         "eig": eig,
@@ -394,6 +430,13 @@ class TestSolverPrologue:
     def test_the_shape_is_checked_before_the_entries(self, solver):
         with pytest.raises(DimensionError):
             solver(Matrix.complex([[np.nan, 1, 2], [1, 0, 3]]))
+
+    @pytest.mark.parametrize("solver", [eig, eigenvalues, is_diagonalizable])
+    @pytest.mark.parametrize("empty", [Matrix.zeros(0, 0), Matrix.zeros(0, 0).to_complex(),
+                                       Matrix.diag([])], ids=["zeros", "complex", "diag"])
+    def test_a_matrix_with_no_rows_is_a_dimension_error(self, empty, solver):
+        with pytest.raises(DimensionError, match="at least one row"):
+            solver(empty)
 
 
 class TestRowQueries:
@@ -584,6 +627,23 @@ class TestFilledConstructors:
         assert Matrix(np.array([[1.5, 2]]), "complex").data.dtype == np.complex128
 
 
+#: every operation whose complex result wraps an array it has just built
+COMPLEX_RESULTS = {
+    "add": lambda a: a + a,
+    "sub": lambda a: a - a,
+    "neg": lambda a: -a,
+    "scale": lambda a: a.scale(2),
+    "matmul": lambda a: a @ a,
+    "T": lambda a: a.T,
+    "conj_transpose": lambda a: a.conj_transpose(),
+    "inverse": lambda a: a.inverse(),
+    "kron": lambda a: kron(a, a),
+    "eig": lambda a: eig(a).vectors,
+    "eig-real": lambda a: eig(Matrix.complex([[2, 1], [1, 2]])).vectors,
+    "to_complex": lambda a: Matrix.exact([["1/2", 3]]).to_complex(),
+}
+
+
 class TestImmutableCopies:
     """A Matrix refuses every attribute write, yet pickle and copy rebuild it:
     equal, with read-only arrays, and without the Fraction view of an exact
@@ -622,6 +682,22 @@ class TestImmutableCopies:
             assert not c._ints.flags.writeable
         with pytest.raises(AttributeError, match="Matrix is immutable"):
             c.domain = "complex"
+
+    def test_a_complex_matrix_keeps_its_own_copy(self):
+        arr = np.array([[1, 2j], [3, 4]])
+        m = Matrix(arr, "complex")
+        arr[0, 0] = 99
+        assert m == Matrix.complex([[1, 2j], [3, 4]])
+
+    @pytest.mark.parametrize("op", COMPLEX_RESULTS.values(), ids=COMPLEX_RESULTS.keys())
+    def test_every_complex_result_is_read_only(self, op):
+        a = Matrix.complex([[1j, 2], [0.5, -1]])
+        out = op(a)
+        assert out.domain == "complex" and out.data.dtype == np.complex128
+        assert not out.data.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            out.data[0, 0] = 7
+        assert a == Matrix.complex([[1j, 2], [0.5, -1]])
 
     def test_the_fraction_view_is_not_pickled(self):
         m = Matrix.exact([["1/2", 3]])

@@ -186,6 +186,20 @@ class TestCanonicalForm:
             assert (m @ cf.eigen_columns
                     - cf.eigen_columns @ cf.diagonal_parameters).max_abs() <= 1e-8
 
+    @pytest.mark.parametrize("c", [1e-3, 1e-1, 1])
+    def test_the_eigenvector_check_ignores_the_scale_of_p(self, c):
+        """With M = 0, (M, c·P, S) is verified for 0 < c <= 1 when (M, P, S)
+        is, and its canonical columns are c times as long: the check reads
+        them as unit vectors, so the verdict is the same for every c."""
+        zero = Matrix.zeros(2, 2, "complex")
+        s = PerfectStructure(zero, Matrix.identity(2, "complex").scale(c),
+                             Matrix.ones(2, domain="complex").scale(1e-9))
+        assert np.allclose(np.diag(canonical_form(s).diagonal_parameters.data), [0, 2e-9])
+        s = PerfectStructure(zero, Matrix.complex([[1, -1], [1, -1 + 1e-3]]).scale(c),
+                             Matrix.ones(2, domain="complex").scale(1e-7))
+        with pytest.raises(DefectiveMatrixError, match="fail the eigenvector check"):
+            canonical_form(s)
+
     def test_singular_structure_rejected(self):
         p = Matrix.exact([[1, 1], [1, 1], [1, 1], [1, 1]])
         s = PerfectStructure(cycle4(), p, Matrix.exact([[1, 1], [1, 1]]))
@@ -402,10 +416,13 @@ class TestRefusals:
         assert not spectrum_inclusion_check(s)
 
     def test_canonical_columns_that_are_no_eigenvectors(self):
-        """(0, I, d·J) with d = tol verifies, since M·P - P·S = -d·J, but the
-        column of eigenvalue 2d leaves M·r - 2d·r = sqrt(2)·d > tol."""
-        s = PerfectStructure(Matrix.zeros(2, 2, "complex"), Matrix.identity(2, "complex"),
-                             Matrix.ones(2, domain="complex").scale(1e-9))
+        """(0, P, d·J) with d = 1e-7 verifies, since M·P - P·S = -d·P·J has
+        entries 0 and -1e-10, but the canonical column of eigenvalue 2d is
+        P·(1, 1)/sqrt(2) = (0, 7e-4), whose unit vector r leaves
+        |M·r - 2d·r| = 2e-7, above the residual bound 10·sqrt(2)·1e-9."""
+        s = PerfectStructure(Matrix.zeros(2, 2, "complex"),
+                             Matrix.complex([[1, -1], [1, -1 + 1e-3]]),
+                             Matrix.ones(2, domain="complex").scale(1e-7))
         assert verify(s) and is_nonsingular(s)
         with pytest.raises(DefectiveMatrixError, match="fail the eigenvector check"):
             canonical_form(s)

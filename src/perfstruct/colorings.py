@@ -20,6 +20,7 @@ from .matrix import (
     DEFAULT_TOL,
     EXACT,
     Matrix,
+    _exact_factor,
     _guarded,
     _integers,
     _magnitude,
@@ -28,7 +29,7 @@ from .matrix import (
     _same_value,
     eigenvalues,
 )
-from .products import _exact_factor, _kron_sum, _named
+from .products import _kron_sum, _named
 from .structures import parameters_from_structure
 from .errors import NoParameterMatrixError, SingularMatrixError
 

@@ -98,8 +98,8 @@ def contract_named(product: str, product_eigfn, right_eigfn, right_graph: Graph,
 
     ``product_eigfn`` is (h, nu), ``right_eigfn`` is (g, lambda) with
     L^T g = lambda g, and mu solves nu = a·mu + b, the product's eigenvalue
-    rule.  A lambda of None is read from g by the one check of
-    L^T g = lambda g, made right after g is found nonzero.
+    rule.  L^T g = lambda g is checked once, right after g is found nonzero,
+    whether lambda is given or None, when that check reads it from g.
     HypothesisNotMetError: g not collinear to all-ones under a J factor, or
     no left eigenvector of L; ExcludedEigenvalueError: a = 0.  Returns
     (f, mu) with f possibly zero (callers may retry with another g).  When
@@ -117,11 +117,9 @@ def contract_named(product: str, product_eigfn, right_eigfn, right_graph: Graph,
         raise DimensionError("h length is not a multiple of the right factor order")
     if not np.any(g):
         raise DimensionError("g must be nonzero")
-    right, not_right = right_graph.adjacency.T, "g is not an eigenvector of the right factor"
-    checked = lam is None
-    if checked:
-        lam = eigensystem_on(right, g, tol, message=not_right).values[0]
-    lam = complex(lam)
+    lam = complex(eigensystem_on(right_graph.adjacency.T, g, tol,
+                                 None if lam is None else [complex(lam)],
+                                 "g is not an eigenvector of the right factor").values[0])
 
     unity = None
     if "J" in named.right:  # g must span the all-ones eigenspace, where J acts as n
@@ -135,8 +133,6 @@ def contract_named(product: str, product_eigfn, right_eigfn, right_graph: Graph,
     if not abs(a) > tol:
         raise ExcludedEigenvalueError(
             f"{product} contraction is undefined at lambda = {lam.real:.6g}")
-    if not checked:
-        eigensystem_on(right, g, tol, [lam], not_right)
     mu = (nu - b) / a
 
     f = h.reshape(-1, n) @ g

@@ -32,11 +32,12 @@ from .matrix import (
     Matrix,
     Spectrum,
     _as_exact,
+    _exact_factor,
     _integers,
     _row_sums,
     eigenvalues,
 )
-from .products import NAMED_SPECS, _exact_factor
+from .products import NAMED_SPECS
 
 
 class _GraphFields(NamedTuple):

@@ -164,8 +164,10 @@ class Matrix:
 
     @staticmethod
     def _wrap_complex(data: np.ndarray) -> "Matrix":
-        """The complex matrix of an array this module has just built, taken
-        without a copy when it is already complex128."""
+        """The complex matrix of a 2-d array the package has just built and
+        shares with no one, taken without a copy when it is complex128."""
+        if data.ndim != 2:
+            raise DimensionError(f"matrix data must be 2-dimensional, got shape {data.shape}")
         m = object.__new__(Matrix)
         m._store(None, None, data.astype(np.complex128, copy=False), COMPLEX)
         return m
@@ -211,16 +213,17 @@ class Matrix:
 
     @staticmethod
     def complex(rows) -> "Matrix":
-        arr = np.array(rows, dtype=np.complex128)
-        return Matrix(arr, COMPLEX)
+        return Matrix._wrap_complex(np.array(rows, dtype=np.complex128))
 
     @staticmethod
     def _filled(fill, domain: str) -> "Matrix":
-        """``fill(dtype)`` as a matrix: int64 numerators taken without a copy
-        when exact, else complex128 through ``Matrix()``, which checks ``domain``."""
+        """``fill(dtype)`` as a matrix, taken without a copy: int64 numerators
+        when exact, complex128 entries when complex."""
         if domain == EXACT:
             return Matrix._wrap(fill(np.int64))
-        return Matrix(fill(np.complex128), domain)
+        if domain != COMPLEX:
+            raise ValueError(f"unknown domain {domain!r}")
+        return Matrix._wrap_complex(fill(np.complex128))
 
     @staticmethod
     def identity(n: int, domain: str = EXACT) -> "Matrix":
@@ -476,30 +479,30 @@ def exact_solve(a: Matrix, b: Matrix) -> Matrix | None:
 
 # -- module operations ------------------------------------------------
 
-def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The Kronecker product of two 2-d arrays as one broadcast product:
-    entry (i·p + k, j·q + l) is x[i, j]·y[k, l], for y of shape (p, q)."""
-    (m, n), (p, q) = x.shape, y.shape
-    return (x[:, None, :, None] * y[None, :, None, :]).reshape(m * p, n * q)
-
-
 #: fewest entries of a Kronecker term that ``_kron_add`` writes by index:
 #: below it, indexing costs more than the broadcast it saves
 _INDEXED_KRON_MIN = 2048
 
 
 def _kron_add(out: np.ndarray, c, x: np.ndarray, y: np.ndarray):
-    """Add c·(x ⊗ y) to ``out`` in place; ``out`` is a contiguous array of
-    shape (m·p, n·q), for x of shape (m, n) and y of shape (p, q).
+    """Add c·(x ⊗ y) to ``out`` in place: the one code that forms a Kronecker
+    term.  ``out`` is a contiguous array of shape (m·p, n·q), for x of shape
+    (m, n) and y of shape (p, q).
 
-    Viewed as (m, p, n, q), the term is x[i, j]·y in block (i, j) and
-    y[k, l]·x in slice (k, l).  A factor at most half nonzero is sparse; the
-    sparse factor with fewer nonzeros names the blocks or slices written,
-    one index per nonzero: an identity factor writes n blocks, not n².  With
-    no sparse factor, or fewer than ``_INDEXED_KRON_MIN`` entries, the term
-    is one broadcast product, as in ``_kron``."""
+    A complex term is one broadcast product (x ⊗ y)·c, or x ⊗ y when c is
+    None: skipping a zero block of floats would lose -0.0 and 0·inf.  An
+    integer term scales a factor by c, not the term.  Viewed as (m, p, n, q),
+    it is x[i, j]·y in block (i, j) and y[k, l]·x in slice (k, l).  A factor
+    at most half nonzero is sparse; the sparse factor with fewer nonzeros
+    names the blocks or slices written, one index per nonzero: an identity
+    factor writes n blocks, not n².  With no sparse factor, or fewer than
+    ``_INDEXED_KRON_MIN`` entries, the term is one broadcast product."""
     (m, n), (p, q) = x.shape, y.shape
     blocks = out.reshape(m, p, n, q)
+    if out.dtype == np.complex128:
+        term = x[:, None, :, None] * y[None, :, None, :]
+        blocks += term if c is None else term * c
+        return
     sparse_x = sparse_y = False
     if out.size >= _INDEXED_KRON_MIN:
         nx, ny = np.count_nonzero(x), np.count_nonzero(y)
@@ -514,15 +517,60 @@ def _kron_add(out: np.ndarray, c, x: np.ndarray, y: np.ndarray):
         blocks += (x * c)[:, None, :, None] * y[None, :, None, :]
 
 
+def _kron_sum_numerators(terms) -> tuple[np.ndarray, int, int]:
+    """sum c·X ⊗ Y over ``terms`` of (c, X, Y), each factor a triple
+    (numerators N, positive denominator d, bound on max|N|), as numerators
+    over one denominator, not yet in lowest terms, and a bound on them.
+
+    Over the lcm D of the terms' denominators, term t is m_t·N_X ⊗ N_Y / D
+    for an integer m_t, which ``_kron_add`` applies to a factor, not the term.
+    One bound, sum |m_t|·max(1, bound_X)·max(1, bound_Y), caps every entry
+    and partial sum, m_t itself included, so the whole sum runs in int64 or
+    over Python ints (``_guarded``)."""
+    scalars = [_as_exact(c) for c, _, _ in terms]
+    dens = [c.denominator * x[1] * y[1] for c, (_, x, y) in zip(scalars, terms)]
+    den = math.lcm(*dens)
+    multipliers = [c.numerator * (den // d) for c, d in zip(scalars, dens)]
+    bound = sum(abs(m) * max(x[2], 1) * max(y[2], 1)
+                for m, (_, x, y) in zip(multipliers, terms))
+    arrays = [f[0] for _, x, y in terms for f in (x, y)]
+    (m, n), (p, q) = arrays[0].shape, arrays[1].shape
+
+    def kron_sum(*ints):
+        out = np.zeros((m * p, n * q), dtype=ints[0].dtype)
+        for c, x, y in zip(multipliers, ints[::2], ints[1::2]):
+            _kron_add(out, c, x, y)
+        return out
+
+    return _guarded(bound, kron_sum, *arrays), den, bound
+
+
+def _exact_factor(a: Matrix) -> tuple:
+    """An exact matrix as a factor of ``_kron_sum_numerators``."""
+    return a._ints, a._den, _magnitude(a._ints)
+
+
+def _kron_terms(terms) -> Matrix:
+    """sum c·(X ⊗ Y) over ``terms`` of (c, X, Y), matrices of one domain; a c
+    of None adds X ⊗ Y unscaled.  Exact terms are summed on their numerators
+    (``_kron_sum_numerators``); complex ones in term order from -0.0, the
+    additive identity of IEEE floats, which keeps a first term's -0.0."""
+    if len({f.domain for _, x, y in terms for f in (x, y)}) != 1:
+        raise DomainMismatchError("a Kronecker product needs all its factors in one domain")
+    _, x, y = terms[0]
+    if x.domain == EXACT:
+        ints, den, _ = _kron_sum_numerators([(1 if c is None else c, _exact_factor(x),
+                                              _exact_factor(y)) for c, x, y in terms])
+        return Matrix._wrap(ints, den)
+    out = np.full((x.rows * y.rows, x.cols * y.cols), complex(-0.0, -0.0))
+    for c, x, y in terms:
+        _kron_add(out, None if c is None else complex(c), x._data, y._data)
+    return Matrix._wrap_complex(out)
+
+
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product, block layout (a_11*B ... a_1n*B; ...)."""
-    if a.domain != b.domain:
-        raise DomainMismatchError("kron requires both factors in one domain")
-    if a.domain == COMPLEX:
-        return Matrix._wrap_complex(_kron(a._data, b._data))
-    x, y = a._ints, b._ints
-    return Matrix._wrap(_guarded(_magnitude(x) * _magnitude(y), _kron, x, y),
-                        a._den * b._den)
+    """Kronecker product, block layout (a_11*B ... a_1n*B; ...): one term."""
+    return _kron_terms([(None, a, b)])
 
 
 def rank(a: Matrix, tol: float = DEFAULT_TOL) -> int:
@@ -605,7 +653,11 @@ def eig(m: Matrix, tol: float = DEFAULT_TOL) -> EigenSystem:
     deficient, the one rule for a defective input, and NonConvergenceError
     when a column misses ``_residual_bound``.
     """
-    a, h = _solver_input(m, tol)
+    return _eig(*_solver_input(m, tol), tol)
+
+
+def _eig(a: np.ndarray, h: np.ndarray | None, tol: float) -> EigenSystem:
+    """``eig`` after its prologue: ``a`` and ``h`` as ``_solver_input`` gives them."""
     try:
         values, vectors = np.linalg.eig(a) if h is None else np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -796,10 +848,11 @@ def is_diagonalizable(m: Matrix, tol: float = DEFAULT_TOL) -> bool:
     """``eig``'s verdict: does ``eig(m, tol)`` finish without
     DefectiveMatrixError?  A Hermitian input (``_solver_input``) is
     diagonalizable with no solver run."""
-    if _solver_input(m, tol)[1] is not None:
+    a, h = _solver_input(m, tol)
+    if h is not None:
         return True
     try:
-        eig(m, tol)
+        _eig(a, h, tol)
     except DefectiveMatrixError:
         return False
     return True

@@ -11,25 +11,20 @@ share an eigenbasis: ``joint_eigensystems`` builds one per side, and
 
 from __future__ import annotations
 
-import math
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, DomainMismatchError, InputError, UnverifiedStructureError
 from .matrix import (
-    COMPLEX,
     DEFAULT_TOL,
     EXACT,
     EigenSystem,
     Matrix,
     Spectrum,
     _as_exact,
-    _guarded,
-    _kron,
-    _kron_add,
-    _magnitude,
+    _kron_sum_numerators,
+    _kron_terms,
     _same_value,
     eig,
     eigensystem_on,
@@ -147,8 +142,7 @@ def _named(kind: str) -> NamedProduct:
 def grid_value(coefficients, xs, ys):
     """sum a_ij * xs[i] * ys[j] over the nonzero coefficients: the product's
     eigenvalue when each left factor acts as xs[i] and each right one as ys[j]."""
-    return sum(c * xs[i] * ys[j] for i, row in enumerate(coefficients)
-               for j, c in enumerate(row) if c != 0)
+    return sum(c * x * y for c, x, y in _terms(coefficients, xs, ys))
 
 
 def _terms(coefficients, lefts, rights) -> list:
@@ -157,55 +151,10 @@ def _terms(coefficients, lefts, rights) -> list:
             for j, c in enumerate(row) if c != 0]
 
 
-def _kron_sum_numerators(terms) -> tuple[np.ndarray, int, int]:
-    """sum c·X ⊗ Y over ``terms`` of (c, X, Y), each factor a triple
-    (numerators N, positive denominator d, bound on max|N|), as numerators
-    over one denominator, not yet in lowest terms, and a bound on them.
-
-    Over the lcm D of the terms' denominators, term t is m_t·N_X ⊗ N_Y / D
-    for an integer m_t.  Every term is added into one preallocated array by
-    ``_kron_add``, which writes over the nonzeros of a sparse factor.  One
-    bound, sum |m_t|·max(1, bound_X)·max(1, bound_Y), caps every entry and
-    partial sum, m_t itself included, so the whole sum runs in int64 or over
-    Python ints (``_guarded``)."""
-    scalars = [_as_exact(c) for c, _, _ in terms]
-    dens = [c.denominator * x[1] * y[1] for c, (_, x, y) in zip(scalars, terms)]
-    den = math.lcm(*dens)
-    multipliers = [c.numerator * (den // d) for c, d in zip(scalars, dens)]
-    bound = sum(abs(m) * max(x[2], 1) * max(y[2], 1)
-                for m, (_, x, y) in zip(multipliers, terms))
-    arrays = [f[0] for _, x, y in terms for f in (x, y)]
-    (m, n), (p, q) = arrays[0].shape, arrays[1].shape
-
-    def kron_sum(*ints):
-        out = np.zeros((m * p, n * q), dtype=ints[0].dtype)
-        for c, x, y in zip(multipliers, ints[::2], ints[1::2]):
-            _kron_add(out, c, x, y)
-        return out
-
-    return _guarded(bound, kron_sum, *arrays), den, bound
-
-
-def _exact_factor(a: Matrix) -> tuple:
-    """An exact matrix as a factor of ``_kron_sum_numerators``."""
-    return a._ints, a._den, _magnitude(a._ints)
-
-
 def _kron_sum(coefficients, lefts, rights) -> Matrix:
-    """sum a_ij * (lefts[i] kron rights[j]) over the nonzero coefficients.
-
-    Exact terms are summed in one pass over the numerators
-    (``_kron_sum_numerators``).  Complex terms are one numpy sum in term
-    order."""
-    terms = _terms(coefficients, lefts, rights)
-    if len({f.domain for _, x, y in terms for f in (x, y)}) != 1:
-        raise DomainMismatchError("a product needs all its factors in one domain")
-    if terms[0][1].domain == COMPLEX:
-        return Matrix(reduce(np.add, (_kron(x._data, y._data) * complex(c)
-                                      for c, x, y in terms)), COMPLEX)
-    ints, den, _ = _kron_sum_numerators([(c, _exact_factor(x), _exact_factor(y))
-                                         for c, x, y in terms])
-    return Matrix._wrap(ints, den)
+    """sum a_ij * (lefts[i] kron rights[j]) over the nonzero coefficients,
+    by the one Kronecker kernel of ``matrix`` (``_kron_terms``)."""
+    return _kron_terms(_terms(coefficients, lefts, rights))
 
 
 def build_product(spec: ProductSpec) -> Matrix:
@@ -275,11 +224,11 @@ def joint_eigensystems(factors, tol: float = DEFAULT_TOL) -> list:
         for i in sorted(set(group.tolist())):  # not np.unique: ~12 ms first call (numpy 2.4)
             cols = np.flatnonzero(group == i)
             w = v[:, cols]
-            es = eig(Matrix(np.linalg.lstsq(w, a @ w, rcond=None)[0], COMPLEX), tol)
+            es = eig(Matrix._wrap_complex(np.linalg.lstsq(w, a @ w, rcond=None)[0]), tol)
             v[:, cols] = w @ es.vectors.data
             values[cols] = es.values
         keys.append(values)
-    basis = Matrix(v / np.linalg.norm(v, axis=0), COMPLEX)
+    basis = Matrix._wrap_complex(v / np.linalg.norm(v, axis=0))
     return [eigensystem_on(f, basis, tol, message="the factors share no eigenbasis")
             for f in factors]
 

@@ -21,7 +21,6 @@ from .errors import (
     UnverifiedStructureError,
 )
 from .matrix import (
-    COMPLEX,
     DEFAULT_TOL,
     EXACT,
     EigenSystem,
@@ -157,7 +156,7 @@ def canonical_form(s: PerfectStructure, tol: float = DEFAULT_TOL) -> CanonicalFo
         eigensystem_on(s.adjacency, r, tol, es.values)
     except HypothesisNotMetError:
         raise DefectiveMatrixError("canonical columns fail the eigenvector check") from None
-    return CanonicalForm(diagonal_parameters=Matrix(np.diag(es.values), COMPLEX),
+    return CanonicalForm(diagonal_parameters=Matrix._wrap_complex(np.diag(es.values)),
                          eigen_columns=r, basis_change=es.vectors.inverse())
 
 
@@ -182,7 +181,7 @@ def structure_space_basis(m: Matrix, s: Matrix, tol: float = DEFAULT_TOL) -> lis
     est = _diagonalized(s.T, tol, "parameter matrix is defective")  # left eigenvectors of S
     a, b = np.nonzero(_same_value(em.values, est.values))
     outers = em.vectors.data.T[a, :, None] * est.vectors.data.T[b, None, :]
-    return [Matrix(x, COMPLEX) for x in outers]
+    return [Matrix._wrap_complex(x) for x in outers]
 
 
 def parameters_from_structure(m: Matrix, p: Matrix,
@@ -203,7 +202,7 @@ def parameters_from_structure(m: Matrix, p: Matrix,
         raise SingularMatrixError(singular)
     mp = m @ p
     sol, _, _, _ = np.linalg.lstsq(p.data, mp.data, rcond=None)
-    s = Matrix(sol, COMPLEX)
+    s = Matrix._wrap_complex(sol)
     if not (mp - p @ s).is_zero(tol):
         raise NoParameterMatrixError("column span of P is not M-invariant")
     return s

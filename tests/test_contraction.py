@@ -164,11 +164,10 @@ class TestNamedContractions:
             assert abs(mu_got - mu) <= 1e-8
 
     def test_tensor_excluded_at_zero(self):
-        g = small("complete 2")
-        h = small("complete 3")
+        h = small("path 3")  # [1, 0, -1] has eigenvalue 0
         with pytest.raises(ExcludedEigenvalueError):
             contract_named("tensor", ([1, 0, 0, 0, 0, 0], 0),
-                           ([1, -1, 0], 0), h)
+                           ([1, 0, -1], 0), h)
 
     def test_normal_excluded_at_minus_one(self):
         g = small("complete 2")
@@ -178,10 +177,11 @@ class TestNamedContractions:
                            ([1, -1, 0], -1), h)
 
     def test_lexicographic_needs_all_ones(self):
-        h = small("complete 3")
-        for g in ([1, -1, 0], [1, 0, 0]):  # orthogonal to all-ones, then neither
+        # eigenvectors of L: orthogonal to all-ones, then neither
+        for g, h, lam in (([1, -1, 0], small("complete 3"), -1),
+                          ([1, 0, 0], small("identity 3"), 1)):
             with pytest.raises(HypothesisNotMetError, match="all-ones eigenvector"):
-                contract_named("lexicographic", ([1, 0, 0, 0, 0, 0], 2), (g, -1), h)
+                contract_named("lexicographic", ([1, 0, 0, 0, 0, 0], 2), (g, lam), h)
 
     def test_lexicographic_needs_regular_right_factor(self):
         h = small("path 3")
@@ -212,7 +212,7 @@ class TestNamedContractions:
 
 class TestContractionByTheRule:
     """contract_named inverts each named product's eigenvalue rule; it checks
-    a J factor first, then the excluded eigenvalue, then L^T g = lambda g."""
+    L^T g = lambda g first, then a J factor, then the excluded eigenvalue."""
 
     def test_lexicographic_scaled_all_ones(self):
         g, h = small("cycle 4"), small("complete 3")
@@ -306,10 +306,18 @@ class TestContractionByTheRule:
         with pytest.raises(HypothesisNotMetError, match="g is not an eigenvector"):
             contract_named("cartesian", ([1] * 6, 3), ([1, float("nan"), 1], 2), h)
 
-    def test_excluded_before_eigenpair(self):
-        # g is no lambda = -1 eigenvector of P_3, but the exclusion is reported
-        with pytest.raises(ExcludedEigenvalueError, match="lambda = -1"):
-            contract_named("normal", ([1] * 6, 0), ([1, 0, 0], -1), small("path 3"))
+    @pytest.mark.parametrize("given", [False, True])
+    @pytest.mark.parametrize("product, h, g, right, excluded", [
+        # g is no eigenvector of K_3, and the tensor rule excludes lambda = 0
+        ("tensor", np.kron([1, -1], [1, 0, 0]), [1, 0, 0], "complete 3", 0),
+        # g is no eigenvector of P_3, and the normal rule excludes lambda = -1
+        ("normal", [1] * 6, [1, 0, 0], "path 3", -1),
+    ])
+    def test_eigenpair_before_excluded(self, product, h, g, right, excluded, given):
+        """One check order whether lambda is given or not: L^T g = lambda g
+        right after the zero-g test, before the excluded eigenvalue."""
+        with pytest.raises(HypothesisNotMetError, match="g is not an eigenvector"):
+            contract_named(product, (h, 0), (g, excluded if given else None), small(right))
 
 
 class TestShapeRefusals:

@@ -2,7 +2,7 @@
 imports a package module, the import graph between the package's modules
 has no cycle, only ``files`` opens files, no module imports
 ``dataclasses`` or compiles a regular expression at import, and tolerance
-factors live in ``matrix``."""
+factors and the exact-integer kernel live in ``matrix``."""
 
 import ast
 from pathlib import Path
@@ -132,3 +132,13 @@ def test_tolerance_factors_live_in_matrix(module):
     that there is one tolerance policy.  ``cli._format_value`` may round for
     display only."""
     assert small_floats(TREES[module]) == []
+
+
+@pytest.mark.parametrize("module", ["products", "graphs"])
+def test_exact_kernel_helpers_stay_in_matrix(module):
+    """``matrix`` alone applies the exact-integer rules: the product and
+    family layers sum Kronecker terms through it, never by hand."""
+    kernel = {"_guarded", "_magnitude", "_narrow", "_kron_add"}
+    imported = {alias.name for node in ast.walk(TREES[module])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported & kernel == set()

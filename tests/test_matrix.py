@@ -15,16 +15,22 @@ from hypothesis import strategies as st
 from perfstruct import (
     CLUSTER_RADIUS,
     Matrix,
+    PerfectStructure,
+    canonical_form,
     eig,
     eigensystem_on,
     eigenvalues,
     is_diagonalizable,
+    joint_eigensystems,
     kron,
     multiset_discrepancy,
     multiset_leq,
+    parameters_from_structure,
     poly_eval,
     rank,
+    structure_space_basis,
 )
+from perfstruct import matrix
 from perfstruct.errors import (
     DefectiveMatrixError,
     DimensionError,
@@ -252,24 +258,26 @@ class TestDiagonalizable:
     def test_distinct_eigenvalues_nonsymmetric(self):
         assert is_diagonalizable(Matrix.complex([[1, 5], [0, 2]]))
 
-    def test_simple_eigenvalues_inside_the_nullity_threshold(self):
-        """Eigenvalues 0, 5e-5 and 100, all simple, so diagonalizable.  The
-        nullity threshold 1e-6·max|a| = 1e-4 sees two small singular values
-        of A - 0·I, which must not be held against the multiplicity 1."""
+    def test_simple_eigenvalues_far_below_the_largest(self):
+        """Eigenvalues 0, 5e-5 and 100, all simple, so diagonalizable: the
+        two small ones lie 5e-5 apart, yet eig's eigenvector matrix is far
+        from rank deficient (singular value ratio 0.99)."""
         assert is_diagonalizable(Matrix.exact([[100, 1, 0], [0, 0, 0], [0, 0, "1/20000"]]))
 
-    def test_jordan_block_beside_an_eigenvalue_inside_the_threshold(self):
-        """A Jordan block at 0 and a simple eigenvalue 5e-5: A - 0·I has two
-        small singular values, but three eigenvalues lie within 1e-4 of 0."""
+    def test_jordan_block_beside_a_small_eigenvalue(self):
+        """A Jordan block at 0 and a simple eigenvalue 5e-5: eig's two
+        eigenvectors for the block are parallel, so its eigenvector matrix is
+        rank deficient and eig refuses it."""
         assert not is_diagonalizable(
             Matrix.exact([[0, 100, 0], [0, 0, 0], [0, 0, "1/20000"]]))
 
-    def test_distinct_eigenvalues_inside_the_threshold(self):
-        """Eigenvalues 0 and 1e-3, both simple, within the threshold 1e-2 of
-        each other; A - 0·I has one small singular value, not two."""
+    def test_distinct_eigenvalues_close_together(self):
+        """Eigenvalues 0 and 1e-3, both simple, beside an entry of 1e4: their
+        eigenvectors are nearly parallel, yet eig's eigenvector matrix stays
+        above its rank-deficiency ratio."""
         assert is_diagonalizable(Matrix.exact([[0, 10000], [0, "1/1000"]]))
 
-    def test_simple_eigenvalues_need_no_svd(self, monkeypatch):
+    def test_the_only_svd_is_eigs_eigenvector_check(self, monkeypatch):
         calls = []
         original = np.linalg.svd
 
@@ -278,7 +286,7 @@ class TestDiagonalizable:
             return original(*args, **kwargs)
         monkeypatch.setattr(np.linalg, "svd", spy)
         assert is_diagonalizable(Matrix.exact([[1, 5, 0], [0, 2, 0], [0, 0, 2]]))
-        assert calls == [(3, 3)]  # one SVD, for the double eigenvalue 2
+        assert calls == [(3, 3)]  # one SVD: eig's check of its eigenvector matrix
 
     @pytest.mark.parametrize("rows, verdict", [
         ([[-38, 25], [-64, 42]], False),   # defective: 2 twice, one Jordan block
@@ -290,6 +298,20 @@ class TestDiagonalizable:
         """The verdict is eig's, right or wrong: the middle two are wrong in
         exact arithmetic, which only an exact test for exact input can fix."""
         assert is_diagonalizable(Matrix.exact(rows)) is verdict
+
+    def test_one_prologue_for_a_non_hermitian_input(self, monkeypatch):
+        """``is_diagonalizable`` and the ``eig`` it runs share one
+        ``_solver_input``, so the cast and the scans are paid once."""
+        calls = []
+        original = matrix._solver_input
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(matrix, "_solver_input", spy)
+        assert is_diagonalizable(Matrix.exact([[1, 5], [0, 2]]))
+        assert not is_diagonalizable(Matrix.complex([[0, 1], [0, 0]]))
+        assert len(calls) == 2
 
     @settings(max_examples=150, deadline=None)
     @example(Matrix.exact([[-38, 25], [-64, 42]]))
@@ -641,6 +663,21 @@ COMPLEX_RESULTS = {
     "eig": lambda a: eig(a).vectors,
     "eig-real": lambda a: eig(Matrix.complex([[2, 1], [1, 2]])).vectors,
     "to_complex": lambda a: Matrix.exact([["1/2", 3]]).to_complex(),
+    "complex": lambda a: Matrix.complex(a.data),
+    "identity": lambda a: Matrix.identity(2, "complex"),
+    "zeros": lambda a: Matrix.zeros(2, 3, "complex"),
+    "ones": lambda a: Matrix.ones(2, domain="complex"),
+    "diag": lambda a: Matrix.diag([1j, 2], "complex"),
+    "column": lambda a: Matrix.column([1j, 2], "complex"),
+    "structure_space_basis": lambda a: structure_space_basis(
+        Matrix.complex([[2, 1], [1, 2]]), Matrix.complex([[3]]))[0],
+    "canonical_form": lambda a: canonical_form(PerfectStructure(
+        Matrix.exact([[0, 1], [1, 0]]), Matrix.ones(2, 1), Matrix.exact([[1]]))
+    ).diagonal_parameters,
+    "joint_eigensystems": lambda a: joint_eigensystems(
+        [Matrix.complex([[2, 1], [1, 2]]), Matrix.identity(2, "complex")])[1].vectors,
+    "parameters_from_structure": lambda a: parameters_from_structure(
+        Matrix.complex([[0, 1], [1, 0]]), Matrix.complex([[1], [1]])),
 }
 
 
@@ -688,6 +725,14 @@ class TestImmutableCopies:
         m = Matrix(arr, "complex")
         arr[0, 0] = 99
         assert m == Matrix.complex([[1, 2j], [3, 4]])
+
+    def test_eigensystem_on_keeps_its_own_copy(self):
+        """For a complex128 vector, np.asarray(v)[:, None] is a view of the
+        caller's array, so ``eigensystem_on`` must copy it."""
+        v = np.array([1, 1], dtype=np.complex128)
+        es = eigensystem_on(Matrix.complex([[0, 1], [1, 0]]), v)
+        v[0] = 99
+        assert es.vectors == Matrix.complex([[1], [1]])
 
     @pytest.mark.parametrize("op", COMPLEX_RESULTS.values(), ids=COMPLEX_RESULTS.keys())
     def test_every_complex_result_is_read_only(self, op):

@@ -41,7 +41,7 @@ from perfstruct.errors import (
     HypothesisNotMetError,
     UnverifiedStructureError,
 )
-from perfstruct import matrix, products
+from perfstruct import matrix
 from perfstruct.products import NAMED_SPECS
 
 from helpers import random_structure_collection
@@ -596,6 +596,37 @@ class TestKronSumOracle:
         expected = expected + np.kron(lefts[1], rights[1]) * 3
         assert np.array_equal(build_product(spec).data, expected)
 
+    def test_large_complex_terms_are_never_indexed(self):
+        """Beyond ``_INDEXED_KRON_MIN`` entries, an identity factor, -0.0 and
+        inf entries still give numpy's term-order sum of (x kron y)·c byte
+        for byte: 0·inf is nan and 0·(-0.0) keeps its sign, as no indexed
+        write over the nonzeros would."""
+        rng = np.random.default_rng(19)
+        y = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        y[rng.random((16, 16)) < 0.3] = complex(-0.0, -0.0)
+        y[2, 3], y[5, 5] = complex(np.inf, -0.0), complex(-0.0, -np.inf)
+        lefts = [np.eye(16, dtype=complex), y[:, ::-1].copy()]
+        coefficients = ((1,), (-0.5j,))
+        spec = ProductSpec(tuple(Matrix(x, "complex") for x in lefts),
+                           (Matrix(y, "complex"),), coefficients)
+        with np.errstate(invalid="ignore"):  # 0·inf
+            terms = [np.kron(lefts[0], y) * complex(1), np.kron(lefts[1], y) * -0.5j]
+            got = build_product(spec).data
+        assert terms[0].size >= matrix._INDEXED_KRON_MIN
+        assert np.isnan(got).any()
+        assert got.tobytes() == (terms[0] + terms[1]).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 32])
+    def test_complex_kron_is_np_kron(self, n):
+        """Unscaled, signed zeros included: kron multiplies by no coefficient."""
+        rng = np.random.default_rng(n)
+        parts = rng.choice([0.0, -0.0, 1.5, -2.0], size=(2, n, n))
+        a = parts[0] + 1j * parts[1]
+        a.real[0, 0], a.imag[0, 0] = -0.0, 0.0
+        b = np.array([[complex(0.0, -0.0), -1j], [complex(-0.0, -0.0), 2]])
+        got = kron(Matrix(a, "complex"), Matrix(b, "complex")).data
+        assert got.tobytes() == np.kron(a, b).tobytes()
+
     def test_mixed_domains_are_refused(self):
         a = Matrix.exact([[0, 1], [1, 0]])
         with pytest.raises(DomainMismatchError):
@@ -617,8 +648,8 @@ class TestRefusals:
 
     def test_lexicographic_numerators_build_j(self):
         c4, k3 = small("cycle 4").adjacency, small("complete 3").adjacency
-        ints, den, bound = lexicographic_spec.numerators(products._exact_factor(c4),
-                                                         products._exact_factor(k3))
+        ints, den, bound = lexicographic_spec.numerators(matrix._exact_factor(c4),
+                                                         matrix._exact_factor(k3))
         assert Matrix._wrap(ints, den) == build_product(lexicographic_spec(c4, k3))
         assert bound >= np.abs(ints).max()
 

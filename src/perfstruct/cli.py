@@ -249,6 +249,7 @@ def cmd_census(args) -> int:
         entry["count"] += 1
     report = {
         "complete": result.complete,
+        "evaluated": result.evaluated,
         "coloring_classes": len(result.results),
         "parameter_matrices": list(groups.values()),
     }

@@ -309,6 +309,13 @@ def _search(g: Graph, k: int, budget: int) -> tuple[list, bool, int]:
         counts[v][j] <= reference[j].  It is tested on every slot when v is
         colored or its class gets its reference, and on the one slot that
         each later neighbor color changes.
+    The order is fixed before the search, and so is the schedule read from
+    it: at step i, an in-neighbor of order[i] is either still uncolored
+    ("ahead": its count is updated, unchecked, only once the node passes)
+    or colored ("behind": its count is checked, and it is final when
+    order[i] is its last out-neighbor).  A vertex whose out-neighbors all
+    come before it is final when colored, an entry of its own at the end of
+    its step.
     Each test compares sums of weights, so it reads the numerators of A: the
     common denominator scales both sides alike, and the search does Python int
     arithmetic on every graph.
@@ -316,16 +323,32 @@ def _search(g: Graph, k: int, budget: int) -> tuple[list, bool, int]:
     n = g.n
     ints = g.adjacency._ints
     order = _search_order(ints)
-    in_edges: list[list] = [[] for _ in range(n)]
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    # the step that colors each vertex's last out-neighbor, -1 with none
+    final = np.where(ints != 0, position, -1).max(axis=1).tolist()
+    position = position.tolist()
+    counts = [[0] * k for _ in range(n)]
+    ahead: list[list] = [[] for _ in range(n)]       # (counts[v], A[v, u])
+    ahead_neg: list[list] = [[] for _ in range(n)]   # (v, A[v, u]) for A[v, u] < 0
+    behind: list[list] = [[] for _ in range(n)]      # (v, counts[v], A[v, u], v final at i)
     heads, tails = np.nonzero(ints.T)   # edge v -> u as (u, v), by u then v
     for u, v, x in zip(heads.tolist(), tails.tolist(), ints.T[heads, tails].tolist()):
-        in_edges[u].append((v, x, min(x, 0)))
+        i = position[u]
+        if position[v] > i:
+            ahead[i].append((counts[v], x))
+            if x < 0:
+                ahead_neg[i].append((v, x))
+        else:
+            behind[i].append((v, counts[v], x, final[v] == i))
+    for i, u in enumerate(order):
+        if final[u] < i:
+            behind[i].append((u, counts[u], 0, True))
+    open_after = [final[u] > i for i, u in enumerate(order)]
     degree = _row_sums(ints).tolist()
-    open_edges = np.count_nonzero(ints, axis=1).tolist()   # to uncolored out-neighbors
     open_neg = _row_sums(np.minimum(ints, 0)).tolist()
-    counts = [[0] * k for _ in range(n)]
     color = [-1] * n
-    reference = [-1] * k        # the vertex whose final counts are the class's
+    reference: list = [None] * k    # the final counts of each class's first finalized member
     class_degree = [0] * k
     members: list[list] = [[] for _ in range(k)]
     slots = range(k)
@@ -333,36 +356,25 @@ def _search(g: Graph, k: int, budget: int) -> tuple[list, bool, int]:
     evaluated = 0
     aborted = False
 
-    def fits(w, r) -> bool:
-        """The forward check of colored vertex w against reference r."""
-        cw, cr, neg = counts[w], counts[r], open_neg[w]
-        for j in slots:
-            if cw[j] + neg > cr[j]:
-                return False
-        return True
-
-    def set_reference(d, r) -> bool:
-        """Make r class d's reference; do its colored members still fit?"""
-        reference[d] = r
-        for w in members[d]:
-            if open_edges[w] and not fits(w, r):
-                return False
-        return True
-
     # order[:i] is colored with used[i] colors, and k - used[i] <= n - i; c is
-    # the next color to try on order[i], up to top[i]; stop[i] is where
-    # coloring order[i] stopped updating in-neighbors.  A loop, not
-    # recursion: n may exceed the interpreter's recursion limit.
+    # the next color to try on order[i], up to top[i]; stop[i] is the last
+    # behind entry coloring order[i] applied.  A loop, not recursion: n may
+    # exceed the interpreter's recursion limit.
     used = [0] * n
     top = [0] * n
     stop = [-1] * n
     i = c = 0
     while True:
-        if c > top[i]:  # every color tried: back to the parent
+        if c > top[i]:  # every color tried: back to the parent, taking back its ahead edges
             i -= 1
             if i < 0:
                 break
             u = order[i]
+            c = color[u]
+            for cv, x in ahead[i]:
+                cv[c] -= x
+            for v, x in ahead_neg[i]:
+                open_neg[v] += x
         else:
             if evaluated == budget:
                 aborted = True
@@ -374,55 +386,67 @@ def _search(g: Graph, k: int, budget: int) -> tuple[list, bool, int]:
             elif degree[u] != class_degree[c] or k - used[i] == n - i:
                 c += 1  # another out-degree, or every color left must be new
                 continue
-            # color u, finalizing it and its in-neighbors where they close
+            # color u, checking the colored in-neighbors it updates or finalizes
             color[u] = c
             members[c].append(u)
-            closed = open_edges[u] == 0
             ok = True
             v = -1
-            for v, x, neg in in_edges[u]:
-                cv = counts[v]
+            for v, cv, x, closes in behind[i]:
                 cv[c] += x
-                open_edges[v] -= 1
-                open_neg[v] -= neg
+                if x < 0:
+                    open_neg[v] -= x
                 d = color[v]
-                if d >= 0:
-                    r = reference[d]
-                    if open_edges[v] == 0:
-                        ok = set_reference(d, v) if r < 0 else cv == counts[r]
-                    elif r >= 0:
-                        ok = cv[c] + open_neg[v] <= counts[r][c]
-                    if not ok:
-                        break
+                r = reference[d]
+                if not closes:
+                    if r is not None:
+                        ok = cv[c] + open_neg[v] <= r[c]
+                elif r is not None:
+                    ok = cv == r
+                else:  # v is its class's first final member, which every member must
+                    # fit: the others are open, and v, with no open edge, fits itself
+                    reference[d] = cv
+                    for w in members[d]:
+                        cw, neg = counts[w], open_neg[w]
+                        for j in slots:
+                            if cw[j] + neg > cv[j]:
+                                ok = False
+                                break
+                        if not ok:
+                            break
+                if not ok:
+                    break
             stop[i] = v
-            if ok:
+            if ok and open_after[i]:
                 r = reference[c]
-                if closed:
-                    ok = set_reference(c, u) if r < 0 else counts[u] == counts[r]
-                elif r >= 0 and open_edges[u]:
-                    ok = fits(u, r)
+                if r is not None:
+                    cu, neg = counts[u], open_neg[u]
+                    for j in slots:
+                        if cu[j] + neg > r[j]:
+                            ok = False
+                            break
             if ok:
                 if i + 1 == n:
                     found.append(tuple(color))
                 else:
+                    for cv, x in ahead[i]:
+                        cv[c] += x
+                    for v, x in ahead_neg[i]:
+                        open_neg[v] -= x
                     now = used[i] + (c == used[i])
                     i += 1
                     used[i], top[i] = now, min(now, k - 1)
                     c = 0
                     continue
         # uncolor u = order[i] up to stop[i], then try its next color; a
-        # reference set when u was colored is u or an in-neighbor it closed
-        c = color[u]
-        if reference[c] == u:
-            reference[c] = -1
+        # reference set when u was colored is a vertex finalized then
         last = stop[i]
-        for w, x, neg in in_edges[u]:
-            if open_edges[w] == 0 and color[w] >= 0 and reference[color[w]] == w:
-                reference[color[w]] = -1
-            counts[w][c] -= x
-            open_edges[w] += 1
-            open_neg[w] += neg
-            if w == last:
+        for v, cv, x, closes in behind[i]:
+            if closes and reference[color[v]] is cv:
+                reference[color[v]] = None
+            cv[c] -= x
+            if x < 0:
+                open_neg[v] += x
+            if v == last:
                 break
         color[u] = -1
         members[c].pop()
@@ -431,9 +455,20 @@ def _search(g: Graph, k: int, budget: int) -> tuple[list, bool, int]:
     return found, not aborted, evaluated
 
 
-def _verified_results(g: Graph, keys: list) -> tuple:
-    """(Coloring, parameter matrix) for each canonical coloring in ``keys``,
-    all verified by one exact identity.
+def _canonical(found: list, k: int) -> np.ndarray:
+    """The colorings ``found`` (colors 0..k-1, each using all k), each
+    relabeled by order of first appearance, in lexicographic order: row r
+    is ``canonical_colors(found[r])`` less one, for every row at once."""
+    colors = np.array(found, dtype=np.intp)                                  # R x n
+    first = np.argmax(colors[:, None, :] == np.arange(k)[:, None], axis=-1)  # R x k
+    rank = np.argsort(np.argsort(first, axis=1), axis=1)
+    colors = np.take_along_axis(rank, colors, axis=1)
+    return colors[np.lexsort(colors.T[::-1])]
+
+
+def _verified_results(g: Graph, colors: np.ndarray, k: int) -> tuple:
+    """(Coloring, parameter matrix) for each canonical coloring, a row of
+    ``colors`` (colors 0..k-1), all verified by one exact identity.
 
     Perfect structures sharing A concatenate: (A, [P_1 ... P_R], S_1 + ... +
     S_R, a direct sum) is perfect exactly when every (A, P_r, S_r) is.  S_r is
@@ -441,20 +476,22 @@ def _verified_results(g: Graph, keys: list) -> tuple:
     [P_1 ... P_R]·(S_1 + ... + S_R) is compared numerator for numerator over
     the one denominator of A·[P_1 ... P_R], both by ``_parameters_at_first``,
     the rule ``verify_coloring`` decides by; a coloring it rejects raises
-    ArithmeticError.  The indicators P_r are views of the one batch array.
+    ArithmeticError.  The indicators P_r, and each S_r when the batch is
+    int64, are views of the one batch array.
     """
-    n, batches, k = g.n, len(keys), max(keys[0])
-    colors = np.array(keys, dtype=np.intp) - 1                       # R x n
+    batches, n = colors.shape
     onehot = (colors[:, :, None] == np.arange(k)).astype(np.int64)   # P_r = onehot[r]
-    ap = g.adjacency @ Matrix(onehot.transpose(1, 0, 2).reshape(n, batches * k), EXACT)
+    ap = g.adjacency @ Matrix._wrap(onehot.transpose(1, 0, 2).reshape(n, batches * k))
     blocks = ap._ints.reshape(n, batches, k).transpose(1, 0, 2)       # A·P_r = blocks[r]
     s = _parameters_at_first(blocks, colors, k)                       # R x k x k
     if s is None:
         raise ArithmeticError("census found a coloring that fails verification")
+    if s.dtype != np.int64:
+        s = map(_narrow, s)   # each S_r in int64 where it fits
     sizes = onehot.sum(axis=1).tolist()
-    return tuple((Coloring(key, k, Matrix._wrap(p), tuple(size)),
-                  Matrix._wrap(_narrow(s_r), ap._den))
-                 for key, p, size, s_r in zip(keys, onehot, sizes, s))
+    return tuple((Coloring(tuple(key), k, Matrix._wrap(p), tuple(size)),
+                  Matrix._wrap(s_r, ap._den))
+                 for key, p, size, s_r in zip((colors + 1).tolist(), onehot, sizes, s))
 
 
 def census(g: Graph, k: int, budget: int = 10 ** 8) -> CensusResult:
@@ -467,9 +504,10 @@ def census(g: Graph, k: int, budget: int = 10 ** 8) -> CensusResult:
     counts are final by comparing them with that reference.  ``budget`` caps
     the nodes expanded, one per tried color; a capped result is partial and
     reports ``evaluated == budget``, and a negative budget is an InputError.
-    Every result is re-canonicalized in vertex order (colors in order of first
-    appearance), and all of them are verified together by one exact block
-    identity (``_verified_results``).
+    The search reads a schedule fixed with its order, and finds each class
+    once.  All results are re-canonicalized in vertex order (colors in order
+    of first appearance) and sorted in one batch (``_canonical``), and
+    verified together by one exact block identity (``_verified_results``).
     """
     if g.adjacency.domain != EXACT:
         raise DomainMismatchError("the census needs an exact adjacency matrix")
@@ -479,5 +517,5 @@ def census(g: Graph, k: int, budget: int = 10 ** 8) -> CensusResult:
     if k < 1 or k > g.n:
         return CensusResult((), True, 0)
     found, complete, evaluated = _search(g, k, budget)
-    keys = sorted(set(canonical_colors(c) for c in found))
-    return CensusResult(_verified_results(g, keys) if keys else (), complete, evaluated)
+    results = _verified_results(g, _canonical(found, k), k) if found else ()
+    return CensusResult(results, complete, evaluated)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from perfstruct import cli, colorings, contraction, make_family, matrix, products
+from perfstruct import census, cli, colorings, contraction, make_family, matrix, products
 from perfstruct.cli import main, resolve_graph_tokens
 from perfstruct.files import dump_graph
 from perfstruct.graphs import FAMILY_ARITY
@@ -438,6 +438,18 @@ class TestCensus:
         report = json.loads(capsys.readouterr().out)
         assert report["complete"] is True
         assert len(report["parameter_matrices"]) == 2
+
+    @pytest.mark.parametrize("tokens,fam,k,budget", [
+        (["c4"], ("cycle", 4), 2, None),
+        (["hamming", "3", "3"], ("hamming", 3, 3), 2, None),
+        (["hamming", "3", "3"], ("hamming", 3, 3), 2, 250),
+    ])
+    def test_json_reports_the_search_nodes(self, capsys, tokens, fam, k, budget):
+        cap = [] if budget is None else ["--budget", str(budget)]
+        expected = census(make_family(*fam), k, budget or 10 ** 8)
+        assert main(["census", *tokens, str(k), *cap, "--json"]) == (0 if expected.complete else 3)
+        report = json.loads(capsys.readouterr().out)
+        assert (report["evaluated"], report["complete"]) == (expected.evaluated, expected.complete)
 
     def test_budget_exceeded(self, capsys):
         assert main(["census", "hamming", "3", "2", "2", "--budget", "5"]) == 3

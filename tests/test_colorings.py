@@ -475,8 +475,38 @@ class TestCensus:
         res = census(make_family("cycle", 1200), 2)
         assert res.complete and len(res.results) == 6
 
+    @pytest.mark.parametrize("fam,k,classes,evaluated", [
+        (("complete", 5), 3, 25, 61),
+        (("complete_bipartite", 3), 3, 12, 123),
+        (("complete", 6), 2, 31, 63),
+        (("hamming", 3, 2), 3, 12, 409),
+        (("complete_bipartite", 4), 2, 35, 187),
+        (("torus", 3, 4), 2, 6, 415),
+        (("torus", 3, 3), 3, 13, 855),
+        (("complete", 6), 4, 65, 212),
+        (("complete", 6), 3, 90, 183),
+        (("complete_bipartite", 4), 3, 86, 763),
+        (("complete", 8), 2, 127, 255),
+        (("hamming", 4, 2), 2, 43, 1241),
+        (("hamming", 3, 3), 2, 111, 14485),
+    ])
+    def test_search_tree_is_pinned(self, fam, k, classes, evaluated):
+        """The classes and node counts of the benchmark's full searches, on
+        unrelabeled graphs: a cheaper node must not change the tree."""
+        res = census(make_family(*fam), k)
+        keys = [c.colors for c, _ in res.results]
+        assert res.complete and (len(keys), res.evaluated) == (classes, evaluated)
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
     def test_canonical_colors(self):
         assert canonical_colors([3, 1, 3, 2]) == (1, 2, 1, 3)
+
+    def test_batch_canonicalization_is_canonical_colors(self):
+        rng = np.random.default_rng(5)
+        found = [tuple(rng.permutation([0, 1, 2, 3, *rng.integers(0, 4, 5)]).tolist())
+                 for _ in range(50)]
+        expected = sorted(canonical_colors(f) for f in found)
+        assert (colorings._canonical(found, 4) + 1).tolist() == [list(e) for e in expected]
 
     def test_search_order_is_breadth_first(self):
         # edges 0-3, 3-4, 4-1 and the isolated vertex 2: 4 is two steps from
@@ -546,6 +576,27 @@ class TestCensusSearchOracles:
                                        2).results]
         mixed = Matrix.exact([[half, half], [half, half]])
         assert params == [mixed, Matrix.exact([[0, 1], [1, 0]]), mixed]
+
+    def test_capped_searches_find_a_subset(self):
+        """A capped search stops at exactly its budget, reports itself
+        incomplete and finds only full-search results, with their S; some
+        caps fall after a failed check partway through a vertex's in-edges.
+        The directed, signed graphs with loops keep a random permutation, so
+        they have many perfect colorings, which a faulty undo loses."""
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            n = int(rng.integers(4, 8))
+            weights = [int(x) for x in rng.choice([0, 0, -1, 1, 2], size=n * n)]
+            g = Graph(Matrix.exact(invariant_rows(rng.permutation(n).tolist(), weights, True)))
+            for k in (2, 3):
+                full = census(g, k)
+                params = {c.colors: s for c, s in full.results}
+                assert full.complete and set(params) == enumerate_perfect_colorings(g, k)
+                caps = {0, 1, full.evaluated // 3, full.evaluated // 2, full.evaluated - 1}
+                for budget in caps - {full.evaluated}:
+                    short = census(g, k, budget)
+                    assert not short.complete and short.evaluated == budget
+                    assert all(params[c.colors] == s for c, s in short.results)
 
     @pytest.mark.parametrize("k,classes", [(2, 111), (3, 316)])
     def test_hamming_3_3(self, k, classes):

@@ -25,7 +25,6 @@ from .matrix import (
     _integers,
     _magnitude,
     _narrow,
-    _row_sums,
     _same_value,
     eigenvalues,
 )
@@ -332,8 +331,11 @@ def _search(g: Graph, k: int, budget: int) -> tuple[list, bool, int]:
     ahead: list[list] = [[] for _ in range(n)]       # (counts[v], A[v, u])
     ahead_neg: list[list] = [[] for _ in range(n)]   # (v, A[v, u]) for A[v, u] < 0
     behind: list[list] = [[] for _ in range(n)]      # (v, counts[v], A[v, u], v final at i)
+    degree = [0] * n     # weighted out-degrees
+    open_neg = [0] * n   # negative out-weights, every out-neighbor still uncolored
     heads, tails = np.nonzero(ints.T)   # edge v -> u as (u, v), by u then v
     for u, v, x in zip(heads.tolist(), tails.tolist(), ints.T[heads, tails].tolist()):
+        degree[v] += x
         i = position[u]
         if position[v] > i:
             ahead[i].append((counts[v], x))
@@ -341,12 +343,12 @@ def _search(g: Graph, k: int, budget: int) -> tuple[list, bool, int]:
                 ahead_neg[i].append((v, x))
         else:
             behind[i].append((v, counts[v], x, final[v] == i))
+        if x < 0:
+            open_neg[v] += x
     for i, u in enumerate(order):
         if final[u] < i:
             behind[i].append((u, counts[u], 0, True))
     open_after = [final[u] > i for i, u in enumerate(order)]
-    degree = _row_sums(ints).tolist()
-    open_neg = _row_sums(np.minimum(ints, 0)).tolist()
     color = [-1] * n
     reference: list = [None] * k    # the final counts of each class's first finalized member
     class_degree = [0] * k
@@ -477,7 +479,8 @@ def _verified_results(g: Graph, colors: np.ndarray, k: int) -> tuple:
     the one denominator of A·[P_1 ... P_R], both by ``_parameters_at_first``,
     the rule ``verify_coloring`` decides by; a coloring it rejects raises
     ArithmeticError.  The indicators P_r, and each S_r when the batch is
-    int64, are views of the one batch array.
+    int64, are views of one batch array, frozen once: each view is wrapped
+    as it is, so a result costs its records and nothing more.
     """
     batches, n = colors.shape
     onehot = (colors[:, :, None] == np.arange(k)).astype(np.int64)   # P_r = onehot[r]
@@ -488,9 +491,12 @@ def _verified_results(g: Graph, colors: np.ndarray, k: int) -> tuple:
         raise ArithmeticError("census found a coloring that fails verification")
     if s.dtype != np.int64:
         s = map(_narrow, s)   # each S_r in int64 where it fits
+    else:
+        s.setflags(write=False)
+    onehot.setflags(write=False)
     sizes = onehot.sum(axis=1).tolist()
-    return tuple((Coloring(tuple(key), k, Matrix._wrap(p), tuple(size)),
-                  Matrix._wrap(s_r, ap._den))
+    wrap, den, make = Matrix._wrap, ap._den, tuple.__new__
+    return tuple((make(Coloring, (tuple(key), k, wrap(p), tuple(size))), wrap(s_r, den))
                  for key, p, size, s_r in zip((colors + 1).tolist(), onehot, sizes, s))
 
 

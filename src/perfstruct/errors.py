@@ -29,6 +29,10 @@ class NonConvergenceError(PerfstructError):
     """The eigensolver failed to reach the requested residual."""
 
 
+class NonFiniteError(PerfstructError):
+    """A complex product or Kronecker product has an infinite or nan entry."""
+
+
 class UnverifiedStructureError(PerfstructError):
     """An operation requires a verified perfect structure and got one that is not."""
 

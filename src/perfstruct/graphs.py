@@ -98,13 +98,16 @@ def _cycle_adjacency(n: int) -> np.ndarray:
 
 
 class Leaf(NamedTuple):
-    """A family built from its integer parameters: ``adjacency`` maps them to
-    the int64 adjacency array, ``eigenvalues`` to every eigenvalue, listed
-    with its multiplicity."""
+    """A family built from its one integer parameter, its vertex count:
+    ``adjacency`` maps it to the int64 adjacency array, ``eigenvalues`` to
+    every eigenvalue, listed with its multiplicity."""
 
     arity: int
     adjacency: Callable
     eigenvalues: Callable
+
+    def order(self, params: tuple, limit: int) -> int:
+        return params[0]
 
     def numerators(self, params: tuple) -> tuple[np.ndarray, int, int]:
         """(adjacency, denominator 1, bound 1): every leaf is a 0/1 matrix."""
@@ -122,6 +125,14 @@ class ProductFamily(NamedTuple):
     kind: str
     arity: int | None
     factors: Callable
+
+    def order(self, params: tuple, limit: int) -> int:
+        """The vertex count n₁·n₂ of every named product, or a count above
+        ``limit`` once the left factor's exceeds it, when the right factor
+        is not read."""
+        left, right = self.factors(*params)
+        n = _factor_order(left, limit)
+        return n if n > limit else n * _factor_order(right, limit // n)
 
     def numerators(self, params: tuple) -> tuple[np.ndarray, int, int]:
         """The product's adjacency as (numerators, denominator, bound on the
@@ -164,6 +175,11 @@ FAMILIES = {
 #: number of integer parameters per family; None for a family over one graph
 FAMILY_ARITY = {name: family.arity for name, family in FAMILIES.items()}
 
+#: the most vertices a named family may have.  ``make_family`` reads the count
+#: from the tag and refuses a larger one before it allocates anything: the
+#: dense adjacency holds n² entries, 2 GiB of int64 at this limit.
+MAX_FAMILY_VERTICES = 2 ** 14
+
 
 def _checked(name: str, params: tuple) -> tuple:
     """The family row of ``name`` and its parameters, validated: integers
@@ -195,11 +211,29 @@ def _factor_numerators(factor) -> tuple[np.ndarray, int, int]:
     return family.numerators(params)
 
 
+def _factor_order(factor, limit: int) -> int:
+    """A product factor's vertex count, a Graph's own or a family tag's, or a
+    count above ``limit``: read from the tag, with nothing allocated."""
+    if isinstance(factor, Graph):
+        return factor.n
+    name, *params = factor
+    family, params = _checked(name, tuple(params))
+    return family.order(params, limit)
+
+
 def make_family(name: str, *params) -> Graph:
-    """Construct a named family member; the tag regenerates it bit-exact."""
+    """Construct a named family member; the tag regenerates it bit-exact.  A
+    member of more than ``MAX_FAMILY_VERTICES`` vertices, or one whose tag
+    nests past the interpreter's recursion limit, is an InputError."""
     family, params = _checked(name, params)
     tag = tuple(p.family if isinstance(p, Graph) else p for p in params)
-    ints, den, _ = family.numerators(params)
+    try:   # an untagged graph parameter shows as None in the messages
+        if family.order(params, MAX_FAMILY_VERTICES) > MAX_FAMILY_VERTICES:
+            raise InputError(f"family {name!r} with parameters {tag} has more than "
+                             f"{MAX_FAMILY_VERTICES} vertices")
+        ints, den, _ = family.numerators(params)
+    except RecursionError:
+        raise InputError(f"family {name!r} with parameters {tag} nests too deeply") from None
     return Graph(Matrix._wrap(ints, den),
                  family=None if None in tag else (name, *tag))
 

@@ -31,6 +31,7 @@ from .errors import (
     DomainMismatchError,
     HypothesisNotMetError,
     NonConvergenceError,
+    NonFiniteError,
     SingularMatrixError,
 )
 
@@ -99,6 +100,16 @@ def _guarded(bound: int, op, *operands: np.ndarray) -> np.ndarray:
     return _narrow(op(*(a.astype(object) for a in operands)))
 
 
+def _finite(data: np.ndarray, error: type, what: str) -> np.ndarray:
+    """The one finiteness rule of the float kernels: ``data`` when every entry
+    is finite, else ``error``.  The kernels compute under ``np.errstate(all=
+    "ignore")``, so an overflow or a nan reaches this rule, not a
+    RuntimeWarning."""
+    if not np.isfinite(data).all():
+        raise error(f"an infinite or nan entry in {what}")
+    return data
+
+
 def _row_sums(a: np.ndarray) -> np.ndarray:
     """The row sums of a 2-d integer array, exactly (``_guarded``)."""
     return _guarded(_magnitude(a) * a.shape[1], lambda x: x.sum(axis=1), a)
@@ -129,13 +140,16 @@ class Matrix:
                         None, EXACT)
 
     def _store(self, ints, den, data, domain):
-        for arr in (ints, data):
-            if arr is not None:
-                arr.setflags(write=False)
-        object.__setattr__(self, "_ints", ints)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_data", data)
-        object.__setattr__(self, "domain", domain)
+        """Fill the slots, freezing each array that is still writeable: a view
+        of a frozen batch is taken as it is."""
+        if ints is not None and ints.flags.writeable:
+            ints.setflags(write=False)
+        if data is not None and data.flags.writeable:
+            data.setflags(write=False)
+        _set_ints(self, ints)
+        _set_den(self, den)
+        _set_data(self, data)
+        _set_domain(self, domain)
 
     @staticmethod
     def _from_entries(entries: list, shape) -> "Matrix":
@@ -148,7 +162,7 @@ class Matrix:
     def _wrap(ints: np.ndarray, den: int = 1) -> "Matrix":
         """The exact matrix ``ints / den``, taken without a copy.  ``ints`` is
         a canonical integer array; the pair is brought to lowest terms with a
-        positive denominator."""
+        positive denominator; an integer matrix, ``den`` 1, already is."""
         if den < 0:
             ints, den = -ints, -den  # no int64 entry is -2**63
         if den != 1:
@@ -193,7 +207,7 @@ class Matrix:
             shared = {x: Fraction(x, self._den) for x in set(flat)}
             data = np.array([shared[x] for x in flat], dtype=object).reshape(self._ints.shape)
             data.setflags(write=False)
-            object.__setattr__(self, "_data", data)
+            _set_data(self, data)
         return self._data
 
     # -- constructors -------------------------------------------------
@@ -372,7 +386,9 @@ class Matrix:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
         # np.matmul rejects object arrays; np.dot handles every dtype
         if self.domain == COMPLEX:
-            return Matrix._wrap_complex(np.dot(self._data, other._data))
+            with np.errstate(all="ignore"):
+                out = np.dot(self._data, other._data)
+            return Matrix._wrap_complex(_finite(out, NonFiniteError, "a complex product"))
         a, b = self._ints, other._ints
         bound = _magnitude(a) * _magnitude(b) * a.shape[1]
         return Matrix._wrap(_guarded(bound, np.dot, a, b), self._den * other._den)
@@ -425,6 +441,11 @@ class Matrix:
             raise SingularMatrixError("exact matrix is singular")
         inv = np.array([row[n:] for row in rows], dtype=object).reshape(n, n)
         return Matrix._wrap(_narrow(inv * self._den), last)
+
+
+#: the slot writers of ``Matrix._store``: ``__setattr__`` refuses every write
+_set_ints, _set_den, _set_data, _set_domain = (
+    getattr(Matrix, name).__set__ for name in ("_ints", "_den", "_data", "domain"))
 
 
 # -- exact elimination ------------------------------------------------
@@ -554,7 +575,8 @@ def _kron_terms(terms) -> Matrix:
     """sum c·(X ⊗ Y) over ``terms`` of (c, X, Y), matrices of one domain; a c
     of None adds X ⊗ Y unscaled.  Exact terms are summed on their numerators
     (``_kron_sum_numerators``); complex ones in term order from -0.0, the
-    additive identity of IEEE floats, which keeps a first term's -0.0."""
+    additive identity of IEEE floats, which keeps a first term's -0.0.  A
+    non-finite complex result is a NonFiniteError (``_finite``)."""
     if len({f.domain for _, x, y in terms for f in (x, y)}) != 1:
         raise DomainMismatchError("a Kronecker product needs all its factors in one domain")
     _, x, y = terms[0]
@@ -563,9 +585,10 @@ def _kron_terms(terms) -> Matrix:
                                               _exact_factor(y)) for c, x, y in terms])
         return Matrix._wrap(ints, den)
     out = np.full((x.rows * y.rows, x.cols * y.cols), complex(-0.0, -0.0))
-    for c, x, y in terms:
-        _kron_add(out, None if c is None else complex(c), x._data, y._data)
-    return Matrix._wrap_complex(out)
+    with np.errstate(all="ignore"):
+        for c, x, y in terms:
+            _kron_add(out, None if c is None else complex(c), x._data, y._data)
+    return Matrix._wrap_complex(_finite(out, NonFiniteError, "a complex Kronecker product"))
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -616,24 +639,25 @@ def _solver_input(m: Matrix, tol: float) -> tuple[np.ndarray, np.ndarray | None]
     """The one prologue of the eigensolvers: ``a``, the complex cast of ``m``,
     and the array the symmetric solver reads, or None for the general solver.
     A non-square or empty ``m`` is a DimensionError, an infinite or nan entry
-    a NonConvergenceError.  An exact ``m`` takes the symmetric solver when it is
-    exactly symmetric; a complex one when ``a`` is within ``tol`` of Aᴴ, entry
-    by entry with no relative slack, and then the solver reads (A + Aᴴ)/2, so
-    no answer depends on which triangle LAPACK reads.  A real ``a`` gives
-    float64, for the real solver, which takes less than half the time."""
+    a NonConvergenceError (``_finite``).  An exact ``m`` takes the symmetric
+    solver when it is exactly symmetric; a complex one when ``a`` is within
+    ``tol`` of Aᴴ, entry by entry with no relative slack, and then the solver
+    reads A/2 + Aᴴ/2, which cannot overflow where (A + Aᴴ)/2 can, so no answer
+    depends on which triangle LAPACK reads.  A real ``a`` gives float64, for
+    the real solver, which takes less than half the time."""
     if not m.is_square():
         raise DimensionError(f"eigenvalues need a square matrix, got shape {m.shape}")
     if not m.rows:
         raise DimensionError("eigenvalues need a matrix with at least one row")
-    a = m.to_complex().data
-    if not np.isfinite(a).all():
-        raise NonConvergenceError("matrix has an infinite or nan entry")
+    a = _finite(m.to_complex().data, NonConvergenceError, "the matrix")
     if m.domain == EXACT:
         return a, a.real if np.array_equal(m._ints, m._ints.T) else None
-    if not (np.abs(a - a.conj().T) <= tol).all():
+    with np.errstate(all="ignore"):  # a difference that overflows is not within tol
+        hermitian = (np.abs(a - a.conj().T) <= tol).all()
+    if not hermitian:
         return a, None
-    h = a if a.imag.any() else a.real
-    return a, (h + h.conj().T) / 2
+    h = (a if a.imag.any() else a.real) / 2
+    return a, h + h.conj().T
 
 
 def _residual_bound(a: np.ndarray, tol: float) -> float:
@@ -662,14 +686,16 @@ def _eig(a: np.ndarray, h: np.ndarray | None, tol: float) -> EigenSystem:
         values, vectors = np.linalg.eig(a) if h is None else np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(str(exc)) from exc
-    values, vectors = _sort_and_normalize(values, vectors)
+    values, vectors = _sort_and_normalize(_finite(values, NonConvergenceError, "the eigenvalues"),
+                                          vectors)
     if h is None:
         s = np.linalg.svd(vectors, compute_uv=False)
         if s[-1] < 1e-8 * s[0]:
             raise DefectiveMatrixError("eigenvector matrix is rank deficient")
     if vectors.dtype == np.float64:
         a = a.real  # a real input: the residual is real arithmetic too
-    resid = float(np.max(np.abs(a @ vectors - vectors * values)))
+    with np.errstate(all="ignore"):  # an overflow gives a nan residual, which fails
+        resid = float(np.max(np.abs(a @ vectors - vectors * values)))
     bound = _residual_bound(a, tol)
     if not resid <= bound:  # a nan residual fails too
         raise NonConvergenceError(f"eigen residual {resid:.3e} exceeds its bound {bound:.3e}")
@@ -693,15 +719,16 @@ def eigensystem_on(a: Matrix, vectors, tol: float = DEFAULT_TOL, values=None,
     v = vectors.to_complex().data
     if len(v) != m.shape[1]:
         raise DimensionError(f"a vector of length {len(v)} for a matrix of order {m.shape[1]}")
-    av = m @ v
-    sq = (v.conj() * v).real.sum(axis=0)  # exact for integer columns
-    if not (sq > 0).all():  # a zero or nan column is no eigenvector
-        raise HypothesisNotMetError(message)
-    values = (v.conj() * av).sum(axis=0) / sq if values is None \
-        else np.asarray(values, dtype=np.complex128)
-    if values.shape != sq.shape:
-        raise DimensionError("one value per column is required")
-    resid = float((np.abs(av - v * values).max(axis=0) / np.sqrt(sq)).max())
+    with np.errstate(all="ignore"):  # an overflow or a nan fails the residual test
+        av = m @ v
+        sq = (v.conj() * v).real.sum(axis=0)  # exact for integer columns
+        if not (sq > 0).all():  # a zero or nan column is no eigenvector
+            raise HypothesisNotMetError(message)
+        values = (v.conj() * av).sum(axis=0) / sq if values is None \
+            else np.asarray(values, dtype=np.complex128)
+        if values.shape != sq.shape:
+            raise DimensionError("one value per column is required")
+        resid = float((np.abs(av - v * values).max(axis=0) / np.sqrt(sq)).max())
     if not resid <= _residual_bound(m, tol):
         raise HypothesisNotMetError(message)
     return EigenSystem(values, vectors, resid)
@@ -709,12 +736,15 @@ def eigensystem_on(a: Matrix, vectors, tol: float = DEFAULT_TOL, values=None,
 
 def eigenvalues(m: Matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Eigenvalues only, sorted by (Re, Im) as ``eig`` sorts them, with no
-    diagonalizability gate."""
+    diagonalizability gate.  A value that overflows, or a nan, is a
+    NonConvergenceError (``_finite``)."""
     a, h = _solver_input(m, tol)
     if h is not None:
-        return np.linalg.eigvalsh(h).astype(np.complex128)  # real and ascending
-    vals = np.linalg.eigvals(a)
-    return vals[np.lexsort((vals.imag, vals.real))]
+        vals = np.linalg.eigvalsh(h).astype(np.complex128)  # real and ascending
+    else:
+        vals = np.linalg.eigvals(a)
+        vals = vals[np.lexsort((vals.imag, vals.real))]
+    return _finite(vals, NonConvergenceError, "the eigenvalues")
 
 
 def _complex_array(values) -> np.ndarray:
@@ -725,8 +755,9 @@ def _complex_array(values) -> np.ndarray:
 
 def _same_value(a, b) -> np.ndarray:
     """The boolean matrix |a_i - b_j| <= CLUSTER_RADIUS: which pairs of values
-    count as one eigenvalue."""
-    return np.abs(np.subtract.outer(a, b)) <= CLUSTER_RADIUS
+    count as one eigenvalue; a difference that overflows, or a nan, is none."""
+    with np.errstate(all="ignore"):
+        return np.abs(np.subtract.outer(a, b)) <= CLUSTER_RADIUS
 
 
 def cluster_values(values) -> list[tuple[complex, int]]:

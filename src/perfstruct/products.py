@@ -15,7 +15,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, DomainMismatchError, InputError, UnverifiedStructureError
+from .errors import (
+    DimensionError,
+    DomainMismatchError,
+    InputError,
+    NonFiniteError,
+    UnverifiedStructureError,
+)
 from .matrix import (
     DEFAULT_TOL,
     EXACT,
@@ -23,6 +29,7 @@ from .matrix import (
     Matrix,
     Spectrum,
     _as_exact,
+    _finite,
     _kron_sum_numerators,
     _kron_terms,
     _same_value,
@@ -236,16 +243,18 @@ def joint_eigensystems(factors, tol: float = DEFAULT_TOL) -> list:
 def product_spectrum(spec: ProductSpec, left_eigs, right_eigs,
                      tol: float = DEFAULT_TOL) -> Spectrum:
     """Spectrum {sum a_ij mu^i_s lambda^j_t} of the product, given one
-    eigensystem per factor, each holding on its side's first vectors."""
+    eigensystem per factor, each holding on its side's first vectors.  A value
+    that overflows, or a nan, is a NonFiniteError (``matrix._finite``)."""
     for factors, eigs in ((spec.left_factors, left_eigs), (spec.right_factors, right_eigs)):
         if len(factors) != len(eigs):
             raise DimensionError("one eigensystem per factor is required")
         for factor, es in zip(factors, eigs):
             eigensystem_on(factor, eigs[0].vectors, tol, es.values,
                            "factors do not share an eigenbasis")
-    values = grid_value(spec.coefficients, [e.values[:, None] for e in left_eigs],
-                        [e.values for e in right_eigs])
-    return Spectrum.from_values(values.ravel())
+    with np.errstate(all="ignore"):  # as complex128: rational coefficients give objects
+        values = np.asarray(grid_value(spec.coefficients, [e.values[:, None] for e in left_eigs],
+                                       [e.values for e in right_eigs]), dtype=np.complex128)
+    return Spectrum.from_values(_finite(values, NonFiniteError, "the product spectrum").ravel())
 
 
 def product_eigenvector(f, g) -> np.ndarray:

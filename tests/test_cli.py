@@ -4,6 +4,7 @@
 import io
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,25 @@ class TestSpectrum:
         assert main(["spectrum", g, "--numeric"]) == 2
         assert capsys.readouterr().err.startswith("error: line 2: ")
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_near_overflow_entries_give_a_finite_spectrum(self, tmp_path, capsys, json_flag):
+        # (A + Aᴴ)/2 overflowed, the spectrum was [nan, nan], and printing it
+        # raised ValueError: exit 1
+        g = write(tmp_path, "g.graph", "matrix 2\n0 1e308\n1e308 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["spectrum", g, "--numeric", *json_flag]) == 0
+        out = capsys.readouterr().out
+        assert str(10 ** 308)[:12] in out and "nan" not in out
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_an_overflowing_spectrum_is_an_input_error(self, tmp_path, capsys, json_flag):
+        g = write(tmp_path, "g.graph", "matrix 2\n1e308 1e308\n1e308 1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["spectrum", g, "--numeric", *json_flag]) == 2
+        assert capsys.readouterr().err == "error: an infinite or nan entry in the eigenvalues\n"
+
     def test_file_without_closed_form(self, c4_file):
         assert main(["spectrum", c4_file, "--closed-form"]) == 2
 
@@ -158,6 +178,20 @@ class TestIntegerTokens:
 
 
 class TestProduct:
+    @pytest.mark.parametrize("kind, err", [
+        # the eigenvalues ±1e308 are finite, but their sums and products are not
+        ("cartesian", "the product spectrum"), ("lex", "the product spectrum"),
+        ("tensor", "a complex Kronecker product")])
+    def test_an_overflowing_product_is_an_input_error(self, tmp_path, monkeypatch, capsys,
+                                                      kind, err):
+        write(tmp_path, "g.graph", "matrix 2\n0 1e308\n1e308 0\n")
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["product", kind, "g.graph", "g.graph", "-o", "p.graph"]) == 2
+        assert capsys.readouterr().err == f"error: an infinite or nan entry in {err}\n"
+        assert not (tmp_path / "p.graph").exists()
+
     def test_cartesian(self, tmp_path, capsys):
         out_path = str(tmp_path / "prod.graph")
         assert main(["product", "cartesian", "k2", "k2", "-o", out_path]) == 0
@@ -307,6 +341,14 @@ class TestProduct:
 
 
 class TestContract:
+    def test_an_overflowing_vector_is_an_input_error(self, tmp_path, capsys):
+        # A·h overflows: under -W error it used to raise a bare RuntimeWarning
+        h = write(tmp_path, "h.vec", "1e308\n1e308\n1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["contract", "k3", h, h, "cartesian", "--right", "k1"]) == 2
+        assert capsys.readouterr().err == "error: h is not an eigenvector of the product graph\n"
+
     def test_cartesian_round_trip(self, tmp_path, capsys):
         prod = str(tmp_path / "prod.graph")
         assert main(["product", "cartesian", "k2", "k2", "-o", prod]) == 0
@@ -553,6 +595,14 @@ class TestInputErrors:
         (["spectrum", "k\u00b2"], "error: expected an integer, got '\u00b2'\n"),
         (["census", "k4", "2", "--budget", "-5"], "error: the census budget must be >= 0, got -5\n"),
         (["spectrum", "c6", "c4"], "error: unused trailing arguments: ['c4']\n"),
+        (["spectrum", "cycle", "99999999999999999999"],
+         "error: family 'cycle' with parameters (99999999999999999999,) has more than "
+         "16384 vertices\n"),
+        (["spectrum", "cycle", "9223372036854775807", "--closed-form"],
+         "error: family 'cycle' with parameters (9223372036854775807,) has more than "
+         "16384 vertices\n"),
+        (["spectrum", "hamming", "900", "1"],
+         "error: family 'hamming' with parameters (900, 1) nests too deeply\n"),
         (["product", "cartesian", "c4", "k2", "k3"], "error: unused trailing arguments: ['k3']\n"),
         (["product", "general", "c4", "k2"], "error: the general product needs --coeffs FILE\n"),
     ])

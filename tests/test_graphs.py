@@ -23,7 +23,7 @@ from perfstruct import (
 )
 from perfstruct.graphs import FAMILIES, ProductFamily, Spectrum
 from perfstruct.products import NAMED_SPECS
-from perfstruct import products
+from perfstruct import graphs, products
 from perfstruct.errors import DimensionError, DomainMismatchError, HypothesisNotMetError, InputError
 
 TOL = 1e-8
@@ -90,9 +90,33 @@ class TestConstruction:
 
     @pytest.mark.parametrize("name, params", [
         ("petersen", (10,)), ("cycle", (2,)), ("complete", (0,)), ("hamming", (0, 2)),
-        ("cycle", (5.7,)), ("double", (3,))])
+        ("cycle", (5.7,)), ("double", (3,)),
+        ("hamming", (10 ** 20, 1))])   # one vertex, but a tag nested past the recursion limit
     def test_bad_parameters_are_input_errors(self, name, params):
         with pytest.raises(InputError):
+            make_family(name, *params)
+
+    @pytest.mark.parametrize("name, params", [
+        ("cycle", (99999999999999999999,)),   # numpy: maximum allowed dimension exceeded
+        ("cycle", (2 ** 63 - 1,)),            # numpy: array is too big
+        ("hamming", (10 ** 20, 2)),           # 2**(10**20) vertices, read level by level
+        ("torus", (2 ** 62, 2 ** 62)),
+        ("double", (("complete", 10 ** 30),)),
+    ])
+    def test_a_huge_family_is_refused_before_it_is_built(self, name, params):
+        with pytest.raises(InputError, match=f"more than {graphs.MAX_FAMILY_VERTICES} vertices"):
+            make_family(name, *params)
+
+    @pytest.mark.parametrize("name, params, n", [
+        ("cycle", (12,), 12), ("torus", (3, 4), 12), ("hamming", (2, 3), 9),
+        ("complete_multipartite", (3, 4), 12), ("double", (("cycle", 6),), 12),
+        ("double", (make_family("path", 6),), 12), ("hamming", (12, 1), 1)])
+    def test_the_vertex_limit_is_read_from_the_tag(self, monkeypatch, name, params, n):
+        # at the limit a family is built; with a limit one lower, it is refused
+        monkeypatch.setattr(graphs, "MAX_FAMILY_VERTICES", n)
+        assert make_family(name, *params).n == n
+        monkeypatch.setattr(graphs, "MAX_FAMILY_VERTICES", n - 1)
+        with pytest.raises(InputError, match=f"more than {n - 1} vertices"):
             make_family(name, *params)
 
     def test_a_negative_vertex_count_is_refused(self):

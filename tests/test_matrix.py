@@ -1,6 +1,7 @@
 """Numerics: Kronecker products, rank, eigendecomposition, polynomials."""
 
 import copy
+import math
 import pickle
 import re
 import warnings
@@ -14,9 +15,11 @@ from hypothesis import strategies as st
 
 from perfstruct import (
     CLUSTER_RADIUS,
+    Graph,
     Matrix,
     PerfectStructure,
     canonical_form,
+    census,
     eig,
     eigensystem_on,
     eigenvalues,
@@ -37,6 +40,8 @@ from perfstruct.errors import (
     DomainMismatchError,
     HypothesisNotMetError,
     NonConvergenceError,
+    NonFiniteError,
+    PerfstructError,
 )
 
 RNG = np.random.default_rng(20200419)
@@ -80,6 +85,20 @@ class TestKron:
     def test_domain_mismatch(self):
         with pytest.raises(DomainMismatchError):
             kron(Matrix.identity(2), Matrix.complex([[1, 0], [0, 1]]))
+
+    @pytest.mark.parametrize("op", [kron, lambda a, b: a @ b], ids=["kron", "matmul"])
+    @pytest.mark.parametrize("rows", [
+        [[np.inf, 0], [0, 1]],              # inf·0 is nan, inf·1 is inf
+        [[1e200, 0], [0, 1e200]],           # finite, but 1e400 overflows
+    ])
+    def test_non_finite_complex_result_is_refused_without_a_warning(self, op, rows):
+        # kron and @ used to return nan, or raise a bare RuntimeWarning under -W error
+        a = Matrix.complex(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="infinite or nan") as info:
+                op(a, a)
+        assert isinstance(info.value, PerfstructError)
 
     @settings(max_examples=40, deadline=None)
     @given(exact_mats(2), exact_mats(2), exact_mats(2), exact_mats(2))
@@ -172,12 +191,35 @@ class TestEig:
 
     @pytest.mark.parametrize("rows", [
         [[np.inf, 1], [1, 0]],              # inf - inf: not Hermitian within tol
-        [[1e308, 1e308], [1e308, -1e308]],  # finite, but the eigenvalues overflow
+        [[1e308, 1e308], [1e308, 1e308]],   # finite, but the eigenvalue 2e308 overflows
     ])
     def test_non_finite_result_is_no_eigensystem(self, rows):
         # a nan residual fails the gate; it used to return nan eigenvalues
         with np.errstate(all="ignore"), pytest.raises(NonConvergenceError):
             eig(Matrix.complex(rows))
+
+    @pytest.mark.parametrize("solver", [eig, eigenvalues])
+    @pytest.mark.parametrize("rows, expected", [
+        # (A + Aᴴ)/2 overflowed to inf, and the solvers read nan; A/2 + Aᴴ/2 does not
+        ([[1e308, 1e308], [1e308, -1e308]], [-math.sqrt(2) * 1e308, math.sqrt(2) * 1e308]),
+        # A - Aᴴ overflows in the Hermitian test, which the general solver then takes
+        ([[0, 1e308], [-1e308, 0]], [-1e308j, 1e308j]),
+    ])
+    def test_near_overflow_input_is_solved_without_a_warning(self, solver, rows, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = solver(Matrix.complex(rows))
+        values = out.values if solver is eig else out
+        # in units of 1e308, and by the bottleneck distance: sorting by (Re, Im)
+        # orders ±1e308i by the rounding error in their real parts
+        assert multiset_discrepancy(values / 1e308, np.array(expected) / 1e308) <= 1e-12
+
+    @pytest.mark.parametrize("solver", [eig, eigenvalues])
+    def test_overflowing_eigenvalue_is_refused_without_a_warning(self, solver):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergenceError, match="infinite or nan"):
+                solver(Matrix.complex([[1e308, 1e308], [1e308, 1e308]]))
 
     @pytest.mark.parametrize("solver", [eig, eigenvalues, is_diagonalizable])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -743,6 +785,23 @@ class TestImmutableCopies:
         with pytest.raises(ValueError, match="read-only"):
             out.data[0, 0] = 7
         assert a == Matrix.complex([[1j, 2], [0.5, -1]])
+
+    @pytest.mark.parametrize("rows,den,dtype", [
+        ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], 1, np.int64),
+        ([["1/2", 1, 1], [1, "1/2", 1], [1, 1, "1/2"]], 2, np.int64),
+        ([[0, 2 ** 62, 2 ** 62], [2 ** 62, 0, 2 ** 62], [2 ** 62, 2 ** 62, 0]], 1, object),
+    ], ids=["integer", "rational", "big"])
+    def test_every_census_result_is_read_only(self, rows, den, dtype):
+        """Each result's indicator and S are views of two read-only batches,
+        or, for an object S, arrays of their own, frozen when wrapped."""
+        res = census(Graph(Matrix.exact(rows)), 2)
+        assert res.complete and res.results
+        for c, s in res.results:
+            assert s._den == den and s._ints.dtype == dtype
+            for m in (c.indicator, s):
+                assert not m._ints.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    m._ints[0, 0] = 7
 
     def test_the_fraction_view_is_not_pickled(self):
         m = Matrix.exact([["1/2", 3]])

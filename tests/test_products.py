@@ -1,5 +1,6 @@
 """Tests for coefficient products: structures, spectra, and eigenvectors."""
 
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -38,6 +39,7 @@ from perfstruct import (
 from perfstruct.errors import (
     DimensionError,
     DomainMismatchError,
+    NonFiniteError,
     HypothesisNotMetError,
     UnverifiedStructureError,
 )
@@ -597,24 +599,29 @@ class TestKronSumOracle:
         assert np.array_equal(build_product(spec).data, expected)
 
     def test_large_complex_terms_are_never_indexed(self):
-        """Beyond ``_INDEXED_KRON_MIN`` entries, an identity factor, -0.0 and
-        inf entries still give numpy's term-order sum of (x kron y)·c byte
-        for byte: 0·inf is nan and 0·(-0.0) keeps its sign, as no indexed
-        write over the nonzeros would."""
+        """Beyond ``_INDEXED_KRON_MIN`` entries, an identity factor and -0.0
+        entries still give numpy's term-order sum of (x kron y)·c byte for
+        byte: 0·(-0.0) keeps its sign, as no indexed write over the nonzeros
+        would.  With inf entries, where 0·inf is nan, the sum is refused."""
         rng = np.random.default_rng(19)
         y = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         y[rng.random((16, 16)) < 0.3] = complex(-0.0, -0.0)
-        y[2, 3], y[5, 5] = complex(np.inf, -0.0), complex(-0.0, -np.inf)
-        lefts = [np.eye(16, dtype=complex), y[:, ::-1].copy()]
         coefficients = ((1,), (-0.5j,))
-        spec = ProductSpec(tuple(Matrix(x, "complex") for x in lefts),
-                           (Matrix(y, "complex"),), coefficients)
-        with np.errstate(invalid="ignore"):  # 0·inf
-            terms = [np.kron(lefts[0], y) * complex(1), np.kron(lefts[1], y) * -0.5j]
-            got = build_product(spec).data
+
+        def spec(y):
+            lefts = [np.eye(16, dtype=complex), y[:, ::-1].copy()]
+            return lefts, ProductSpec(tuple(Matrix(x, "complex") for x in lefts),
+                                      (Matrix(y, "complex"),), coefficients)
+
+        lefts, finite = spec(y)
+        terms = [np.kron(lefts[0], y) * complex(1), np.kron(lefts[1], y) * -0.5j]
         assert terms[0].size >= matrix._INDEXED_KRON_MIN
-        assert np.isnan(got).any()
-        assert got.tobytes() == (terms[0] + terms[1]).tobytes()
+        assert build_product(finite).data.tobytes() == (terms[0] + terms[1]).tobytes()
+        y[2, 3], y[5, 5] = complex(np.inf, -0.0), complex(-0.0, -np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                build_product(spec(y)[1])
 
     @pytest.mark.parametrize("n", [2, 32])
     def test_complex_kron_is_np_kron(self, n):

@@ -87,7 +87,8 @@ def _format_value(z: complex) -> str:
     z = complex(z)
     if abs(z.imag) < 1e-12:
         r = z.real
-        return str(int(round(r))) if abs(r - round(r)) < 1e-9 else f"{r:.9g}"
+        # from 2**53 up every float is an integer, whose digits past the 9th are noise
+        return str(int(round(r))) if abs(r) < 2 ** 53 and abs(r - round(r)) < 1e-9 else f"{r:.9g}"
     return f"{z.real:.9g}{z.imag:+.9g}i"
 
 

@@ -9,13 +9,12 @@ k-colorings of a graph up to color renaming by a pruned backtracking search.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, DomainMismatchError, HypothesisNotMetError, InputError
-from .graphs import Graph, is_connected, is_regular
+from .graphs import Graph, _breadth_first, _edges, is_connected, is_regular
 from .matrix import (
     DEFAULT_TOL,
     EXACT,
@@ -269,36 +268,17 @@ def canonical_colors(colors) -> tuple:
     return tuple(out)
 
 
-def _search_order(ints: np.ndarray) -> list:
-    """The vertices in breadth-first order over edges in either direction, one
-    component at a time from its lowest index, neighbors by index; ``ints``
-    holds the adjacency's numerators."""
-    nonzero = ints != 0
-    linked = (nonzero | nonzero.T).tolist()
-    seen = [False] * len(linked)
-    order: list[int] = []   # the queue: order[i] is the vertex visited i-th
-    for i in range(len(linked)):
-        if i == len(order):  # a component is done: the next starts at the lowest unseen vertex
-            root = seen.index(False)
-            seen[root] = True
-            order.append(root)
-        for w in compress(range(len(linked)), linked[order[i]]):
-            if not seen[w]:
-                seen[w] = True
-                order.append(w)
-    return order
-
-
 def _search(g: Graph, k: int, budget: int) -> tuple[list, bool, int]:
     """Every perfect k-coloring of g, each once up to renaming, as color
     tuples in vertex order (colors 0..k-1); whether the search finished; and
     the nodes expanded, one per tried color, never more than ``budget``.
 
-    Vertices are colored in ``_search_order``, each with a color already used
-    or the next new one.  Coloring u with c adds A[v, u] to slot c of the
-    count vector of every in-neighbor v of u, so a vertex's counts are final
-    once all its out-neighbors are colored.  A class's reference is the count
-    vector of its first finalized member, and a branch dies when
+    Vertices are colored in breadth-first order (``graphs._breadth_first``),
+    each with a color already used or the next new one.  Coloring u with c
+    adds A[v, u] to slot c of the count vector of every in-neighbor v of u,
+    so a vertex's counts are final once all its out-neighbors are colored.
+    A class's reference is the count vector of its first finalized member,
+    and a branch dies when
       - u's weighted out-degree differs from its class's;
       - a finalized vertex's counts differ from its class's reference;
       - a colored vertex v has counts[v][j] + open_neg[v] > reference[j] in
@@ -321,20 +301,20 @@ def _search(g: Graph, k: int, budget: int) -> tuple[list, bool, int]:
     """
     n = g.n
     ints = g.adjacency._ints
-    order = _search_order(ints)
-    position = np.empty(n, dtype=np.intp)
-    position[order] = np.arange(n)
+    tails, heads = _edges(ints)   # edge v -> u as (v, u), by v then u
+    order, _ = _breadth_first(n, tails, heads)
+    position = np.argsort(order)
     # the step that colors each vertex's last out-neighbor, -1 with none
-    final = np.where(ints != 0, position, -1).max(axis=1).tolist()
-    position = position.tolist()
+    final = np.full(n, -1, dtype=np.intp)
+    np.maximum.at(final, tails, position[heads])
+    final, position = final.tolist(), position.tolist()
     counts = [[0] * k for _ in range(n)]
     ahead: list[list] = [[] for _ in range(n)]       # (counts[v], A[v, u])
     ahead_neg: list[list] = [[] for _ in range(n)]   # (v, A[v, u]) for A[v, u] < 0
     behind: list[list] = [[] for _ in range(n)]      # (v, counts[v], A[v, u], v final at i)
     degree = [0] * n     # weighted out-degrees
     open_neg = [0] * n   # negative out-weights, every out-neighbor still uncolored
-    heads, tails = np.nonzero(ints.T)   # edge v -> u as (u, v), by u then v
-    for u, v, x in zip(heads.tolist(), tails.tolist(), ints.T[heads, tails].tolist()):
+    for v, u, x in zip(tails.tolist(), heads.tolist(), ints[tails, heads].tolist()):
         degree[v] += x
         i = position[u]
         if position[v] > i:

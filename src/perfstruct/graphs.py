@@ -89,8 +89,6 @@ def _path_adjacency(n: int) -> np.ndarray:
 
 
 def _cycle_adjacency(n: int) -> np.ndarray:
-    if n < 3:
-        raise InputError("a cycle needs at least 3 vertices")
     m = np.zeros((n, n), dtype=np.int64)
     i = np.arange(n)
     m[i, (i + 1) % n] = m[(i + 1) % n, i] = 1
@@ -98,13 +96,14 @@ def _cycle_adjacency(n: int) -> np.ndarray:
 
 
 class Leaf(NamedTuple):
-    """A family built from its one integer parameter, its vertex count:
-    ``adjacency`` maps it to the int64 adjacency array, ``eigenvalues`` to
-    every eigenvalue, listed with its multiplicity."""
+    """A family built from its one integer parameter, its vertex count, at
+    least ``least``: ``adjacency`` maps it to the int64 adjacency array,
+    ``eigenvalues`` to every eigenvalue, listed with its multiplicity."""
 
     arity: int
     adjacency: Callable
     eigenvalues: Callable
+    least: int = 1
 
     def order(self, params: tuple, limit: int) -> int:
         return params[0]
@@ -125,6 +124,7 @@ class ProductFamily(NamedTuple):
     kind: str
     arity: int | None
     factors: Callable
+    least = 1   # a Leaf's default: parameters need only be at least 1
 
     def order(self, params: tuple, limit: int) -> int:
         """The vertex count n₁·n₂ of every named product, or a count above
@@ -144,7 +144,7 @@ class ProductFamily(NamedTuple):
     def values(self, params) -> np.ndarray:
         """The eigenvalue rule on every pair of factor eigenvalues, evaluated
         once over the grid of all pairs."""
-        left, right = (_tag_values(f) for f in self.factors(*params))
+        left, right = (FAMILIES[name].values(p) for name, *p in self.factors(*params))
         return NAMED_SPECS[self.kind].eigenvalue(left[:, None], right[None, :]).ravel()
 
 
@@ -157,7 +157,7 @@ FAMILIES = {
     "path": Leaf(1, _path_adjacency, lambda n: [
         2 * math.cos(math.pi * i / (n + 1)) for i in range(1, n + 1)]),
     "cycle": Leaf(1, _cycle_adjacency, lambda n: [
-        2 * math.cos(2 * math.pi * i / n) for i in range(1, n + 1)]),
+        2 * math.cos(2 * math.pi * i / n) for i in range(1, n + 1)], least=3),
     "matching": ProductFamily("tensor", 1, lambda n: (("identity", n), ("complete", 2))),
     "complete_bipartite": ProductFamily("tensor", 1, lambda n: (("complete", 2), ("ones", n))),
     "complete_multipartite": ProductFamily(
@@ -183,32 +183,32 @@ MAX_FAMILY_VERTICES = 2 ** 14
 
 def _checked(name: str, params: tuple) -> tuple:
     """The family row of ``name`` and its parameters, validated: integers
-    (``operator.index``) of the row's arity, each at least 1, or one graph or
-    tag for a family over one graph."""
-    family = FAMILIES.get(name)
+    (``operator.index``) of the row's arity, each at least 1 and the row's
+    ``least``, or one graph or tag for a family over one graph."""
+    family = FAMILIES.get(name) if isinstance(name, str) else None
     if family is None:
         raise InputError(f"unknown graph family {name!r}")
     if family.arity is None:
-        if len(params) != 1 or not isinstance(params[0], (Graph, tuple)):
+        if len(params) != 1 or not isinstance(params[0], (Graph, tuple)) or params[0] == ():
             raise InputError(f"family {name!r} takes one graph or tag")
     else:
         params = _integers(params, InputError, f"parameters of family {name!r}")
         if len(params) != family.arity or any(p < 1 for p in params):
             raise InputError(f"invalid parameters {params} for family {name!r}")
+        if params[0] < family.least:
+            raise InputError(f"a {name} needs at least {family.least} vertices")
     return family, params
 
 
 def _factor_numerators(factor) -> tuple[np.ndarray, int, int]:
     """A product factor's adjacency as (numerators, denominator, bound on
-    the numerators): a Graph's own, which must be exact, or a family tag's."""
-    if isinstance(factor, Graph):
-        a = factor.adjacency
-        if a.domain != EXACT:
-            raise DomainMismatchError("a family over a graph needs an exact adjacency")
-        return _exact_factor(a)
-    name, *params = factor
-    family, params = _checked(name, tuple(params))
-    return family.numerators(params)
+    the numerators): a Graph's own, which must be exact, or the family tag's,
+    which the counting walk has validated."""
+    if not isinstance(factor, Graph):
+        return FAMILIES[factor[0]].numerators(factor[1:])
+    if factor.adjacency.domain != EXACT:
+        raise DomainMismatchError("a family over a graph needs an exact adjacency")
+    return _exact_factor(factor.adjacency)
 
 
 def _factor_order(factor, limit: int) -> int:
@@ -216,26 +216,30 @@ def _factor_order(factor, limit: int) -> int:
     count above ``limit``: read from the tag, with nothing allocated."""
     if isinstance(factor, Graph):
         return factor.n
-    name, *params = factor
-    family, params = _checked(name, tuple(params))
+    family, params = _checked(factor[0], factor[1:])
     return family.order(params, limit)
 
 
-def make_family(name: str, *params) -> Graph:
-    """Construct a named family member; the tag regenerates it bit-exact.  A
-    member of more than ``MAX_FAMILY_VERTICES`` vertices, or one whose tag
-    nests past the interpreter's recursion limit, is an InputError."""
+def _read_family(read: str, name: str, *params) -> tuple:
+    """(``family.<read>(params)``, the parameters' tag) once the counting walk
+    (``order``) has validated each level of the tag: a member of more than
+    ``MAX_FAMILY_VERTICES`` vertices, or nested too deeply, is an InputError."""
     family, params = _checked(name, params)
     tag = tuple(p.family if isinstance(p, Graph) else p for p in params)
     try:   # an untagged graph parameter shows as None in the messages
         if family.order(params, MAX_FAMILY_VERTICES) > MAX_FAMILY_VERTICES:
             raise InputError(f"family {name!r} with parameters {tag} has more than "
                              f"{MAX_FAMILY_VERTICES} vertices")
-        ints, den, _ = family.numerators(params)
+        return getattr(family, read)(params), tag
     except RecursionError:
         raise InputError(f"family {name!r} with parameters {tag} nests too deeply") from None
-    return Graph(Matrix._wrap(ints, den),
-                 family=None if None in tag else (name, *tag))
+
+
+def make_family(name: str, *params) -> Graph:
+    """Construct a named family member; the tag regenerates it bit-exact.  An
+    invalid tag is an InputError (``_read_family``)."""
+    (ints, den, _), tag = _read_family("numerators", name, *params)
+    return Graph(Matrix._wrap(ints, den), None if None in tag else (name, *tag))
 
 
 def double_graph(g: Graph) -> Graph:
@@ -251,18 +255,11 @@ def bipartite_double(g: Graph) -> Graph:
 # -- closed-form spectra ----------------------------------------------
 
 def closed_form_spectrum(g: Graph) -> Spectrum:
-    """Closed-form spectrum for family-tagged graphs; exact where rational."""
-    if g.family is None:
+    """Closed-form spectrum for family-tagged graphs; exact where rational.
+    The tag is validated as ``make_family`` validates it, with no graph built."""
+    if not g.family:
         raise InputError("graph carries no family tag; use a numeric spectrum")
-    return Spectrum.from_values(_tag_values(g.family))
-
-
-def _tag_values(tag) -> np.ndarray:
-    """Every eigenvalue of the family member ``tag``, with multiplicity."""
-    name, *params = tag
-    if name not in FAMILIES:
-        raise InputError(f"no closed-form spectrum known for family {name!r}")
-    return FAMILIES[name].values(params)
+    return Spectrum.from_values(_read_family("values", *g.family)[0])
 
 
 # -- structural predicates --------------------------------------------
@@ -291,18 +288,39 @@ def is_regular(g: Graph) -> int | Fraction | complex | None:
 
 
 def is_connected(g: Graph) -> bool:
-    """Weak connectivity: reachability from vertex 0 over the nonzero pattern
-    of A | Aᵀ, one breadth-first level at a time."""
+    """Weak connectivity: one component over the edges in either direction."""
     a = g.adjacency
-    nonzero = (a._ints if a.domain == EXACT else a.data) != 0
-    linked = nonzero | nonzero.T
-    seen = np.zeros(g.n, dtype=bool)
-    seen[0] = True
-    level = seen.copy()
-    while level.any():
-        level = linked[level].any(axis=0) & ~seen
-        seen |= level
-    return bool(seen.all())
+    return _breadth_first(g.n, *_edges(a._ints if a.domain == EXACT else a.data))[1] == 1
+
+
+def _edges(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(tails, heads) of the nonzero entries, tail-major: a flat scan beats a 2-d np.nonzero."""
+    return np.divmod(np.flatnonzero(weights != 0), len(weights))
+
+
+def _breadth_first(n: int, tails: np.ndarray, heads: np.ndarray) -> tuple[list, int]:
+    """The n vertices in breadth-first order over the edges tails[e] -> heads[e]
+    in either direction, one component at a time from its lowest unseen
+    vertex, neighbors by index; and the number of components."""
+    # each edge both ways, keyed source·n + target and sorted: a vertex's neighbors are one run
+    keys = np.sort(np.concatenate((tails, heads)) * n + np.concatenate((heads, tails)))
+    bounds = np.searchsorted(keys, np.arange(0, n * n + 1, n)).tolist()
+    targets = (keys % n).tolist()
+    seen = [False] * n
+    order: list[int] = []   # the queue: order[i] is the vertex visited i-th
+    root = components = 0
+    for i in range(n):
+        if i == len(order):  # a component is done: the next starts at the lowest unseen vertex
+            root = seen.index(False, root)
+            seen[root] = True
+            order.append(root)
+            components += 1
+        v = order[i]
+        for w in targets[bounds[v]:bounds[v + 1]]:
+            if not seen[w]:
+                seen[w] = True
+                order.append(w)
+    return order, components
 
 
 def complement_spectrum(g: Graph, tol: float = DEFAULT_TOL) -> Spectrum:

@@ -130,7 +130,20 @@ class TestSpectrum:
             warnings.simplefilter("error")
             assert main(["spectrum", g, "--numeric", *json_flag]) == 0
         out = capsys.readouterr().out
-        assert str(10 ** 308)[:12] in out and "nan" not in out
+        assert "1e+308" in out and "nan" not in out
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    @pytest.mark.parametrize("entry,printed", [
+        ("1e23", "1e+23"), ("9007199254740992", "9.00719925e+15"),
+        ("9007199254740991", "9007199254740991")])
+    def test_a_float_of_2_to_the_53_or_more_prints_9_digits(
+            self, tmp_path, capsys, json_flag, entry, printed):
+        # every float from 2**53 up is an integer: it printed every digit,
+        # 99999999999999991611392 for 1e23
+        g = write(tmp_path, "g.graph", f"matrix 2\n0 {entry}\n{entry} 0\n")
+        assert main(["spectrum", g, "--numeric", *json_flag]) == 0
+        out = capsys.readouterr().out
+        assert printed in out and f"-{printed}" in out
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     def test_an_overflowing_spectrum_is_an_input_error(self, tmp_path, capsys, json_flag):

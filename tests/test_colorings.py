@@ -29,7 +29,7 @@ from perfstruct import (
     verify_coloring,
     verify_fractional,
 )
-from perfstruct import colorings, matrix, products
+from perfstruct import colorings, graphs, matrix, products
 from perfstruct.errors import (
     DimensionError,
     DomainMismatchError,
@@ -489,6 +489,7 @@ class TestCensus:
         (("complete", 8), 2, 127, 255),
         (("hamming", 4, 2), 2, 43, 1241),
         (("hamming", 3, 3), 2, 111, 14485),
+        (("cycle", 1000), 2, 3, 13957),
     ])
     def test_search_tree_is_pinned(self, fam, k, classes, evaluated):
         """The classes and node counts of the benchmark's full searches, on
@@ -512,7 +513,8 @@ class TestCensus:
         # edges 0-3, 3-4, 4-1 and the isolated vertex 2: 4 is two steps from
         # 0, so it comes before 1, three steps away
         g = from_edges(5, [(1, 4), (4, 5), (5, 2)])
-        assert colorings._search_order(g.adjacency._ints) == [0, 3, 4, 1, 2]
+        walk = graphs._breadth_first(5, *graphs._edges(g.adjacency._ints))
+        assert walk == ([0, 3, 4, 1, 2], 2)
 
 
 class TestCensusOracleAgreementRandom:

@@ -220,10 +220,37 @@ class TestClosedFormSpectra:
             closed_form_spectrum(g)
 
     @pytest.mark.parametrize("g", [from_edges(3, [(1, 2)]),
-                                   Graph(Matrix.identity(2), family=("petersen", 2))])
+                                   Graph(Matrix.identity(2), family=("petersen", 2)),
+                                   Graph(Matrix.identity(2), family=())])
     def test_no_closed_form_is_an_input_error(self, g):
         with pytest.raises(InputError):
             closed_form_spectrum(g)
+
+    @pytest.mark.parametrize("tag", [
+        ("cycle", 2.5), ("torus", "3", 3), ("cycle",), ("hamming", 10 ** 6, 2),
+        ("cycle", 2), ("hamming", -3, 2), ("double", ("cycle", 2)), ("hamming", 900, 1),
+        ("double", ()), ("double", ([], 1)), ([], 1)])
+    def test_a_tag_make_family_refuses_has_no_closed_form(self, tag):
+        """The spectrum reads a hand-made tag as ``make_family`` does: it
+        raised TypeError or RecursionError, or returned a spectrum."""
+        with pytest.raises(InputError) as built:
+            make_family(*tag)
+        with pytest.raises(InputError) as read:
+            closed_form_spectrum(Graph(Matrix.identity(2), family=tag))
+        assert str(read.value) == str(built.value)
+
+    def test_each_tag_level_is_validated_once(self, monkeypatch):
+        checked = []
+
+        def counting(name, params):
+            checked.append(name)
+            return validate(name, params)
+
+        validate = graphs._checked
+        monkeypatch.setattr(graphs, "_checked", counting)
+        g = make_family("double", ("torus", 3, 4))
+        closed_form_spectrum(g)
+        assert checked == ["double", "torus", "cycle", "cycle", "ones"] * 2
 
 
 class TestPredicates:
@@ -265,6 +292,33 @@ class TestPredicates:
     def test_connectivity_follows_one_way_edges(self):
         assert is_connected(from_edges(3, [(1, 2), (3, 2)], directed=True))
         assert not is_connected(from_edges(3, [(1, 2)], directed=True))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_walk_matches_networkx(self, seed):
+        """The breadth-first walk against networkx on random sparse graphs:
+        directed or symmetric, signed, with loops, mostly disconnected.  Per
+        component from the lowest unseen vertex, the order is networkx's
+        breadth-first tree with neighbors by index."""
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            n = int(rng.integers(1, 40))
+            rows = rng.choice([-2, -1, 1, 3], (n, n)) * (rng.random((n, n)) < rng.random() * 3 / n)
+            if rng.random() < 0.5:
+                rows = np.triu(rows) + np.triu(rows, 1).T
+            oracle = nx.Graph()
+            oracle.add_nodes_from(range(n))
+            oracle.add_edges_from(zip(*np.nonzero(rows)))
+            expected: list = []
+            for r in range(n):
+                if r not in expected:
+                    expected += [r] + [v for _, v in nx.bfs_edges(oracle, r, sort_neighbors=sorted)]
+            order, components = graphs._breadth_first(n, *graphs._edges(rows))
+            assert order == expected
+            assert components == nx.number_connected_components(oracle)
+            connected = nx.is_connected(oracle)
+            assert is_connected(Graph(Matrix.exact(rows.tolist()))) == connected
+            assert is_connected(Graph(Matrix.complex(rows / 3))) == connected
 
 
 class TestComplementSpectrum:

@@ -180,7 +180,7 @@ def cmd_product(args) -> int:
         if not (args.left_coloring and args.right_coloring):
             raise files.ParseError("both factor colorings are required")
         product, coloring, params = product_coloring(
-            kind, (left, files.load_coloring(args.left_coloring)),
+            spec, (left, files.load_coloring(args.left_coloring)),
             (right, files.load_coloring(args.right_coloring)))
     else:
         product, coloring = Graph(build_product(spec)), None

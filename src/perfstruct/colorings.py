@@ -19,7 +19,6 @@ from .matrix import (
     DEFAULT_TOL,
     EXACT,
     Matrix,
-    _exact_factor,
     _guarded,
     _integers,
     _magnitude,
@@ -27,7 +26,7 @@ from .matrix import (
     _same_value,
     eigenvalues,
 )
-from .products import _kron_sum, _named
+from .products import ProductSpec, _kron_sum, _named, build_product
 from .structures import parameters_from_structure
 from .errors import NoParameterMatrixError, SingularMatrixError
 
@@ -178,49 +177,38 @@ def verify_fractional(g: Graph, w: FractionalColoring,
 
 # -- product colorings ------------------------------------------------
 
-def product_coloring(product: str, left, right):
-    """Perfect coloring of a named product from perfect factor colorings.
+def product_coloring(product, left, right):
+    """Perfect coloring of a coefficient product from perfect factor colorings.
 
-    ``left`` and ``right`` are (Graph, Coloring) pairs.  Each coloring is
-    perfect on every factor of its side: on its graph when verified, and on
-    I and J by the layout alone (``_layout_parameters``).  So the product
-    coloring with indicator P kron R has parameter matrix
-    sum a_ij S_i kron T_j.  Returns the product graph, that k1*k2-coloring
-    and its parameter matrix, re-verified combinatorially before returning.
-    An unknown kind, or a coloring that is not a ``Coloring``, is an
-    InputError.
+    ``product`` is a named kind, which becomes its ``ProductSpec`` on the
+    two graphs' adjacency matrices, or any ``ProductSpec``, whose factors
+    stand in for the graphs.  ``left`` and ``right`` are (Graph, Coloring)
+    pairs.  Each coloring must be perfect on every factor F of its side, by
+    ``verify_coloring(Graph(F), c)``: on I that gives S = I_k, on J
+    S = J·diag(class sizes).  So the product coloring with indicator
+    P kron R has parameter matrix sum a_ij S_i kron T_j.  Returns the
+    product graph, that k1*k2-coloring and its parameter matrix, re-verified
+    combinatorially before returning.  An unknown kind, or a coloring that
+    is not a ``Coloring``, is an InputError.
     """
-    named = _named(product)
-    g1, c1 = left
-    g2, c2 = right
+    (g1, c1), (g2, c2) = left, right
+    spec = product if isinstance(product, ProductSpec) \
+        else _named(product)(g1.adjacency, g2.adjacency)
     if not (isinstance(c1, Coloring) and isinstance(c2, Coloring)):
         raise InputError("product colorings must be integer colorings")
-    s = [_layout_parameters(tag, g1, c1) for tag in named.left]
-    t = [_layout_parameters(tag, g2, c2) for tag in named.right]
+    s = [verify_coloring(Graph(f), c1) for f in spec.left_factors]
+    t = [verify_coloring(Graph(f), c2) for f in spec.right_factors]
     if any(x is None for x in s + t):
         raise HypothesisNotMetError("both factor colorings must be perfect")
-    params = _kron_sum(named.coefficients, s, t)
+    params = _kron_sum(spec.coefficients, s, t)
 
-    ints, den, _ = named.numerators(_exact_factor(g1.adjacency), _exact_factor(g2.adjacency))
-    prod_graph = Graph(Matrix._wrap(ints, den))
-    colors = [(c1.colors[v] - 1) * c2.k + c2.colors[u]
-              for v in range(g1.n) for u in range(g2.n)]
-    prod_coloring = Coloring.from_colors(colors)
+    prod_graph = Graph(build_product(spec))
+    prod_coloring = Coloring.from_colors([(a - 1) * c2.k + b
+                                          for a in c1.colors for b in c2.colors])
     check = verify_coloring(prod_graph, prod_coloring)
     if check is None or check != params:
         raise ArithmeticError("product coloring failed re-verification")
     return prod_graph, prod_coloring, params
-
-
-def _layout_parameters(tag: str, g: Graph, c: Coloring) -> Matrix | None:
-    """S of ``c`` on one factor of a named product's layout: verified on the
-    graph ``g``, and read off the layout for I and J, on which every coloring
-    is perfect with S = I_k and S = J·diag(class sizes)."""
-    if tag == "I":
-        return Matrix.identity(c.k)
-    if tag == "J":
-        return Matrix._wrap(np.tile(np.array(c.class_sizes, dtype=np.int64), (c.k, 1)))
-    return verify_coloring(g, c)
 
 
 def orthogonality_check(g: Graph, p: Coloring, r: Coloring,

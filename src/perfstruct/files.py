@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .colorings import Coloring, FractionalColoring
 from .errors import DimensionError, InputError
-from .graphs import Graph, from_edges
+from .graphs import MAX_FAMILY_VERTICES, Graph, from_edges
 from .matrix import EXACT, Matrix
 
 
@@ -130,6 +130,9 @@ def parse_graph_text(text: str) -> Graph:
         if len(header) != 3:
             raise ParseError("edge-list header must be 'edges n m'", head)
         n, m_edges = _row(parse_int, head, header[1:])
+        if n > MAX_FAMILY_VERTICES:  # checked before the n x n adjacency is allocated
+            raise ParseError(f"an edge list of {n} vertices is past the limit of "
+                             f"{MAX_FAMILY_VERTICES}", head)
         if len(body) != m_edges:
             raise ParseError(f"expected {m_edges} edge lines, found {len(body)}")
         edges = {}  # {u, v} -> (u, v), in file order

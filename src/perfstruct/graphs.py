@@ -175,8 +175,9 @@ FAMILIES = {
 #: number of integer parameters per family; None for a family over one graph
 FAMILY_ARITY = {name: family.arity for name, family in FAMILIES.items()}
 
-#: the most vertices a named family may have.  ``make_family`` reads the count
-#: from the tag and refuses a larger one before it allocates anything: the
+#: the most vertices a named family, or an edge-list file, may have.
+#: ``make_family`` reads the count from the tag, and the file parser from the
+#: header, and each refuses a larger one before it allocates anything: the
 #: dense adjacency holds n² entries, 2 GiB of int64 at this limit.
 MAX_FAMILY_VERTICES = 2 ** 14
 

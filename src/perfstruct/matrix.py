@@ -333,8 +333,9 @@ class Matrix:
             bad = (negative | (_row_sums(ints) != self._den)).tolist()
         else:
             negative = [any(x.real < -1e-12 for x in row) for row in self._data]
-            bad = [neg or not abs(sum(row) - 1) <= 1e-9
-                   for neg, row in zip(negative, self._data)]
+            with np.errstate(all="ignore"):  # a sum that overflows is not 1
+                bad = [neg or not abs(sum(row) - 1) <= 1e-9
+                       for neg, row in zip(negative, self._data)]
         if True not in bad:
             return None
         i = bad.index(True)
@@ -433,14 +434,7 @@ class Matrix:
                 return Matrix._wrap_complex(np.linalg.inv(self._data))
             except np.linalg.LinAlgError as exc:
                 raise SingularMatrixError(str(exc)) from exc
-        # (N/d)^-1 = d·N^-1, and eliminating [N | I] leaves [D·I | D·N^-1]
-        n = self.rows
-        rows, pivots, last = _bareiss([row + [int(i == j) for j in range(n)]
-                                       for i, row in enumerate(self._ints.tolist())])
-        if pivots != list(range(n)):
-            raise SingularMatrixError("exact matrix is singular")
-        inv = np.array([row[n:] for row in rows], dtype=object).reshape(n, n)
-        return Matrix._wrap(_narrow(inv * self._den), last)
+        return exact_solve(self, Matrix.identity(self.rows))
 
 
 #: the slot writers of ``Matrix._store``: ``__setattr__`` refuses every write
@@ -663,8 +657,17 @@ def _solver_input(m: Matrix, tol: float) -> tuple[np.ndarray, np.ndarray | None]
 def _residual_bound(a: np.ndarray, tol: float) -> float:
     """The one residual bound: the largest max |A v - λ v| an eigenpair of
     ``a`` may leave on a unit vector v, 10·sqrt(n)·max(tol, 1e-9)·max(1,
-    ||A||_F) for ``a`` of order n."""
-    return 10 * math.sqrt(len(a)) * max(tol, 1e-9) * max(1.0, math.sqrt(np.vdot(a, a).real))
+    ||A||_F) for ``a`` of order n.  When ||A||_F² overflows, ||A||_F is
+    read as max|A|·||A / max|A|||_F, with the small factor multiplied
+    first, so the bound is inf only when it is past the float range."""
+    small = 10 * math.sqrt(len(a)) * max(tol, 1e-9)
+    square = np.vdot(a, a).real
+    if math.isfinite(square):
+        return small * max(1.0, math.sqrt(square))
+    with np.errstate(all="ignore"):  # an infinite or nan entry gives a nan bound
+        top = float(np.abs(a).max())
+        scaled = a / top
+        return small * top * math.sqrt(np.vdot(scaled, scaled).real)
 
 
 def eig(m: Matrix, tol: float = DEFAULT_TOL) -> EigenSystem:

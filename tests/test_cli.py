@@ -305,9 +305,8 @@ class TestProduct:
               ("imperfect", "both factor colorings must be perfect"),
               ("fractional", "product colorings must be integer colorings")]],
         pytest.param(["general", "c4", "k2", "--coeffs", "one.txt",
-                      "--left-coloring", "l.col", "--right-coloring", "r.col"],
-                     "unknown product kind 'general'; the named kinds are tensor, "
-                     "cartesian, normal, lexicographic", id="general-colorings"),
+                      "--left-coloring", "imperfect.col", "--right-coloring", "r.col"],
+                     "both factor colorings must be perfect", id="general-imperfect"),
         pytest.param(["cartesian", "c4", "k2", "--left-coloring", "l.col"],
                      "both factor colorings are required", id="one-sided"),
         pytest.param(["general", "c4", "k2", "--coeffs", "two-by-two.txt"],
@@ -333,6 +332,23 @@ class TestProduct:
         assert capsys.readouterr() == \
             ("", f"error: --coeffs is for the general product, not {name}\n")
         assert not (tmp_path / "product.graph").exists()
+
+    def test_general_product_coloring(self, tmp_path, monkeypatch, capsys):
+        """The 1×1 grid 1/2 over C4 and K2: S = (1/2)·(S ⊗ T), which verify
+        reads back from the written graph and coloring."""
+        for name, text in self.FILES.items():
+            write(tmp_path, name, text)
+        write(tmp_path, "half.txt", "1/2\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["product", "general", "c4", "k2", "--coeffs", "half.txt",
+                     "--left-coloring", "l.col", "--right-coloring", "r.col",
+                     "-o", "out.graph"]) == 0
+        out = capsys.readouterr().out
+        s = "parameter matrix:\n  0 0 0 1\n  0 0 1 0\n  0 1 0 0\n  1 0 0 0\n"
+        assert s in out
+        assert (tmp_path / "out.graph.coloring").read_text() == "1\n2\n3\n4\n1\n2\n3\n4\n"
+        assert main(["verify", "out.graph", "out.graph.coloring"]) == 0
+        assert s in capsys.readouterr().out
 
     def test_colorings_build_the_product_once(self, tmp_path, monkeypatch, capsys):
         for name, text in self.FILES.items():

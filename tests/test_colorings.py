@@ -317,25 +317,82 @@ class TestProductColorings:
 
     @pytest.mark.parametrize("colors", [[1, 2, 1, 2], [1, 1, 2, 2], [1, 2, 3, 1],
                                         [1, 1, 1, 1], [4, 3, 2, 1]])
-    def test_layout_parameters_are_what_verify_gives(self, colors):
-        """Every coloring is perfect on I, with S = I_k, and on J, with
-        S = J·diag(class sizes): equal to verify_coloring's, dtype included."""
+    def test_every_coloring_is_perfect_on_i_and_j(self, colors):
+        """verify_coloring gives S = I_k on I and S = J·diag(class sizes) on
+        J, both int64: what product_coloring reads on those factors."""
         c = Coloring.from_colors(colors)
-        for tag, m in (("I", Matrix.identity(4)), ("J", Matrix.ones(4))):
-            got = colorings._layout_parameters(tag, Graph(m), c)
-            expected = verify_coloring(Graph(m), c)
-            assert got == expected
-            assert got._ints.dtype == expected._ints.dtype == np.int64
+        on_i = verify_coloring(Graph(Matrix.identity(4)), c)
+        on_j = verify_coloring(Graph(Matrix.ones(4)), c)
+        assert on_i == Matrix.identity(c.k)
+        assert on_j == Matrix.exact([list(c.class_sizes)] * c.k)
+        assert on_i._ints.dtype == on_j._ints.dtype == np.int64
 
-    @pytest.mark.parametrize("kind", ["tensor", "cartesian", "normal", "lexicographic"])
-    def test_verifies_the_graph_factors_and_the_product_only(self, monkeypatch, kind):
-        orders = []
+    @pytest.mark.parametrize("kind, orders", [("tensor", [4, 3, 12]),
+                                              ("cartesian", [4, 4, 3, 3, 12]),
+                                              ("normal", [4, 4, 3, 3, 12]),
+                                              ("lexicographic", [4, 4, 3, 3, 12])])
+    def test_verifies_every_factor_then_the_product(self, monkeypatch, kind, orders):
+        seen = []
         verify = colorings.verify_coloring
         monkeypatch.setattr(colorings, "verify_coloring",
-                            lambda g, c: orders.append(g.n) or verify(g, c))
+                            lambda g, c: seen.append(g.n) or verify(g, c))
         product_coloring(kind, (make_family("cycle", 4), Coloring.from_colors([1, 2, 1, 2])),
                          (make_family("complete", 3), Coloring.from_colors([1, 2, 3])))
-        assert orders == [4, 3, 12]
+        assert seen == orders
+
+    @pytest.mark.parametrize("kind", ["tensor", "cartesian", "normal", "lexicographic"])
+    def test_a_named_kind_is_its_spec(self, kind):
+        g1, g2 = make_family("cycle", 4), make_family("path", 3)
+        left = (g1, Coloring.from_colors([1, 2, 1, 2]))
+        right = (g2, Coloring.from_colors([1, 2, 1]))
+        spec = products.NAMED_SPECS[kind](g1.adjacency, g2.adjacency)
+        assert product_coloring(kind, left, right) == product_coloring(spec, left, right)
+
+    #: factor graphs of order 4 on the left and 6 on the right
+    LEFT_GRAPHS = [("cycle", 4), ("complete", 4), ("hamming", 2, 2), ("complete_bipartite", 2)]
+    RIGHT_GRAPHS = [("cycle", 6), ("complete", 6), ("prism", 3), ("path", 6)]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_general_spec_matches_brute_force(self, seed):
+        """A random 2×2 rational grid over factors drawn from (graph, I, J)
+        on each side, and a random perfect coloring of each graph: the
+        product coloring's S is sum a_ij S_i kron T_j, the brute-force
+        parameters of every factor summed here, and of the built product."""
+        rng = np.random.default_rng(seed)
+        sides = []
+        for families in (self.LEFT_GRAPHS, self.RIGHT_GRAPHS):
+            g = make_family(*families[rng.integers(len(families))])
+            results = [r for k in (1, 2, 3) for r in census(g, k).results]
+            c = results[rng.integers(len(results))][0]
+            pool = [g.adjacency, Matrix.identity(g.n), Matrix.ones(g.n)]
+            factors = tuple(pool[i] for i in rng.choice(3, size=2, replace=False))
+            sides.append((g, c, factors))
+        (g1, c1, lefts), (g2, c2, rights) = sides
+        grid = tuple(tuple(Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+                           for _ in range(2)) for _ in range(2))
+        if not any(x for row in grid for x in row):
+            grid = ((1, 0), (0, 0))
+        spec = products.ProductSpec(lefts, rights, grid)
+        graph, coloring, params = product_coloring(spec, (g1, c1), (g2, c2))
+
+        s = [brute_force_parameters(f.data, c1.colors).data for f in lefts]
+        t = [brute_force_parameters(f.data, c2.colors).data for f in rights]
+        expected = sum(grid[i][j] * np.kron(s[i], t[j]) for i in range(2) for j in range(2))
+        assert params == Matrix.exact(expected.tolist())
+        adjacency = sum(grid[i][j] * np.kron(lefts[i].data, rights[j].data)
+                        for i in range(2) for j in range(2))
+        assert graph.adjacency == Matrix.exact(adjacency.tolist())
+        assert verify_coloring(graph, coloring) == params
+        assert brute_force_parameters(graph.adjacency.data, coloring.colors) == params
+
+    def test_a_coloring_imperfect_on_one_general_factor(self):
+        """[1, 2, 1, 2] is perfect on C4 but not on P4, the second left factor."""
+        c4, p4, k2 = (make_family(*f) for f in (("cycle", 4), ("path", 4), ("complete", 2)))
+        spec = products.ProductSpec((c4.adjacency, p4.adjacency),
+                                    (k2.adjacency,), ((1,), (Fraction(1, 2),)))
+        with pytest.raises(HypothesisNotMetError, match="both factor colorings must be perfect"):
+            product_coloring(spec, (c4, Coloring.from_colors([1, 2, 1, 2])),
+                             (k2, Coloring.from_colors([1, 2])))
 
     def test_unknown_kind_is_an_input_error(self):
         g = make_family("cycle", 4)

@@ -142,3 +142,18 @@ def test_exact_kernel_helpers_stay_in_matrix(module):
     imported = {alias.name for node in ast.walk(TREES[module])
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert imported & kernel == set()
+
+
+def layout_tags(tree) -> list:
+    """The line of every string constant that names a factor of a named
+    product's layout: "M", "L", "I" or "J"."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and node.value in ("M", "L", "I", "J")]
+
+
+@pytest.mark.parametrize("module", sorted(set(TREES) - {"products"}))
+def test_layout_tags_stay_in_products(module):
+    """A named product becomes its ``ProductSpec`` in ``products``, and
+    every other layer reads the spec's factors, not the tags; contraction's
+    one "J" test is the one exception left."""
+    assert len(layout_tags(TREES[module])) == (module == "contraction")

@@ -278,6 +278,28 @@ class TestOneResidualBound:
         es = eigensystem_on(Matrix.exact([[0, 1], [1, 0]]), Matrix.exact([[1, 1], [1, -1]]))
         assert np.array_equal(es.values, [1, -1]) and es.residual == 0
 
+    @pytest.mark.parametrize("a", [Matrix.complex([[0, 1e200], [1e200, 0]]),
+                                   Matrix.exact([[0, 10 ** 308], [10 ** 308, 0]])],
+                             ids=["1e200", "10**308"])
+    def test_an_overflowing_norm_still_bounds_the_residual(self, a):
+        """||A||_F² overflows here; the bound must stay finite, so [1, 0],
+        whose residual is the entry itself, is no eigenvector."""
+        assert math.isfinite(matrix._residual_bound(a.to_complex().data, 1e-9))
+        with pytest.raises(HypothesisNotMetError, match="not an eigenvector"):
+            eigensystem_on(a, [1, 0])
+
+    def test_an_overflowing_norm_keeps_true_eigenvectors(self):
+        es = eigensystem_on(Matrix.complex([[0, 1e200], [1e200, 0]]), [1, 1])
+        assert es.values[0] == 1e200 and es.residual == 0
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+    def test_a_finite_norm_keeps_the_bound_bit_for_bit(self, tol):
+        for n, scale in ((1, 1e-3), (3, 1.0), (12, 1e5), (60, 1e150)):
+            a = RNG.normal(size=(n, n)) * scale + 1j * RNG.normal(size=(n, n))
+            expected = 10 * math.sqrt(n) * max(tol, 1e-9) * max(
+                1.0, math.sqrt(np.vdot(a, a).real))
+            assert matrix._residual_bound(a, tol) == expected
+
     def test_non_eigenvectors_rejected(self):
         a = Matrix.diag([1, 2, 3])
         for v, values in (([1, 1, 0], None), ([1, 0, 0], [2]), ([0, 0, 0], None),

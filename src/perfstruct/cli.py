@@ -59,10 +59,11 @@ def _tol() -> float:
     return tol
 
 
-def resolve_graph_tokens(tokens: list[str]) -> tuple[Graph, int]:
-    """Resolve tokens to a graph.  Accepts inline families with integer
-    parameters ('hamming 3 2', 'cycle 6'), shorthand ('k4', 'c6', 'p5', 'm3'),
-    or a file path.  Returns the graph and the number of tokens consumed."""
+def _family_tokens(tokens: list[str]) -> tuple[tuple | None, int]:
+    """The family tag that the leading tokens name, an inline family with
+    integer parameters ('hamming 3 2', 'cycle 6') or shorthand ('k4', 'c6',
+    'p5', 'm3'), and the number of tokens it takes; (None, 0) when the first
+    token names no family."""
     if not tokens:
         raise files.ParseError("a graph is missing")
     head = tokens[0]
@@ -71,12 +72,21 @@ def resolve_graph_tokens(tokens: list[str]) -> tuple[Graph, int]:
         params = [files.parse_int(t) for t in tokens[1:1 + arity]]
         if len(params) != arity:
             raise files.ParseError(f"family {head!r} needs {arity} parameter(s)")
-        return make_family(head, *params), 1 + arity
+        return (head, *params), 1 + arity
     if len(head) >= 2 and head[0] in _SHORTHAND and head[1:].isdigit():
-        return make_family(_SHORTHAND[head[0]], files.parse_int(head[1:])), 1
-    if os.path.exists(head):
-        return files.load_graph(head), 1
-    raise files.ParseError(f"not a family name or readable file: {head!r}")
+        return (_SHORTHAND[head[0]], files.parse_int(head[1:])), 1
+    return None, 0
+
+
+def resolve_graph_tokens(tokens: list[str]) -> tuple[Graph, int]:
+    """Resolve tokens to a graph: an inline family (``_family_tokens``) or a
+    file path.  Returns the graph and the number of tokens consumed."""
+    tag, used = _family_tokens(tokens)
+    if tag is not None:
+        return make_family(*tag), used
+    if os.path.exists(tokens[0]):
+        return files.load_graph(tokens[0]), 1
+    raise files.ParseError(f"not a family name or readable file: {tokens[0]!r}")
 
 
 def _spectrum_rows(spec) -> list[list]:
@@ -136,11 +146,15 @@ def cmd_verify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     tol = _tol()
-    graph, used = resolve_graph_tokens(args.graph)
+    spectra = {}
+    tag, used = _family_tokens(args.graph) if args.mode == "closed-form" else (None, 0)
+    if tag is None:
+        graph, used = resolve_graph_tokens(args.graph)
+    else:  # a closed form alone reads the family's tag, which it validates: no graph is built
+        spectra["closed_form"] = closed_form_spectrum(tag)
     if used != len(args.graph):
         raise files.ParseError(f"unused trailing arguments: {args.graph[used:]}")
-    spectra = {}
-    if args.mode in ("closed-form", "both"):
+    if tag is None and args.mode in ("closed-form", "both"):
         spectra["closed_form"] = closed_form_spectrum(graph)
     if args.mode in ("numeric", "both"):
         spectra["numeric"] = numeric_spectrum(graph, tol)
@@ -341,6 +355,10 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_OK
+    except MemoryError as exc:  # numpy's message names the allocation that failed
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
+        return EXIT_BUDGET
     except ExcludedEigenvalueError as exc:
         print(f"error: excluded eigenvalue: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -9,6 +9,7 @@ k-colorings of a graph up to color renaming by a pruned backtracking search.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -48,15 +49,14 @@ class Coloring(NamedTuple):
         # a surjective range 1..k has k <= n, which keeps the bincount small
         surjective = min(colors) >= 1 and k <= n
         if surjective:
-            index = np.array(colors) - 1
-            sizes = np.bincount(index)
+            index = np.fromiter(colors, np.intp, n)
+            sizes = np.bincount(index)[1:]   # no color is 0
             surjective = bool(sizes.all())
         if not surjective:
             raise DimensionError("colors must form a contiguous surjective range 1..k")
         p = np.zeros((n, k), dtype=np.int64)
-        p[np.arange(n), index] = 1
-        return Coloring(colors=colors, k=k, indicator=Matrix._wrap(p),
-                        class_sizes=tuple(sizes.tolist()))
+        p.ravel()[np.arange(-1, n * k - 1, k) + index] = 1   # entry (v, colors[v] - 1)
+        return Coloring(colors, k, Matrix._wrap(p), tuple(sizes.tolist()))
 
     @property
     def n(self) -> int:
@@ -90,21 +90,20 @@ def _class_counts(a: Matrix, colors: np.ndarray, sizes, top: int) -> np.ndarray:
     over the columns sorted by color, in int64 when top·n bounds every sum,
     ``top`` being max|A|, else over Python ints (``_guarded``)."""
     order = np.argsort(colors, kind="stable")
-    starts = np.cumsum((0, *sizes[:-1]))
+    starts = list(accumulate(sizes[:-1], initial=0))
     return _guarded(top * len(colors),
                     lambda x: np.add.reduceat(x[:, order], starts, axis=1), a._ints)
 
 
-def _parameters_at_first(counts: np.ndarray, colors: np.ndarray, k: int):
+def _parameters_at_first(counts: np.ndarray, colors: np.ndarray, first: np.ndarray):
     """S read from class counts: for R colorings ``colors`` (R x n, colors
     0..k-1) with class counts ``counts`` (R x n x k), row i of S_r is the
-    counts of class i's first vertex.  The R x k x k stack of S_r, or None
-    unless every vertex's counts equal its class's row, that is unless
-    counts[r] == P_r·S_r for every r."""
+    counts of class i's first vertex, first[r, i].  The R x k x k stack of
+    S_r, or None unless every vertex's counts equal its class's row, that is
+    unless counts[r] == P_r·S_r for every r."""
     batch = np.arange(len(colors))[:, None]
-    first = np.argmax(colors[:, None, :] == np.arange(k)[:, None], axis=-1)   # R x k
     s = counts[batch, first]
-    return s if np.array_equal(counts, s[batch, colors]) else None
+    return s if (counts == s[batch, colors]).all() else None
 
 
 def verify_coloring(g: Graph, c: Coloring) -> Matrix | None:
@@ -127,18 +126,19 @@ def verify_coloring(g: Graph, c: Coloring) -> Matrix | None:
         raise DimensionError("coloring length must equal the number of vertices")
     p = c.indicator._ints
     colors = p.argmax(axis=1)  # the column of each row's one 1
+    first = p.argmax(axis=0)   # the row of each column's first 1
     top = _magnitude(a._ints)
     counts = _class_counts(a, colors, c.class_sizes, top)
-    s = _parameters_at_first(counts[None], colors[None], c.k)
+    s = _parameters_at_first(counts[None], colors[None], first[None])
     if s is None:
         return None
     s = s[0]
-    # every partial sum of A·P is at most max|A|·n, and each row of P·S is a
-    # row of S, since P has one 1 per row
-    if _guarded(top * g.n + _magnitude(s), lambda x, p, s: np.dot(x, p) - np.dot(p, s),
+    # every partial sum of A·P is at most max|A|·n, and so is every entry of
+    # S, a row of counts; each row of P·S is a row of S, as P has one 1 per row
+    if _guarded(2 * top * g.n, lambda x, p, s: np.dot(x, p) - np.dot(p, s),
                 a._ints, p, s).any():
         raise ArithmeticError("combinatorial and algebraic verifiers disagree")
-    return Matrix._wrap(_narrow(s), a._den)
+    return Matrix._wrap(s if s.dtype == np.int64 else _narrow(s), a._den)
 
 
 def complete_graph_parameters(class_sizes) -> Matrix:
@@ -181,19 +181,28 @@ def product_coloring(product, left, right):
     """Perfect coloring of a coefficient product from perfect factor colorings.
 
     ``product`` is a named kind, which becomes its ``ProductSpec`` on the
-    two graphs' adjacency matrices, or any ``ProductSpec``, whose factors
-    stand in for the graphs.  ``left`` and ``right`` are (Graph, Coloring)
-    pairs.  Each coloring must be perfect on every factor F of its side, by
+    two graphs' adjacency matrices, or any ``ProductSpec``, where each
+    pair's graph must be one of its side's factors (the same Matrix object or
+    an equal one).  ``left`` and ``right`` are (Graph, Coloring) pairs.
+    Each coloring must be perfect on every factor F of its side, by
     ``verify_coloring(Graph(F), c)``: on I that gives S = I_k, on J
     S = J·diag(class sizes).  So the product coloring with indicator
     P kron R has parameter matrix sum a_ij S_i kron T_j.  Returns the
     product graph, that k1*k2-coloring and its parameter matrix, re-verified
-    combinatorially before returning.  An unknown kind, or a coloring that
-    is not a ``Coloring``, is an InputError.
+    combinatorially before returning.  An unknown kind, a graph that is no
+    factor of the spec, or a coloring that is not a ``Coloring``, is an
+    InputError.
     """
     (g1, c1), (g2, c2) = left, right
-    spec = product if isinstance(product, ProductSpec) \
-        else _named(product)(g1.adjacency, g2.adjacency)
+    if isinstance(product, ProductSpec):
+        spec = product
+        for side, g, factors in (("left", g1, spec.left_factors),
+                                 ("right", g2, spec.right_factors)):
+            a = g.adjacency
+            if not any(f is a for f in factors) and a not in factors:
+                raise InputError(f"the {side} graph is not a {side} factor of the product")
+    else:
+        spec = _named(product)(g1.adjacency, g2.adjacency)
     if not (isinstance(c1, Coloring) and isinstance(c2, Coloring)):
         raise InputError("product colorings must be integer colorings")
     s = [verify_coloring(Graph(f), c1) for f in spec.left_factors]
@@ -454,7 +463,7 @@ def _verified_results(g: Graph, colors: np.ndarray, k: int) -> tuple:
     onehot = (colors[:, :, None] == np.arange(k)).astype(np.int64)   # P_r = onehot[r]
     ap = g.adjacency @ Matrix._wrap(onehot.transpose(1, 0, 2).reshape(n, batches * k))
     blocks = ap._ints.reshape(n, batches, k).transpose(1, 0, 2)       # A·P_r = blocks[r]
-    s = _parameters_at_first(blocks, colors, k)                       # R x k x k
+    s = _parameters_at_first(blocks, colors, onehot.argmax(axis=1))   # R x k x k
     if s is None:
         raise ArithmeticError("census found a coloring that fails verification")
     if s.dtype != np.int64:

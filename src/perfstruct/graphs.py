@@ -33,6 +33,7 @@ from .matrix import (
     Spectrum,
     _as_exact,
     _exact_factor,
+    _eye,
     _integers,
     _row_sums,
     eigenvalues,
@@ -78,7 +79,9 @@ def from_edges(n: int, edges, directed: bool = False) -> Graph:
 # -- the family table -------------------------------------------------
 
 def _complete_adjacency(n: int) -> np.ndarray:
-    return 1 - np.eye(n, dtype=np.int64)
+    m = np.ones((n, n), dtype=np.int64)
+    m.ravel()[::n + 1] = 0
+    return m
 
 
 def _path_adjacency(n: int) -> np.ndarray:
@@ -138,8 +141,9 @@ class ProductFamily(NamedTuple):
         """The product's adjacency as (numerators, denominator, bound on the
         numerators), from the factors' own: a tag factor recurses without a
         Graph or Matrix."""
-        left, right = (_factor_numerators(f) for f in self.factors(*params))
-        return NAMED_SPECS[self.kind].numerators(left, right)
+        left, right = self.factors(*params)
+        return NAMED_SPECS[self.kind].numerators(_factor_numerators(left),
+                                                 _factor_numerators(right))
 
     def values(self, params) -> np.ndarray:
         """The eigenvalue rule on every pair of factor eigenvalues, evaluated
@@ -150,7 +154,7 @@ class ProductFamily(NamedTuple):
 
 #: every named family.  H(1, q) = K_q is written K_q □ K_1.
 FAMILIES = {
-    "identity": Leaf(1, lambda n: np.eye(n, dtype=np.int64), lambda n: [1] * n),
+    "identity": Leaf(1, _eye, lambda n: [1] * n),
     "ones": Leaf(1, lambda n: np.ones((n, n), dtype=np.int64),
                  lambda n: [0] * (n - 1) + [n]),
     "complete": Leaf(1, _complete_adjacency, lambda n: [-1] * (n - 1) + [n - 1]),
@@ -255,12 +259,14 @@ def bipartite_double(g: Graph) -> Graph:
 
 # -- closed-form spectra ----------------------------------------------
 
-def closed_form_spectrum(g: Graph) -> Spectrum:
-    """Closed-form spectrum for family-tagged graphs; exact where rational.
-    The tag is validated as ``make_family`` validates it, with no graph built."""
-    if not g.family:
+def closed_form_spectrum(g: Graph | tuple) -> Spectrum:
+    """Closed-form spectrum of a family-tagged graph, or of a family tag
+    (name, *params) itself; exact where rational.  The tag is validated as
+    ``make_family`` validates it, with no graph built."""
+    tag = g.family if isinstance(g, Graph) else g
+    if not tag:
         raise InputError("graph carries no family tag; use a numeric spectrum")
-    return Spectrum.from_values(_read_family("values", *g.family)[0])
+    return Spectrum.from_values(_read_family("values", *tag)[0])
 
 
 # -- structural predicates --------------------------------------------

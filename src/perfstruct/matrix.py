@@ -100,6 +100,14 @@ def _guarded(bound: int, op, *operands: np.ndarray) -> np.ndarray:
     return _narrow(op(*(a.astype(object) for a in operands)))
 
 
+def _eye(n: int, dtype=np.int64) -> np.ndarray:
+    """``np.eye(n, dtype=dtype)`` at about half its cost: the diagonal is one
+    strided write into a new zero array."""
+    a = np.zeros((n, n), dtype)
+    a.ravel()[::n + 1] = 1
+    return a
+
+
 def _finite(data: np.ndarray, error: type, what: str) -> np.ndarray:
     """The one finiteness rule of the float kernels: ``data`` when every entry
     is finite, else ``error``.  The kernels compute under ``np.errstate(all=
@@ -241,7 +249,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int, domain: str = EXACT) -> "Matrix":
-        return Matrix._filled(lambda dtype: np.eye(n, dtype=dtype), domain)
+        return Matrix._filled(lambda dtype: _eye(n, dtype), domain)
 
     @staticmethod
     def zeros(rows: int, cols: int, domain: str = EXACT) -> "Matrix":
@@ -518,18 +526,20 @@ def _kron_add(out: np.ndarray, c, x: np.ndarray, y: np.ndarray):
         term = x[:, None, :, None] * y[None, :, None, :]
         blocks += term if c is None else term * c
         return
+    if c != 1:
+        x = x * c
     sparse_x = sparse_y = False
     if out.size >= _INDEXED_KRON_MIN:
         nx, ny = np.count_nonzero(x), np.count_nonzero(y)
         sparse_x, sparse_y = 2 * nx <= x.size, 2 * ny <= y.size
     if sparse_x and (nx <= ny or not sparse_y):
         i, j = np.nonzero(x)
-        blocks[i, :, j, :] += (x[i, j] * c)[:, None, None] * y
+        blocks[i, :, j, :] += x[i, j][:, None, None] * y
     elif sparse_y:
         k, l = np.nonzero(y)
-        blocks[:, k, :, l] += (y[k, l] * c)[:, None, None] * x
+        blocks[:, k, :, l] += y[k, l][:, None, None] * x
     else:
-        blocks += (x * c)[:, None, :, None] * y[None, :, None, :]
+        blocks += x[:, None, :, None] * y[None, :, None, :]
 
 
 def _kron_sum_numerators(terms) -> tuple[np.ndarray, int, int]:
@@ -541,23 +551,36 @@ def _kron_sum_numerators(terms) -> tuple[np.ndarray, int, int]:
     for an integer m_t, which ``_kron_add`` applies to a factor, not the term.
     One bound, sum |m_t|·max(1, bound_X)·max(1, bound_Y), caps every entry
     and partial sum, m_t itself included, so the whole sum runs in int64 or
-    over Python ints (``_guarded``)."""
-    scalars = [_as_exact(c) for c, _, _ in terms]
-    dens = [c.denominator * x[1] * y[1] for c, (_, x, y) in zip(scalars, terms)]
-    den = math.lcm(*dens)
-    multipliers = [c.numerator * (den // d) for c, d in zip(scalars, dens)]
-    bound = sum(abs(m) * max(x[2], 1) * max(y[2], 1)
-                for m, (_, x, y) in zip(multipliers, terms))
-    arrays = [f[0] for _, x, y in terms for f in (x, y)]
-    (m, n), (p, q) = arrays[0].shape, arrays[1].shape
-
-    def kron_sum(*ints):
-        out = np.zeros((m * p, n * q), dtype=ints[0].dtype)
-        for c, x, y in zip(multipliers, ints[::2], ints[1::2]):
-            _kron_add(out, c, x, y)
-        return out
-
-    return _guarded(bound, kron_sum, *arrays), den, bound
+    over Python ints (the rule of ``_guarded``).  One pass over the terms
+    keeps D, the m_t and the bound: a term whose denominator does not divide
+    D so far multiplies D, every earlier m_t and the bound by the same
+    factor."""
+    den = 1
+    bound = 0
+    wide = False   # a factor already over Python ints
+    plan = []      # (m_t, N_X, N_Y)
+    for c, (x, dx, bx), (y, dy, by) in terms:
+        c = _as_exact(c)
+        d = c.denominator * dx * dy
+        if den % d:
+            grow = d // math.gcd(den, d)
+            den *= grow
+            bound *= grow
+            plan = [(mult * grow, x_, y_) for mult, x_, y_ in plan]
+        mult = c.numerator * (den // d)
+        bound += abs(mult) * max(bx, 1) * max(by, 1)
+        wide = wide or x.dtype != np.int64 or y.dtype != np.int64
+        plan.append((mult, x, y))
+    (m, n), (p, q) = x.shape, y.shape
+    if bound <= _INT64_LIMIT and not wide:
+        out = np.zeros((m * p, n * q), dtype=np.int64)
+        for mult, x, y in plan:
+            _kron_add(out, mult, x, y)
+        return out, den, bound
+    out = np.zeros((m * p, n * q), dtype=object)
+    for mult, x, y in plan:
+        _kron_add(out, mult, x.astype(object), y.astype(object))
+    return _narrow(out), den, bound
 
 
 def _exact_factor(a: Matrix) -> tuple:
@@ -722,17 +745,27 @@ def eigensystem_on(a: Matrix, vectors, tol: float = DEFAULT_TOL, values=None,
     v = vectors.to_complex().data
     if len(v) != m.shape[1]:
         raise DimensionError(f"a vector of length {len(v)} for a matrix of order {m.shape[1]}")
+    quotient = values is None
     with np.errstate(all="ignore"):  # an overflow or a nan fails the residual test
         av = m @ v
         sq = (v.conj() * v).real.sum(axis=0)  # exact for integer columns
         if not (sq > 0).all():  # a zero or nan column is no eigenvector
             raise HypothesisNotMetError(message)
-        values = (v.conj() * av).sum(axis=0) / sq if values is None \
-            else np.asarray(values, dtype=np.complex128)
+        if quotient:
+            dots = (v.conj() * av).sum(axis=0)
+            values = dots / sq
+        else:
+            values = np.asarray(values, dtype=np.complex128)
         if values.shape != sq.shape:
             raise DimensionError("one value per column is required")
         resid = float((np.abs(av - v * values).max(axis=0) / np.sqrt(sq)).max())
-    if not resid <= _residual_bound(m, tol):
+        bound = _residual_bound(m, tol)
+        if not resid <= bound and quotient and not np.isfinite(dots).all():
+            # v·Av overflowed: the quotient again with Av scaled by max|A|
+            top = float(np.abs(m).max())
+            values = (v.conj() * (av / top)).sum(axis=0) / sq * top
+            resid = float((np.abs(av - v * values).max(axis=0) / np.sqrt(sq)).max())
+    if not resid <= bound:
         raise HypothesisNotMetError(message)
     return EigenSystem(values, vectors, resid)
 

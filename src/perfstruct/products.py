@@ -29,6 +29,7 @@ from .matrix import (
     Matrix,
     Spectrum,
     _as_exact,
+    _eye,
     _finite,
     _kron_sum_numerators,
     _kron_terms,
@@ -123,7 +124,7 @@ def _layout_factor(tag: str, a: Matrix) -> Matrix:
 def _layout_numerators(tag: str, factor: tuple) -> tuple:
     n = len(factor[0])
     if tag == "I":
-        return np.eye(n, dtype=np.int64), 1, 1
+        return _eye(n), 1, 1
     if tag == "J":
         return np.ones((n, n), dtype=np.int64), 1, 1
     return factor

@@ -4,6 +4,7 @@
 import io
 import json
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from perfstruct import census, cli, colorings, contraction, make_family, matrix, products
 from perfstruct.cli import main, resolve_graph_tokens
 from perfstruct.files import dump_graph
-from perfstruct.graphs import FAMILY_ARITY
+from perfstruct.graphs import FAMILY_ARITY, closed_form_spectrum
 
 
 @pytest.fixture
@@ -152,6 +153,33 @@ class TestSpectrum:
             warnings.simplefilter("error")
             assert main(["spectrum", g, "--numeric", *json_flag]) == 2
         assert capsys.readouterr().err == "error: an infinite or nan entry in the eigenvalues\n"
+
+    def test_closed_form_of_a_family_reads_only_the_tag(self, capsys):
+        """torus 40 40 has 1600 vertices: its int64 adjacency alone takes
+        20 MiB, which the closed form never builds."""
+        main(["spectrum", "torus", "4", "4", "--closed-form"])  # imports and caches warm
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert main(["spectrum", "torus", "40", "40", "--closed-form"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
+    @pytest.mark.parametrize("tokens", [["torus", "12", "12"], ["k4"], ["hamming", "3", "2"]])
+    def test_closed_form_of_a_tag_is_that_of_the_built_graph(self, capsys, tokens):
+        graph, _ = resolve_graph_tokens(tokens)
+        expected = {"closed_form": cli._spectrum_rows(closed_form_spectrum(graph))}
+        assert main(["spectrum", *tokens, "--closed-form", "--json"]) == 0
+        assert capsys.readouterr().out == json.dumps(expected, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("argv,err", [
+        (["cycle", "2"], "error: a cycle needs at least 3 vertices\n"),
+        (["c5", "x"], "error: unused trailing arguments: ['x']\n")])
+    def test_closed_form_of_a_bad_tag_is_an_input_error(self, capsys, argv, err):
+        assert main(["spectrum", *argv, "--closed-form"]) == 2
+        assert capsys.readouterr().err == err
 
     def test_file_without_closed_form(self, c4_file):
         assert main(["spectrum", c4_file, "--closed-form"]) == 2
@@ -579,6 +607,17 @@ class TestClosedPipe:
             monkeypatch.setattr(sys, "stdout", stdout)
             assert main(["census", "hamming", "3", "2", "2"]) == 0
             assert capsys.readouterr().err == ""
+
+
+def test_memory_error_is_a_resource_limit(monkeypatch, capsys):
+    """Exit 1 is a negative answer: running out of memory exits 3."""
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 2.00 GiB for an array")
+
+    monkeypatch.setattr(cli, "cmd_spectrum", exhausted)
+    assert main(["spectrum", "c6"]) == 3
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 2.00 GiB for an array\n")
 
 
 class TestInputErrors:

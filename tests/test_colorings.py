@@ -365,7 +365,10 @@ class TestProductColorings:
             results = [r for k in (1, 2, 3) for r in census(g, k).results]
             c = results[rng.integers(len(results))][0]
             pool = [g.adjacency, Matrix.identity(g.n), Matrix.ones(g.n)]
-            factors = tuple(pool[i] for i in rng.choice(3, size=2, replace=False))
+            chosen = rng.choice(3, size=2, replace=False)
+            if 0 not in chosen:  # the graph must be one of its side's factors
+                chosen[0] = 0
+            factors = tuple(pool[i] for i in chosen)
             sides.append((g, c, factors))
         (g1, c1, lefts), (g2, c2, rights) = sides
         grid = tuple(tuple(Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
@@ -393,6 +396,25 @@ class TestProductColorings:
         with pytest.raises(HypothesisNotMetError, match="both factor colorings must be perfect"):
             product_coloring(spec, (c4, Coloring.from_colors([1, 2, 1, 2])),
                              (k2, Coloring.from_colors([1, 2])))
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_a_graph_that_is_no_factor_of_the_spec_is_an_input_error(self, side):
+        """A Cartesian spec over K4 x K2 given C4, on which 1 2 2 1 is
+        perfect, in place of one of its factors."""
+        k4, k2, c4 = (make_family(*f) for f in (("complete", 4), ("complete", 2), ("cycle", 4)))
+        spec = products.cartesian_spec(k4.adjacency, k2.adjacency)
+        pairs = [(k4, Coloring.from_colors([1, 1, 2, 2])), (k2, Coloring.from_colors([1, 2]))]
+        pairs[side] = (c4, Coloring.from_colors([1, 2, 2, 1]))
+        with pytest.raises(InputError, match=f"the {('left', 'right')[side]} graph is not"):
+            product_coloring(spec, *pairs)
+
+    def test_an_equal_copy_of_a_factor_is_a_factor(self):
+        k4, k2 = make_family("complete", 4), make_family("complete", 2)
+        spec = products.cartesian_spec(k4.adjacency, k2.adjacency)
+        copy = Graph(Matrix.exact(k4.adjacency.data.tolist()))
+        left, right = (copy, Coloring.from_colors([1, 1, 2, 2])), (k2, Coloring.from_colors([1, 2]))
+        assert copy.adjacency is not k4.adjacency
+        assert product_coloring(spec, left, right)[2] == product_coloring("cartesian", left, right)[2]
 
     def test_unknown_kind_is_an_input_error(self):
         g = make_family("cycle", 4)

@@ -7,6 +7,7 @@ references use plain lists of Fractions and never build a Matrix; rank,
 inverse and the parameter solve are checked against sympy.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -30,6 +31,7 @@ from perfstruct import (
     rank,
     verify,
 )
+from perfstruct import matrix
 from perfstruct.errors import NoParameterMatrixError, SingularMatrixError
 
 BIG = 2 ** 62
@@ -122,6 +124,55 @@ def test_scale(rows, alpha):
 def test_kron_and_transpose(a, b):
     assert_matches(kron(Matrix.exact(a), Matrix.exact(b)), ref_kron(ref(a), ref(b)))
     assert_matches(Matrix.exact(a).T, [list(col) for col in zip(*ref(a))])
+
+
+KRON_ENTRIES = (0, 1, -1, 2, -3, BIG, -BIG, INT64_MAX, -INT64_MAX, 2 ** 64 + 1, -(2 ** 70))
+
+
+def kron_factor(rng, shape, wide: bool) -> tuple:
+    """A factor of ``_kron_sum_numerators``: canonical numerators, a
+    denominator and their exact bound; entries up to 3 in magnitude, or,
+    when ``wide``, also near and past the int64 range."""
+    pool = KRON_ENTRIES if wide else KRON_ENTRIES[:5]
+    rows = [[pool[i] for i in row] for row in rng.integers(len(pool), size=shape)]
+    ints = matrix._narrow(np.array(rows, dtype=object))
+    return ints, int(rng.integers(1, 7)), max(abs(x) for row in rows for x in row)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_kron_sum_numerators_against_np_kron(seed, monkeypatch):
+    """One to three terms c·X ⊗ Y with rational c over factors with
+    denominators: the numerators are sum m_t·N_X ⊗ N_Y by np.kron over
+    Python ints, over D = lcm of c's denominator times the factors', with
+    m_t = c·D·d_X·d_Y and the bound sum |m_t|·max(1, b_X)·max(1, b_Y); the
+    sum runs in int64 exactly when that bound and every factor allow it."""
+    rng = np.random.default_rng(seed)
+    wide = seed % 3 == 0
+    xs, ys = (tuple(int(v) for v in rng.integers(1, 4, size=2)) for _ in range(2))
+    terms = []
+    for _ in range(int(rng.integers(1, 4))):
+        c = Fraction(int(rng.integers(-9, 10)) or 1, int(rng.integers(1, 5)))
+        if seed % 5 == 0:
+            c *= 2 ** 61
+        terms.append((c, kron_factor(rng, xs, wide), kron_factor(rng, ys, wide)))
+    routes = []
+    kron_add = matrix._kron_add
+    monkeypatch.setattr(matrix, "_kron_add",
+                        lambda out, c, x, y: routes.append(out.dtype) or kron_add(out, c, x, y))
+    ints, den, bound = matrix._kron_sum_numerators(terms)
+
+    dens = [c.denominator * x[1] * y[1] for c, x, y in terms]
+    assert den == math.lcm(*dens)
+    mults = [c.numerator * (den // d) for (c, _, _), d in zip(terms, dens)]
+    assert bound == sum(abs(m) * max(1, x[2]) * max(1, y[2])
+                        for m, (_, x, y) in zip(mults, terms))
+    expected = sum(m * np.kron(x[0].astype(object), y[0].astype(object))
+                   for m, (_, x, y) in zip(mults, terms))
+    assert ints.tolist() == expected.tolist()
+    assert ints.dtype == (np.int64 if matrix._magnitude(expected) <= INT64_MAX else object)
+    narrow = bound <= INT64_MAX and all(f[0].dtype == np.int64 for _, x, y in terms
+                                        for f in (x, y))
+    assert routes == [np.dtype(np.int64) if narrow else np.dtype(object)] * len(terms)
 
 
 @SETTINGS

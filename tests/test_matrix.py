@@ -292,6 +292,18 @@ class TestOneResidualBound:
         es = eigensystem_on(Matrix.complex([[0, 1e200], [1e200, 0]]), [1, 1])
         assert es.values[0] == 1e200 and es.residual == 0
 
+    @pytest.mark.parametrize("a", [Matrix.complex([[0, 1e308], [1e308, 0]]),
+                                   Matrix.exact([[0, 10 ** 308], [10 ** 308, 0]])],
+                             ids=["1e308", "10**308"])
+    def test_an_overflowing_rayleigh_quotient_keeps_true_eigenvectors(self, a):
+        """v·Av = 2e308 overflows on [1, 1]: the quotient is taken again with
+        Av scaled by max|A|, while [1, 0] is still no eigenvector."""
+        es = eigensystem_on(a, [1, 1])
+        assert es.values[0] == pytest.approx(1e308) and es.residual <= matrix._residual_bound(
+            a.to_complex().data, matrix.DEFAULT_TOL)
+        with pytest.raises(HypothesisNotMetError, match="not an eigenvector"):
+            eigensystem_on(a, [1, 0])
+
     @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
     def test_a_finite_norm_keeps_the_bound_bit_for_bit(self, tol):
         for n, scale in ((1, 1e-3), (3, 1.0), (12, 1e5), (60, 1e150)):

@@ -514,7 +514,8 @@ def _kron_add(out: np.ndarray, c, x: np.ndarray, y: np.ndarray):
 
     A complex term is one broadcast product (x ⊗ y)·c, or x ⊗ y when c is
     None: skipping a zero block of floats would lose -0.0 and 0·inf.  An
-    integer term scales a factor by c, not the term.  Viewed as (m, p, n, q),
+    integer term scales the factor x by c, not the term, and a c of 1 scales
+    nothing.  Viewed as (m, p, n, q),
     it is x[i, j]·y in block (i, j) and y[k, l]·x in slice (k, l).  A factor
     at most half nonzero is sparse; the sparse factor with fewer nonzeros
     names the blocks or slices written, one index per nonzero: an identity
@@ -566,7 +567,7 @@ def _kron_sum_numerators(terms) -> tuple[np.ndarray, int, int]:
             grow = d // math.gcd(den, d)
             den *= grow
             bound *= grow
-            plan = [(mult * grow, x_, y_) for mult, x_, y_ in plan]
+            plan = [(mult * grow, *factors) for mult, *factors in plan]
         mult = c.numerator * (den // d)
         bound += abs(mult) * max(bx, 1) * max(by, 1)
         wide = wide or x.dtype != np.int64 or y.dtype != np.int64

@@ -733,7 +733,9 @@ def _eig(a: np.ndarray, h: np.ndarray | None, tol: float) -> EigenSystem:
 def eigensystem_on(a: Matrix, vectors, tol: float = DEFAULT_TOL, values=None,
                    message: str = "not an eigenvector") -> EigenSystem:
     """A's eigenvalue on each column of ``vectors`` (a Matrix, or one vector):
-    its Rayleigh quotient, or ``values[j]`` when given.  Raises
+    its Rayleigh quotient, or ``values[j]`` when given.  A quotient whose sum
+    v·Av overflows is taken again with Av scaled by max|A| when the residual
+    test fails, so the passing path computes as before.  Raises
     HypothesisNotMetError(message) unless each column v, scaled to unit length,
     has max |A v - value·v| within ``_residual_bound``, the one residual bound.
     A zero column, or a nan, never passes; a non-square A, or a column of the

@@ -95,28 +95,31 @@ def _class_counts(a: Matrix, colors: np.ndarray, sizes, top: int) -> np.ndarray:
                     lambda x: np.add.reduceat(x[:, order], starts, axis=1), a._ints)
 
 
-def _parameters_at_first(counts: np.ndarray, colors: np.ndarray, first: np.ndarray):
-    """S read from class counts: for R colorings ``colors`` (R x n, colors
-    0..k-1) with class counts ``counts`` (R x n x k), row i of S_r is the
-    counts of class i's first vertex, first[r, i].  The R x k x k stack of
-    S_r, or None unless every vertex's counts equal its class's row, that is
-    unless counts[r] == P_r·S_r for every r."""
-    batch = np.arange(len(colors))[:, None]
-    s = counts[batch, first]
-    return s if (counts == s[batch, colors]).all() else None
+def _parameters(ints: np.ndarray, onehot: np.ndarray, top: int):
+    """S for R colorings of the graph whose adjacency has numerators
+    ``ints``, given as an R x n x k stack of indicators, P_r = onehot[r]:
+    A·[P_1 ... P_R] is one ``np.dot``, in int64 when top·n bounds every sum,
+    ``top`` being max|A|, else over Python ints (``_guarded``), and row i of
+    S_r is A·P_r's row at class i's first vertex.  The R x k x k stack of
+    S_r, or None unless A·P_r == P_r·S_r, S_r's rows by class, for every r."""
+    batches, n, k = onehot.shape
+    flat = onehot.transpose(1, 0, 2).reshape(n, batches * k)   # [P_1 ... P_R]
+    ap = _guarded(top * n, np.dot, ints, flat)
+    ap = ap.reshape(n, batches, k).transpose(1, 0, 2)          # A·P_r = ap[r]
+    batch = np.arange(batches)[:, None]
+    s = ap[batch, onehot.argmax(axis=1)]
+    return s if (ap == s[batch, onehot.argmax(axis=2)]).all() else None
 
 
 def verify_coloring(g: Graph, c: Coloring) -> Matrix | None:
     """Parameter matrix S of a perfect coloring, or None when not perfect.
 
-    Row v of A·P counts v's neighbors in each color, weighted by A.  One
-    vectorised kernel (``_class_counts``) forms these counts from the
-    numerators of A, S is read at each class's first vertex, and the
-    coloring is perfect when every vertex agrees with its class
-    (``_parameters_at_first``).  S is then cross-checked as A·P = P·S
-    bit-exact: one guarded integer expression over the numerators, with
-    A·P from ``np.dot``, independent of the counts; a disagreement raises
-    ArithmeticError.  Needs an exact adjacency.
+    Row v of A·P counts v's neighbors in each color, weighted by A.  S and
+    the verdict come from ``_parameters``, the rule the census decides by:
+    A·P from the numerators of A, S read at each class's first vertex, and
+    perfect when A·P = P·S.  An accepted S is cross-checked against counts
+    formed apart from that product, by a column gather (``_class_counts``);
+    a disagreement raises ArithmeticError.  Needs an exact adjacency.
     """
     a = g.adjacency
     if a.domain != EXACT:
@@ -125,18 +128,13 @@ def verify_coloring(g: Graph, c: Coloring) -> Matrix | None:
     if c.n != g.n:
         raise DimensionError("coloring length must equal the number of vertices")
     p = c.indicator._ints
-    colors = p.argmax(axis=1)  # the column of each row's one 1
-    first = p.argmax(axis=0)   # the row of each column's first 1
     top = _magnitude(a._ints)
-    counts = _class_counts(a, colors, c.class_sizes, top)
-    s = _parameters_at_first(counts[None], colors[None], first[None])
+    s = _parameters(a._ints, p[None], top)
     if s is None:
         return None
     s = s[0]
-    # every partial sum of A·P is at most max|A|·n, and so is every entry of
-    # S, a row of counts; each row of P·S is a row of S, as P has one 1 per row
-    if _guarded(2 * top * g.n, lambda x, p, s: np.dot(x, p) - np.dot(p, s),
-                a._ints, p, s).any():
+    colors = p.argmax(axis=1)  # the column of each row's one 1; P·S = s[colors]
+    if (_class_counts(a, colors, c.class_sizes, top) != s[colors]).any():
         raise ArithmeticError("combinatorial and algebraic verifiers disagree")
     return Matrix._wrap(s if s.dtype == np.int64 else _narrow(s), a._den)
 
@@ -154,7 +152,10 @@ def complete_graph_parameters(class_sizes) -> Matrix:
 
 def check_covering(g: Graph, h: Graph, phi) -> bool:
     """Does phi: V(G) -> V(H) exhibit G as a cover of H?  True iff the induced
-    coloring is perfect with parameter matrix exactly the adjacency of H."""
+    coloring is perfect with parameter matrix exactly H's adjacency, which
+    must be exact, as G's must."""
+    if h.adjacency.domain != EXACT:
+        raise DomainMismatchError("a covering is checked against an exact adjacency of H")
     c = Coloring.from_colors(phi)
     if c.k != h.n:
         raise DimensionError("phi must be surjective onto the vertices of H")
@@ -450,20 +451,18 @@ def _verified_results(g: Graph, colors: np.ndarray, k: int) -> tuple:
     ``colors`` (colors 0..k-1), all verified by one exact identity.
 
     Perfect structures sharing A concatenate: (A, [P_1 ... P_R], S_1 + ... +
-    S_R, a direct sum) is perfect exactly when every (A, P_r, S_r) is.  S_r is
-    read from A·P_r at the first vertex of each class, and A·[P_1 ... P_R] =
-    [P_1 ... P_R]·(S_1 + ... + S_R) is compared numerator for numerator over
-    the one denominator of A·[P_1 ... P_R], both by ``_parameters_at_first``,
-    the rule ``verify_coloring`` decides by; a coloring it rejects raises
-    ArithmeticError.  The indicators P_r, and each S_r when the batch is
-    int64, are views of one batch array, frozen once: each view is wrapped
-    as it is, so a result costs its records and nothing more.
+    S_R, a direct sum) is perfect exactly when every (A, P_r, S_r) is.  So
+    one call of ``_parameters``, the rule ``verify_coloring`` decides by,
+    reads every S_r and compares A·[P_1 ... P_R] = [P_1 ... P_R]·(S_1 + ...
+    + S_R) numerator for numerator over the denominator of A; a coloring it
+    rejects raises ArithmeticError.  The indicators P_r, and each S_r when
+    the batch is int64, are views of one batch array, frozen once: each
+    view is wrapped as it is, so a result costs its records and nothing
+    more.
     """
-    batches, n = colors.shape
+    a = g.adjacency
     onehot = (colors[:, :, None] == np.arange(k)).astype(np.int64)   # P_r = onehot[r]
-    ap = g.adjacency @ Matrix._wrap(onehot.transpose(1, 0, 2).reshape(n, batches * k))
-    blocks = ap._ints.reshape(n, batches, k).transpose(1, 0, 2)       # A·P_r = blocks[r]
-    s = _parameters_at_first(blocks, colors, onehot.argmax(axis=1))   # R x k x k
+    s = _parameters(a._ints, onehot, _magnitude(a._ints))            # R x k x k
     if s is None:
         raise ArithmeticError("census found a coloring that fails verification")
     if s.dtype != np.int64:
@@ -472,7 +471,7 @@ def _verified_results(g: Graph, colors: np.ndarray, k: int) -> tuple:
         s.setflags(write=False)
     onehot.setflags(write=False)
     sizes = onehot.sum(axis=1).tolist()
-    wrap, den, make = Matrix._wrap, ap._den, tuple.__new__
+    wrap, den, make = Matrix._wrap, a._den, tuple.__new__
     return tuple((make(Coloring, (tuple(key), k, wrap(p), tuple(size))), wrap(s_r, den))
                  for key, p, size, s_r in zip((colors + 1).tolist(), onehot, sizes, s))
 

@@ -64,10 +64,12 @@ class Graph(_GraphFields):
 
 
 def from_edges(n: int, edges, directed: bool = False) -> Graph:
+    (n,) = _integers((n,), DimensionError, "the vertex count")
     if n < 0:
         raise DimensionError(f"a graph cannot have {n} vertices")
     m = np.zeros((n, n), dtype=np.int64)
     for u, v in edges:
+        u, v = _integers((u, v), DimensionError, "edge endpoints")
         if not (1 <= u <= n and 1 <= v <= n) or u == v:
             raise DimensionError(f"bad edge ({u}, {v}) for {n} vertices")
         m[u - 1, v - 1] += 1

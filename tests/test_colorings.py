@@ -203,6 +203,21 @@ class TestVerifyColoringOracle:
         assert brute_force_parameters(rows, colors) is not None
         self.check(rows, colors)
 
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), k=st.integers(1, 3),
+           directed=st.booleans())
+    def test_census_results_verify_to_their_parameters(self, data, n, k, directed):
+        """The census and verify_coloring decide by one rule, so every census
+        result's S is the one verify_coloring returns, bit for bit."""
+        perm = data.draw(st.permutations(range(n)))
+        weights = data.draw(st.lists(WEIGHTS, min_size=n * n, max_size=n * n))
+        g = Graph(Matrix.exact(invariant_rows(perm, weights, directed)))
+        for c, s in census(g, k).results:
+            got = verify_coloring(g, c)
+            assert got == s
+            assert got._ints.dtype == s._ints.dtype
+            assert got._den == s._den
+
 
 class TestCovering:
     def test_six_cycle_covers_triangle(self):
@@ -223,6 +238,14 @@ class TestCovering:
     def test_non_integer_phi_is_refused(self, phi):
         with pytest.raises(DimensionError):
             check_covering(make_family("cycle", 6), make_family("cycle", 3), phi)
+
+    def test_a_complex_h_is_refused(self):
+        # the exact H says True; a complex H would compare unequal to the
+        # exact S whatever its entries, a false negative
+        g = make_family("cycle", 4)
+        assert check_covering(g, Graph(Matrix.exact([[0, 2], [2, 0]])), [1, 2, 1, 2])
+        with pytest.raises(DomainMismatchError):
+            check_covering(g, Graph(Matrix.complex([[0, 2], [2, 0]])), [1, 2, 1, 2])
 
     def test_phi_must_reach_every_vertex_of_h(self):
         with pytest.raises(DimensionError):
@@ -770,12 +793,10 @@ class TestCrossChecks:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["1", "ArithmeticError"]
 
-    @pytest.mark.parametrize("colors", [[1, 1], [1, 2]])
-    @pytest.mark.parametrize("w", [2 ** 62 - 1, -(2 ** 62) + 1])
-    def test_verify_coloring_leaves_int64_by_its_own_bound(self, monkeypatch, w, colors):
-        # the counts of K_2 weighted w fit int64 (bound 2|w|), while the
-        # cross-check's bound, |w|·n + max|S| = 3|w|, does not: the check
-        # takes Python ints, and S is still the brute-force one
+    @staticmethod
+    def guarded_routes(monkeypatch):
+        """The operand dtypes of every ``_guarded`` op that colorings runs,
+        in call order."""
         routes = []
 
         def recording(bound, op, *operands):
@@ -785,13 +806,33 @@ class TestCrossChecks:
             return matrix._guarded(bound, op_recorded, *operands)
 
         monkeypatch.setattr(colorings, "_guarded", recording)
+        return routes
+
+    @pytest.mark.parametrize("colors", [[1, 1], [1, 2]])
+    @pytest.mark.parametrize("w", [2 ** 62 - 1, -(2 ** 62) + 1])
+    def test_verify_coloring_leaves_int64_by_its_own_bound(self, monkeypatch, w, colors):
+        # the counts of K_2 weighted w fit int64 (bound 2|w|), so A·P and the
+        # cross-check's column gather both run there; P·S is a row gather of
+        # S, with no arithmetic and no route of its own
+        routes = self.guarded_routes(monkeypatch)
         rows = [[0, w], [w, 0]]
         got = verify_coloring(Graph(Matrix.exact(rows)), Coloring.from_colors(colors))
-        counts, check = routes
-        assert all(d == np.int64 for d in counts)
-        assert all(d == object for d in check)
+        assert routes == [[np.int64, np.int64], [np.int64]]
         expected = brute_force_parameters(rows, colors)
         assert got == expected and got._ints.dtype == expected._ints.dtype == np.int64
+
+    @pytest.mark.parametrize("w", [2 ** 62, -(2 ** 62)])
+    def test_verify_coloring_past_int64_takes_python_ints(self, monkeypatch, w):
+        # K_3 weighted w: the bound 3|w| is past int64, and so is the count
+        # 2w, so A·P and the column gather both take Python ints
+        routes = self.guarded_routes(monkeypatch)
+        rows = [[0, w, w], [w, 0, w], [w, w, 0]]
+        colors = [1, 2, 2]
+        got = verify_coloring(Graph(Matrix.exact(rows)), Coloring.from_colors(colors))
+        assert routes == [[object, object], [object]]
+        expected = brute_force_parameters(rows, colors)
+        assert got == expected and got._ints.dtype == expected._ints.dtype == object
+        assert got == Matrix.exact([[0, 2 * w], [w, w]])
 
     def test_product_coloring(self, monkeypatch):
         monkeypatch.setattr(colorings, "_kron_sum",

@@ -67,6 +67,17 @@ class TestConstruction:
         with pytest.raises(Exception):
             from_edges(2, [(1, 1)])
 
+    @pytest.mark.parametrize("n, edges", [(3, [(1.0, 2)]), (3, [(1, 2.5)]),
+                                          (3, [("1", 2)]), (3.5, []), (3.0, [(1, 2)]),
+                                          (Fraction(3), [(1, 2)])])
+    def test_non_integer_input_is_a_dimension_error(self, n, edges):
+        with pytest.raises(DimensionError, match="must be integers"):
+            from_edges(n, edges)
+
+    def test_numpy_integer_endpoints(self):
+        g = from_edges(np.int64(3), [(np.int32(1), np.int64(2)), (np.uint8(2), 3)])
+        assert g.adjacency == from_edges(3, [(1, 2), (2, 3)]).adjacency
+
     def test_hamming_two_two_is_a_four_cycle(self):
         # H(2,2) and C_4 coincide up to the vertex order used here
         h = make_family("hamming", 2, 2)

@@ -64,14 +64,16 @@ class Graph(_GraphFields):
 
 
 def from_edges(n: int, edges, directed: bool = False) -> Graph:
+    """The graph on 1..n with an edge per (u, v) of ``edges``; every refusal a DimensionError."""
     (n,) = _integers((n,), DimensionError, "the vertex count")
-    if n < 0:
+    if not 0 <= n <= MAX_FAMILY_VERTICES:
         raise DimensionError(f"a graph cannot have {n} vertices")
     m = np.zeros((n, n), dtype=np.int64)
-    for u, v in edges:
-        u, v = _integers((u, v), DimensionError, "edge endpoints")
+    for edge in edges:
+        ends = _integers(edge, DimensionError, "edge endpoints")
+        u, v = ends if len(ends) == 2 else (0, 0)   # not one pair: a bad edge
         if not (1 <= u <= n and 1 <= v <= n) or u == v:
-            raise DimensionError(f"bad edge ({u}, {v}) for {n} vertices")
+            raise DimensionError(f"bad edge {ends} for {n} vertices")
         m[u - 1, v - 1] += 1
         if not directed:
             m[v - 1, u - 1] += 1
@@ -144,13 +146,13 @@ class ProductFamily(NamedTuple):
         numerators), from the factors' own: a tag factor recurses without a
         Graph or Matrix."""
         left, right = self.factors(*params)
-        return NAMED_SPECS[self.kind].numerators(_factor_numerators(left),
-                                                 _factor_numerators(right))
+        return NAMED_SPECS[self.kind].numerators(_read_factor("numerators", left),
+                                                 _read_factor("numerators", right))
 
     def values(self, params) -> np.ndarray:
         """The eigenvalue rule on every pair of factor eigenvalues, evaluated
         once over the grid of all pairs."""
-        left, right = (FAMILIES[name].values(p) for name, *p in self.factors(*params))
+        left, right = (_read_factor("values", f) for f in self.factors(*params))
         return NAMED_SPECS[self.kind].eigenvalue(left[:, None], right[None, :]).ravel()
 
 
@@ -181,9 +183,9 @@ FAMILIES = {
 #: number of integer parameters per family; None for a family over one graph
 FAMILY_ARITY = {name: family.arity for name, family in FAMILIES.items()}
 
-#: the most vertices a named family, or an edge-list file, may have.
-#: ``make_family`` reads the count from the tag, and the file parser from the
-#: header, and each refuses a larger one before it allocates anything: the
+#: the most vertices a named family, or an edge list, may have.
+#: ``make_family`` reads the count from the tag, and ``from_edges`` from its
+#: argument, and each refuses a larger one before it allocates anything: the
 #: dense adjacency holds n² entries, 2 GiB of int64 at this limit.
 MAX_FAMILY_VERTICES = 2 ** 14
 
@@ -207,15 +209,17 @@ def _checked(name: str, params: tuple) -> tuple:
     return family, params
 
 
-def _factor_numerators(factor) -> tuple[np.ndarray, int, int]:
-    """A product factor's adjacency as (numerators, denominator, bound on
-    the numerators): a Graph's own, which must be exact, or the family tag's,
-    which the counting walk has validated."""
+def _read_factor(read: str, factor):
+    """A product factor's "numerators" or "values", as ``read`` names: a family
+    tag's from its row, once the counting walk has validated the tag, or a
+    Graph's, which must be exact, from its adjacency or its own family tag."""
     if not isinstance(factor, Graph):
-        return FAMILIES[factor[0]].numerators(factor[1:])
+        return getattr(FAMILIES[factor[0]], read)(factor[1:])
     if factor.adjacency.domain != EXACT:
         raise DomainMismatchError("a family over a graph needs an exact adjacency")
-    return _exact_factor(factor.adjacency)
+    if read == "numerators":
+        return _exact_factor(factor.adjacency)
+    return _read_family(read, factor.family)[0]
 
 
 def _factor_order(factor, limit: int) -> int:
@@ -227,11 +231,13 @@ def _factor_order(factor, limit: int) -> int:
     return family.order(params, limit)
 
 
-def _read_family(read: str, name: str, *params) -> tuple:
-    """(``family.<read>(params)``, the parameters' tag) once the counting walk
-    (``order``) has validated each level of the tag: a member of more than
-    ``MAX_FAMILY_VERTICES`` vertices, or nested too deeply, is an InputError."""
-    family, params = _checked(name, params)
+def _read_family(read: str, tag) -> tuple:
+    """(``family.<read>(params)``, the parameters' tag) for a tag (name, *params)
+    validated level by level by the counting walk (``order``): no tag, a member
+    past ``MAX_FAMILY_VERTICES`` vertices, or deep nesting, is an InputError."""
+    if not tag:
+        raise InputError("graph carries no family tag; use a numeric spectrum")
+    family, params = _checked(name := tag[0], tag[1:])
     tag = tuple(p.family if isinstance(p, Graph) else p for p in params)
     try:   # an untagged graph parameter shows as None in the messages
         if family.order(params, MAX_FAMILY_VERTICES) > MAX_FAMILY_VERTICES:
@@ -245,7 +251,7 @@ def _read_family(read: str, name: str, *params) -> tuple:
 def make_family(name: str, *params) -> Graph:
     """Construct a named family member; the tag regenerates it bit-exact.  An
     invalid tag is an InputError (``_read_family``)."""
-    (ints, den, _), tag = _read_family("numerators", name, *params)
+    (ints, den, _), tag = _read_family("numerators", (name, *params))
     return Graph(Matrix._wrap(ints, den), None if None in tag else (name, *tag))
 
 
@@ -265,10 +271,7 @@ def closed_form_spectrum(g: Graph | tuple) -> Spectrum:
     """Closed-form spectrum of a family-tagged graph, or of a family tag
     (name, *params) itself; exact where rational.  The tag is validated as
     ``make_family`` validates it, with no graph built."""
-    tag = g.family if isinstance(g, Graph) else g
-    if not tag:
-        raise InputError("graph carries no family tag; use a numeric spectrum")
-    return Spectrum.from_values(_read_family("values", *tag)[0])
+    return Spectrum.from_values(_read_family("values", g.family if isinstance(g, Graph) else g)[0])
 
 
 # -- structural predicates --------------------------------------------

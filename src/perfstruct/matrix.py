@@ -516,11 +516,12 @@ def _kron_add(out: np.ndarray, c, x: np.ndarray, y: np.ndarray):
     None: skipping a zero block of floats would lose -0.0 and 0·inf.  An
     integer term scales the factor x by c, not the term, and a c of 1 scales
     nothing.  Viewed as (m, p, n, q),
-    it is x[i, j]·y in block (i, j) and y[k, l]·x in slice (k, l).  A factor
-    at most half nonzero is sparse; the sparse factor with fewer nonzeros
-    names the blocks or slices written, one index per nonzero: an identity
-    factor writes n blocks, not n².  With no sparse factor, or fewer than
-    ``_INDEXED_KRON_MIN`` entries, the term is one broadcast product."""
+    it is x[i, j]·y in block (i, j), and viewed as (p, m, q, n), y[k, l]·x in
+    block (k, l).  A factor at most half nonzero is sparse; the sparse factor
+    with fewer nonzeros names the blocks written on its view, one index per
+    nonzero: an identity factor writes n blocks, not n².  With no sparse
+    factor, or fewer than ``_INDEXED_KRON_MIN`` entries, the term is one
+    broadcast product."""
     (m, n), (p, q) = x.shape, y.shape
     blocks = out.reshape(m, p, n, q)
     if out.dtype == np.complex128:
@@ -533,12 +534,11 @@ def _kron_add(out: np.ndarray, c, x: np.ndarray, y: np.ndarray):
     if out.size >= _INDEXED_KRON_MIN:
         nx, ny = np.count_nonzero(x), np.count_nonzero(y)
         sparse_x, sparse_y = 2 * nx <= x.size, 2 * ny <= y.size
-    if sparse_x and (nx <= ny or not sparse_y):
+    if sparse_y and (ny < nx or not sparse_x):   # y names the blocks: write y ⊗ x
+        x, y, blocks = y, x, blocks.transpose(1, 0, 3, 2)
+    if sparse_x or sparse_y:
         i, j = np.nonzero(x)
         blocks[i, :, j, :] += x[i, j][:, None, None] * y
-    elif sparse_y:
-        k, l = np.nonzero(y)
-        blocks[:, k, :, l] += y[k, l][:, None, None] * x
     else:
         blocks += x[:, None, :, None] * y[None, :, None, :]
 
@@ -887,7 +887,8 @@ def multiset_leq(sub, full) -> bool:
 
 def multiset_discrepancy(a, b) -> float:
     """The bottleneck distance: the smallest d such that each value of ``a``
-    pairs with its own value of ``b`` within d; inf if sizes differ.
+    pairs with its own value of ``b`` within d; inf if sizes differ or a value
+    is nan or infinite, which pairs with nothing, as in ``_same_value``.
 
     On the real line, pairing both lists in sorted order attains it.
     Otherwise d is a pair distance, and no smaller than the distance from any
@@ -895,13 +896,14 @@ def multiset_discrepancy(a, b) -> float:
     the smallest at which ``multiset_leq``'s matching pairs every value.
     """
     a, b = _complex_array(a), _complex_array(b)
-    if a.size != b.size:
+    if a.size != b.size or not (np.isfinite(a).all() and np.isfinite(b).all()):
         return float("inf")
     if a.size == 0:
         return 0.0
-    if not (a.imag.any() or b.imag.any()):
-        return float(np.max(np.abs(np.sort(a.real) - np.sort(b.real))))
-    dist = np.abs(np.subtract.outer(a, b))
+    with np.errstate(over="ignore"):   # a difference past the float range is inf
+        if not (a.imag.any() or b.imag.any()):
+            return float(np.max(np.abs(np.sort(a.real) - np.sort(b.real))))
+        dist = np.abs(np.subtract.outer(a, b))
     floor = max(dist.min(axis=1).max(), dist.min(axis=0).max())
     candidates = np.unique(dist[dist >= floor])
     lo, hi = 0, len(candidates) - 1  # the largest distance pairs any two values

@@ -226,7 +226,7 @@ def test_an_overflowing_fractional_row_is_an_input_error(workdir):
 
 def test_an_edge_list_past_the_vertex_limit_is_an_input_error(workdir):
     """``edges 10**20 0`` allocated its adjacency before any check: numpy's
-    ValueError escaped main with exit 1."""
+    ValueError escaped main with exit 1.  ``from_edges`` refuses the count."""
     with inside(workdir, None):
         code, err = run(["spectrum", "edges-huge.graph"])
-    assert code == 2 and err.startswith("error: line 1: an edge list of")
+    assert code == 2 and err.startswith(f"error: a graph cannot have {10 ** 20} vertices")

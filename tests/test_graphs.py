@@ -1,10 +1,13 @@
 """Tests for graph construction, closed-form spectra, and complements."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfstruct import (
     Graph,
@@ -24,7 +27,13 @@ from perfstruct import (
 from perfstruct.graphs import FAMILIES, ProductFamily, Spectrum
 from perfstruct.products import NAMED_SPECS
 from perfstruct import graphs, products
-from perfstruct.errors import DimensionError, DomainMismatchError, HypothesisNotMetError, InputError
+from perfstruct.errors import (
+    DimensionError,
+    DomainMismatchError,
+    HypothesisNotMetError,
+    InputError,
+    PerfstructError,
+)
 
 TOL = 1e-8
 
@@ -50,6 +59,26 @@ FAMILY_CASES = [
     ("double", (("cycle", 5),)),
     ("bipartite_double", (("complete", 4),)),
 ]
+
+#: family-tagged graphs, some over a graph family themselves
+TAGGED = st.one_of(
+    st.tuples(st.sampled_from(["cycle", "complete", "path", "identity", "ones"]),
+              st.integers(3, 7)),
+    st.tuples(st.sampled_from(["torus", "hamming", "grid"]), st.integers(3, 4), st.integers(3, 4)),
+    st.tuples(st.sampled_from(["double", "bipartite_double"]),
+              st.tuples(st.just("cycle"), st.integers(3, 6))),
+).map(lambda tag: make_family(*tag))
+#: graph parameters of double and bipartite_double: tagged, untagged,
+#: rational and complex, the complex ones with or without a tag
+GRAPH_PARAMETERS = st.one_of(
+    TAGGED,
+    st.integers(2, 6).map(lambda n: from_edges(n, [(1, n)])),
+    st.fractions(-3, 3, max_denominator=5).map(
+        lambda x: Graph(Matrix.exact([[0, x], [x, 0]]))),
+    st.tuples(TAGGED, st.booleans()).map(
+        lambda pair: Graph(pair[0].adjacency.to_complex(), pair[0].family if pair[1] else None)),
+    st.integers(1, 3).map(lambda k: Graph(Matrix.complex([[0, 1j * k], [-1j * k, 0]]))),
+)
 
 
 class TestConstruction:
@@ -77,6 +106,23 @@ class TestConstruction:
     def test_numpy_integer_endpoints(self):
         g = from_edges(np.int64(3), [(np.int32(1), np.int64(2)), (np.uint8(2), 3)])
         assert g.adjacency == from_edges(3, [(1, 2), (2, 3)]).adjacency
+        assert from_edges(3, [np.array([1, 2]), np.array([2, 3])]).adjacency == g.adjacency
+
+    @pytest.mark.parametrize("n, edges, message", [
+        (2 ** 14 + 1, [], "16385 vertices"),        # a 2 GiB adjacency, allocated first
+        (2 ** 40, [], "1099511627776 vertices"),
+        (3, [(1, 2, 3)], r"bad edge \(1, 2, 3\)"),    # numpy's ValueError
+        (3, [(1,)], r"bad edge \(1,\)"),
+        (3, [1], "edge endpoints must be integers")])   # numpy's TypeError
+    def test_from_edges_refuses_before_it_allocates(self, n, edges, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError, match=message):
+                from_edges(n, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_hamming_two_two_is_a_four_cycle(self):
         # H(2,2) and C_4 coincide up to the vertex order used here
@@ -249,6 +295,24 @@ class TestClosedFormSpectra:
         with pytest.raises(InputError) as read:
             closed_form_spectrum(Graph(Matrix.identity(2), family=tag))
         assert str(read.value) == str(built.value)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from(["double", "bipartite_double"]), GRAPH_PARAMETERS)
+    def test_a_graph_parameter_has_the_closed_form_make_family_gives(self, name, g):
+        """The spectrum reads a graph parameter through its own tag, as it
+        reads the graph ``make_family`` builds: a tagged one raised KeyError."""
+        try:
+            built = make_family(name, g)
+        except PerfstructError as exc:
+            with pytest.raises(type(exc)) as read:
+                closed_form_spectrum((name, g))
+            assert str(read.value) == str(exc)
+            return
+        if built.family is None:   # an untagged parameter: neither has a closed form
+            with pytest.raises(InputError, match="no family tag"):
+                closed_form_spectrum((name, g))
+        else:
+            assert closed_form_spectrum((name, g)) == closed_form_spectrum(built)
 
     def test_each_tag_level_is_validated_once(self, monkeypatch):
         checked = []

@@ -638,6 +638,18 @@ class TestMultisetDiscrepancy:
         assert multiset_discrepancy([1j, 2], []) == float("inf")
         assert multiset_discrepancy([], []) == 0.0
 
+    @pytest.mark.parametrize("a, b", [
+        ([math.nan], [1j]), ([complex(math.inf, 1)], [complex(math.inf, 1)]),   # IndexError
+        ([math.nan], [1.0]), ([math.inf], [math.inf]), ([1, math.nan], [1, 2]),  # nan
+        ([1e308], [-1e308]), ([1e308 + 1j], [-1e308])])                          # RuntimeWarning
+    def test_a_non_finite_value_pairs_with_nothing(self, a, b):
+        """A nan or infinite value, or a difference past the float range,
+        matches nothing, as ``_same_value`` has it."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert multiset_discrepancy(a, b) == math.inf
+            assert multiset_discrepancy(b, a) == math.inf
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
         st.lists(near_value, min_size=n, max_size=n),
